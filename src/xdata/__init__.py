@@ -7,7 +7,7 @@ from .dataset import (DatasetError, MultiTargetDataset, Standardizer, TaskSchema
                       assemble, drop_labels, split, standardize)
 from .metrics import evaluate, pearson_cc, pseudo_label_accuracy, uar
 from .model import MtShlNetwork, NetworkConfig, init_network, mc_predict, train
-from .trainer import CdlcConfig, CdlcResult, run_cdlc, select_top_k
+from .trainer import Assignments, CdlcConfig, CdlcResult, run_cdlc, select_top_k
 
 __all__ = [
     "ArffError", "ArffRelation", "AttributeDecl", "parse_arff", "write_arff",
@@ -15,5 +15,5 @@ __all__ = [
     "assemble", "drop_labels", "split", "standardize",
     "evaluate", "pearson_cc", "pseudo_label_accuracy", "uar",
     "MtShlNetwork", "NetworkConfig", "init_network", "mc_predict", "train",
-    "CdlcConfig", "CdlcResult", "run_cdlc", "select_top_k",
+    "Assignments", "CdlcConfig", "CdlcResult", "run_cdlc", "select_top_k",
 ]

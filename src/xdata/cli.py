@@ -15,11 +15,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from .arff import ArffError, parse_arff, write_arff
 from .dataset import (REGRESSION, DatasetError, MultiTargetDataset, assemble,
                       assemble_eval, drop_labels, standardize, to_relation)
 from .metrics import evaluate, pseudo_label_accuracy
-from .model import NetworkConfig, predict_deterministic
+from .model import NetworkConfig, mc_predict
 from .trainer import (CdlcConfig, CdlcResult, apply_assignments, run_cdlc,
                       write_assignments_csv, write_iterations_csv)
 
@@ -109,6 +111,7 @@ def _parse_sizes(key: str, value: str) -> tuple[int, ...]:
     return sizes
 
 
+_COMMENT_RE = re.compile(r"(?:^|\s)#")
 _DATASET_RE = re.compile(r"^dataset\.(\d+)\.(file|num_targets)$")
 _MINCONF_RE = re.compile(r"^cdlc\.min_confidence\.(.+)$")
 _HEAD_RE = re.compile(r"^net\.head_layers\.(.+)$")
@@ -128,7 +131,7 @@ def parse_config(text: str) -> RunConfig:
     """Parse and fully validate a run configuration."""
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT_RE.split(raw, 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -240,8 +243,18 @@ def _read_relation(path: str):
     return parse_arff(p.read_text(encoding="utf-8"))
 
 
+def _check_task_keys(config: RunConfig, ds: MultiTargetDataset) -> None:
+    """Every task named in a per-task key must be an assembled task."""
+    names = {t.name for t in ds.tasks}
+    for prefix, keyed in (("net.head_layers", config.cdlc.network.head_layers),
+                          ("cdlc.min_confidence", config.cdlc.min_confidence)):
+        for task in sorted(keyed):
+            if task not in names:
+                raise ConfigError(f"unknown task {task!r} in key '{prefix}.{task}'")
+
+
 def _write_scatter(out_dir: Path, result: CdlcResult, eval_ds, standardizer) -> None:
-    preds = predict_deterministic(result.final_net, eval_ds.features)
+    preds = mc_predict(result.final_net, eval_ds.features)
     for m, task in enumerate(eval_ds.tasks):
         sel = eval_ds.defined[:, m]
         if not sel.any():
@@ -249,7 +262,6 @@ def _write_scatter(out_dir: Path, result: CdlcResult, eval_ds, standardizer) -> 
         with open(out_dir / f"scatter_{task.name}.csv", "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(["true", "predicted"])
-            import numpy as np
             for i in np.flatnonzero(sel):
                 if task.kind == REGRESSION:
                     t = standardizer.inverse_target(m, eval_ds.labels[i, m])
@@ -303,6 +315,7 @@ def run(config: RunConfig, quiet: bool = False) -> None:
     _progress(quiet, f"reading {len(config.datasets)} input file(s)")
     relations = [(_read_relation(path), nt) for path, nt in config.datasets]
     ds = assemble(relations, config.ignore_first_attribute)
+    _check_task_keys(config, ds)
     _progress(quiet, f"assembled {ds.n_instances} instances, {ds.n_features} features, "
                      f"{ds.n_tasks} task(s)")
 
@@ -376,6 +389,9 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     try:
         run(config, quiet=args.quiet)
+    except ConfigError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 1
     except (ArffError, DatasetError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2

@@ -111,6 +111,32 @@ def _task_from_attr(attr: AttributeDecl, file_index: int) -> TaskSchema:
     return TaskSchema(attr.name, kind, tuple(attr.categories), frozenset({file_index}))
 
 
+def _relation_to_arrays(rel: ArffRelation, feat_cols: Sequence[int],
+                        targets: Sequence[tuple[int, int, AttributeDecl]],
+                        tasks: Sequence[TaskSchema], features: np.ndarray,
+                        labels: np.ndarray, defined: np.ndarray, source: str) -> None:
+    """Fill the arrays from `rel` column by column. `targets` holds (column, task
+    index, declaring attribute); nominal indices are remapped to the task's order."""
+    for j, c in enumerate(feat_cols):
+        column = [row[c] for row in rel.rows]
+        if MISSING in column:
+            raise DatasetError(
+                f"{source}, row {column.index(MISSING) + 1}: missing value in feature "
+                f"{rel.attributes[c].name!r} (features must be fully defined)"
+            )
+        features[:, j] = column
+    for c, m, attr in targets:
+        column = [row[c] for row in rel.rows]
+        present = np.array([v is not MISSING for v in column], dtype=bool)
+        values = np.array([v for v in column if v is not MISSING], dtype=float)
+        classes = tasks[m].classes
+        if classes is not None:
+            remap = np.array([classes.index(cat) for cat in attr.categories], dtype=float)
+            values = remap[values.astype(int)]
+        labels[present, m] = values
+        defined[present, m] = True
+
+
 def assemble(
     relations: Sequence[tuple[ArffRelation, int]],
     ignore_first_attribute: bool = False,
@@ -173,40 +199,21 @@ def assemble(
         raise DatasetError("no target attributes in any input file: at least one task required")
 
     n_total = sum(len(rel.rows) for rel, _, _ in per_file)
-    n_feat = len(feature_names)
-    features = np.zeros((n_total, n_feat))
+    features = np.zeros((n_total, len(feature_names)))
     labels = np.zeros((n_total, len(tasks)))
     defined = np.zeros((n_total, len(tasks)), dtype=bool)
     origin = np.zeros(n_total, dtype=int)
 
+    offset = 1 if ignore_first_attribute else 0
     row_at = 0
     for d, (rel, feat_attrs, target_attrs) in enumerate(per_file, start=1):
-        offset = 1 if ignore_first_attribute else 0
-        feat_cols = [offset + i for i in range(len(feat_attrs))]
-        target_cols = [offset + len(feat_attrs) + i for i in range(len(target_attrs))]
-        for r, row in enumerate(rel.rows):
-            for j, c in enumerate(feat_cols):
-                v = row[c]
-                if v is MISSING:
-                    raise DatasetError(
-                        f"file {d}, row {r + 1}: missing value in feature "
-                        f"{feat_attrs[j].name!r} (features must be fully defined)"
-                    )
-                features[row_at, j] = v
-            for a, c in zip(target_attrs, target_cols):
-                v = row[c]
-                if v is MISSING:
-                    continue
-                m = task_pos[a.name]
-                task = tasks[m]
-                if task.classes is not None:
-                    # remap the index through the first file's category order
-                    labels[row_at, m] = task.classes.index(a.categories[v])
-                else:
-                    labels[row_at, m] = v
-                defined[row_at, m] = True
-            origin[row_at] = d
-            row_at += 1
+        rows = slice(row_at, row_at + len(rel.rows))
+        first_target = offset + len(feat_attrs)
+        targets = [(first_target + i, task_pos[a.name], a) for i, a in enumerate(target_attrs)]
+        _relation_to_arrays(rel, range(offset, first_target), targets, tasks,
+                            features[rows], labels[rows], defined[rows], f"file {d}")
+        origin[rows] = d
+        row_at = rows.stop
 
     return MultiTargetDataset(features, labels, defined, tasks, origin, feature_names)
 
@@ -249,24 +256,10 @@ def assemble_eval(rel: ArffRelation, train: MultiTargetDataset,
     features = np.zeros((n, len(feat_cols)))
     labels = np.zeros((n, train.n_tasks))
     defined = np.zeros((n, train.n_tasks), dtype=bool)
-    for r, row in enumerate(rel.rows):
-        for j, c in enumerate(feat_cols):
-            v = row[c]
-            if v is MISSING:
-                raise DatasetError(f"evaluation row {r + 1}: missing feature value")
-            features[r, j] = v
-        for m, t in enumerate(train.tasks):
-            if t.name not in target_cols:
-                continue
-            v = row[target_cols[t.name]]
-            if v is MISSING:
-                continue
-            if t.classes is not None:
-                cats = attrs[target_cols[t.name] - offset].categories
-                labels[r, m] = t.classes.index(cats[v])
-            else:
-                labels[r, m] = v
-            defined[r, m] = True
+    targets = [(target_cols[t.name], m, attrs[target_cols[t.name] - offset])
+               for m, t in enumerate(train.tasks) if t.name in target_cols]
+    _relation_to_arrays(rel, feat_cols, targets, train.tasks, features, labels, defined,
+                        "evaluation file")
     return MultiTargetDataset(features, labels, defined, list(train.tasks),
                               np.zeros(n, dtype=int), list(train.feature_names))
 

@@ -10,7 +10,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dataset import REGRESSION, MultiTargetDataset, Standardizer
-from .model import MtShlNetwork, predict_deterministic
+from .model import MtShlNetwork, mc_predict
 
 
 def uar(true_labels: Sequence[int], predicted: Sequence[int], n_classes: int) -> float:
@@ -102,7 +102,7 @@ def evaluate(net: MtShlNetwork, eval_set: MultiTargetDataset,
     """
     if [t.name for t in net.tasks] != [t.name for t in eval_set.tasks]:
         raise ValueError("evaluation set task schemas do not match the network")
-    preds = predict_deterministic(net, eval_set.features)
+    preds = mc_predict(net, eval_set.features)
     report = MetricReport()
     for m, task in enumerate(net.tasks):
         sel = eval_set.defined[:, m]
@@ -149,41 +149,37 @@ class PseudoLabelReport:
 def pseudo_label_accuracy(assignments, withheld_truth: MultiTargetDataset,
                           standardizer: Optional[Standardizer] = None
                           ) -> dict[str, PseudoLabelReport]:
-    """Compare pseudo-label assignments to the pre-drop ground-truth grid.
+    """Compare pseudo-label assignments (`trainer.Assignments`) to the pre-drop
+    ground-truth grid.
 
     Assignments referencing cells undefined in the truth grid are skipped and
     counted separately. Regression values are mapped back to original units
     before comparison when a standardizer is supplied.
     """
-    per_task: dict[int, list] = {}
-    for a in assignments:
-        per_task.setdefault(a.task_index, []).append(a)
-
+    values = assignments.original_values(standardizer)
     reports: dict[str, PseudoLabelReport] = {}
     for m, task in enumerate(withheld_truth.tasks):
-        items = per_task.get(m, [])
-        comparable = [a for a in items if withheld_truth.defined[a.instance, m]]
-        skipped = len(items) - len(comparable)
-        if not comparable:
+        mine = assignments.task_index == m
+        instance = assignments.instance[mine]
+        comparable = withheld_truth.defined[instance, m]
+        n = int(comparable.sum())
+        skipped = len(instance) - n
+        if n == 0:
             reports[task.name] = PseudoLabelReport(task.name, task.kind, 0, skipped)
             continue
-        truth = np.array([withheld_truth.labels[a.instance, m] for a in comparable])
-        assigned = np.array([a.value for a in comparable], dtype=float)
+        truth = withheld_truth.labels[instance[comparable], m]
+        assigned = values[mine][comparable]
         if task.kind == REGRESSION:
-            if standardizer is not None:
-                assigned = standardizer.inverse_target(m, assigned)
-            cc = pearson_cc(truth, assigned) if len(truth) >= 2 else None
+            cc = pearson_cc(truth, assigned) if n >= 2 else None
             mae = float(np.abs(truth - assigned).mean())
-            reports[task.name] = PseudoLabelReport(task.name, task.kind, len(comparable),
-                                                   skipped, cc=cc, mae=mae)
+            reports[task.name] = PseudoLabelReport(task.name, task.kind, n, skipped,
+                                                   cc=cc, mae=mae)
         else:
             hits = assigned.astype(int) == truth.astype(int)
-            per_iter: dict[int, list[bool]] = {}
-            for a, hit in zip(comparable, hits):
-                per_iter.setdefault(a.iteration, []).append(bool(hit))
+            iteration = assignments.iteration[mine][comparable]
             reports[task.name] = PseudoLabelReport(
-                task.name, task.kind, len(comparable), skipped,
-                accuracy=float(hits.mean()),
-                accuracy_per_iteration={i: float(np.mean(v)) for i, v in sorted(per_iter.items())},
+                task.name, task.kind, n, skipped, accuracy=float(hits.mean()),
+                accuracy_per_iteration={int(i): float(hits[iteration == i].mean())
+                                        for i in np.unique(iteration)},
             )
     return reports

@@ -383,18 +383,18 @@ def mc_predict(net: MtShlNetwork, x: np.ndarray,
                rng: Optional[np.random.Generator] = None) -> list[TaskPredictionBatch]:
     """Monte-Carlo dropout prediction with per-row confidences.
 
-    Runs config.mc_passes stochastic forward passes (one deterministic pass if
-    dropout is 0). Classification: mean output distribution, confidence is the
-    negated Shannon entropy of that mean. Regression: mean output, confidence
-    is the negated unbiased sample variance across passes.
+    Runs config.mc_passes stochastic forward passes drawn from `rng`; with
+    `rng` None or dropout 0 it runs one dropout-free pass instead, and the
+    confidences come from that point distribution. Classification: mean
+    output distribution, confidence is the negated Shannon entropy of that
+    mean. Regression: mean output, confidence is the negated unbiased sample
+    variance across passes (0 for a single pass).
     """
     cfg = net.config
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    if cfg.dropout == 0.0:
+    if rng is None or cfg.dropout == 0.0:
         passes = [forward(net, x)]
     else:
-        if rng is None:
-            rng = np.random.default_rng(cfg.seed)
         passes = [forward(net, x, rng) for _ in range(cfg.mc_passes)]
 
     results = []
@@ -410,18 +410,3 @@ def mc_predict(net: MtShlNetwork, x: np.ndarray,
             results.append(TaskPredictionBatch(m, _decode_classification(task, mean), mean, conf))
     return results
 
-
-def predict_deterministic(net: MtShlNetwork, x: np.ndarray) -> list[TaskPredictionBatch]:
-    """Single dropout-free pass; confidences from the point distribution."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    outs = forward(net, x)
-    results = []
-    for m, task in enumerate(net.tasks):
-        o = outs[m]
-        if task.kind == REGRESSION:
-            results.append(TaskPredictionBatch(m, o, o, np.zeros(x.shape[0])))
-        else:
-            dist = np.stack([1.0 - o, o], axis=-1) if task.kind == "binary" else o
-            results.append(TaskPredictionBatch(m, _decode_classification(task, o), o,
-                                               -shannon_entropy(dist)))
-    return results

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dataset import REGRESSION, MultiTargetDataset, Standardizer, split
+from .dataset import MultiTargetDataset, Standardizer, split
 from .metrics import MetricReport, evaluate
 from .model import NetworkConfig, init_network, mc_predict, train
 
@@ -47,13 +47,27 @@ class CdlcConfig:
 
 
 @dataclass
-class PseudoLabelAssignment:
-    instance: int
-    task_index: int
-    task: str
-    value: float  # class index, or regression value in standardized space
-    confidence: float
-    iteration: int
+class Assignments:
+    """Pseudo-label assignments as parallel columns, in emission order:
+    iteration, then task, then (-confidence, instance)."""
+
+    iteration: np.ndarray  # int
+    instance: np.ndarray  # int
+    task_index: np.ndarray  # int
+    value: np.ndarray  # float; class index, or regression value in standardized space
+    confidence: np.ndarray  # float
+
+    def __len__(self) -> int:
+        return len(self.instance)
+
+    def original_values(self, standardizer: Optional[Standardizer] = None) -> np.ndarray:
+        """`value` with regression entries mapped back to original target units."""
+        values = self.value.copy()
+        if standardizer is not None:
+            for m in standardizer.target_stats:
+                sel = self.task_index == m
+                values[sel] = standardizer.inverse_target(m, values[sel])
+        return values
 
 
 @dataclass
@@ -70,19 +84,20 @@ class IterationRecord:
 class CdlcResult:
     dataset: MultiTargetDataset  # completed grid, standardized space
     records: list[IterationRecord]
-    assignments: list[PseudoLabelAssignment]
+    assignments: Assignments
     status: str
     final_net: Optional[object] = None  # network from the last iteration
 
 
-def select_top_k(candidates: list[PseudoLabelAssignment], k: int,
-                 min_confidence: Optional[float] = None) -> list[PseudoLabelAssignment]:
-    """Highest-confidence candidates of one task, ties to the lower instance
-    index; candidates below `min_confidence` are excluded before truncation."""
-    pool = candidates
+def select_top_k(confidence: np.ndarray, instance: np.ndarray, k: int,
+                 min_confidence: Optional[float] = None) -> np.ndarray:
+    """Positions of the k highest confidences of one task, ties to the lower
+    instance index; candidates below `min_confidence` are excluded before
+    truncation."""
+    order = np.lexsort((instance, -confidence))
     if min_confidence is not None:
-        pool = [c for c in pool if c.confidence >= min_confidence]
-    return sorted(pool, key=lambda c: (-c.confidence, c.instance))[:k]
+        order = order[confidence[order] >= min_confidence]
+    return order[:k]
 
 
 def run_cdlc(ds: MultiTargetDataset, config: CdlcConfig,
@@ -104,7 +119,7 @@ def run_cdlc(ds: MultiTargetDataset, config: CdlcConfig,
         raise ValueError("dataset has no defined labels; nothing to train on")
 
     records: list[IterationRecord] = []
-    assignments: list[PseudoLabelAssignment] = []
+    chunks = [(np.zeros(0, int),) * 3 + (np.zeros(0),) * 2]  # Assignments field order
     status = STATUS_COMPLETED
     net = None
     iteration = 0
@@ -134,48 +149,42 @@ def run_cdlc(ds: MultiTargetDataset, config: CdlcConfig,
 
         filled: dict[str, int] = {}
         boundary: dict[str, Optional[float]] = {}
-        n_assigned = 0
         for m, task in enumerate(work.tasks):
-            open_cells = ~work.defined[ui, m]
-            candidates = [
-                PseudoLabelAssignment(int(ui[j]), m, task.name,
-                                      float(preds[m].decoded[j]),
-                                      float(preds[m].confidence[j]), iteration)
-                for j in np.flatnonzero(open_cells)
-            ]
-            selected = select_top_k(candidates, config.select_per_task,
-                                    config.min_confidence.get(task.name))
-            for a in selected:
-                work.labels[a.instance, m] = a.value
-                work.defined[a.instance, m] = True
-            assignments.extend(selected)
-            filled[task.name] = len(selected)
-            boundary[task.name] = selected[-1].confidence if selected else None
-            n_assigned += len(selected)
+            open_rows = np.flatnonzero(~work.defined[ui, m])
+            instance = ui[open_rows]
+            confidence = preds[m].confidence[open_rows]
+            pos = select_top_k(confidence, instance, config.select_per_task,
+                               config.min_confidence.get(task.name))
+            rows = instance[pos]
+            values = preds[m].decoded[open_rows[pos]].astype(float)
+            work.labels[rows, m] = values
+            work.defined[rows, m] = True
+            chunks.append((np.full(len(pos), iteration), rows, np.full(len(pos), m),
+                           values, confidence[pos]))
+            filled[task.name] = len(pos)
+            boundary[task.name] = float(confidence[pos[-1]]) if len(pos) else None
 
         remaining = {t.name: int((~work.defined[:, m]).sum())
                      for m, t in enumerate(work.tasks)}
         records.append(IterationRecord(iteration, filled, boundary, remaining, metrics,
                                        time.perf_counter() - started))
-        if n_assigned == 0:
+        if not any(filled.values()):
             status = STATUS_STALLED
             logger.warning("iteration %d assigned no cells; stopping", iteration)
             break
         iteration += 1
 
+    assignments = Assignments(*(np.concatenate(column) for column in zip(*chunks)))
     return CdlcResult(work, records, assignments, status, final_net=net)
 
 
-def apply_assignments(ds: MultiTargetDataset, assignments: list[PseudoLabelAssignment],
+def apply_assignments(ds: MultiTargetDataset, assignments: Assignments,
                       standardizer: Optional[Standardizer] = None) -> MultiTargetDataset:
     """Write pseudo-labels into an original-units dataset (for serialization)."""
     out = ds.copy()
-    for a in assignments:
-        value = a.value
-        if out.tasks[a.task_index].kind == REGRESSION and standardizer is not None:
-            value = standardizer.inverse_target(a.task_index, value)
-        out.labels[a.instance, a.task_index] = value
-        out.defined[a.instance, a.task_index] = True
+    cells = assignments.instance, assignments.task_index
+    out.labels[cells] = assignments.original_values(standardizer)
+    out.defined[cells] = True
     return out
 
 
@@ -191,25 +200,21 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def write_assignments_csv(path, assignments: list[PseudoLabelAssignment],
-                          ds: MultiTargetDataset,
+def write_assignments_csv(path, assignments: Assignments, ds: MultiTargetDataset,
                           standardizer: Optional[Standardizer] = None) -> None:
     """Columns: iteration,instance,dataset_origin,task,label,confidence.
     Labels are category text or inverse-standardized reals."""
+    a = assignments
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["iteration", "instance", "dataset_origin", "task", "label", "confidence"])
-        for a in assignments:
-            task = ds.tasks[a.task_index]
-            if task.classes is not None:
-                label = task.classes[int(a.value)]
-            else:
-                v = a.value
-                if standardizer is not None:
-                    v = standardizer.inverse_target(a.task_index, v)
-                label = repr(float(v))
-            w.writerow([a.iteration, a.instance, int(ds.origin[a.instance]),
-                        a.task, label, _fmt(a.confidence)])
+        for it, i, origin, m, v, conf in zip(
+                a.iteration.tolist(), a.instance.tolist(), ds.origin[a.instance].tolist(),
+                a.task_index.tolist(), a.original_values(standardizer).tolist(),
+                a.confidence.tolist()):
+            task = ds.tasks[m]
+            label = task.classes[int(v)] if task.classes is not None else repr(v)
+            w.writerow([it, i, origin, task.name, label, repr(conf)])
 
 
 def write_iterations_csv(path, records: list[IterationRecord],

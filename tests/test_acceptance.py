@@ -17,8 +17,7 @@ from xdata.metrics import pearson_cc, pseudo_label_accuracy, uar
 from xdata.model import (NetworkConfig, init_network, iter_grads, iter_params,
                          loss_and_grads, mc_predict, mt_loss)
 from xdata.synthetic import make_corpus
-from xdata.trainer import (CdlcConfig, PseudoLabelAssignment, run_cdlc,
-                           select_top_k)
+from xdata.trainer import CdlcConfig, run_cdlc, select_top_k
 
 DATA = Path(__file__).parent / "data" / "arff"
 
@@ -157,11 +156,9 @@ def test_select_top_k_matches_full_sort():
         # duplicated confidences force the tie-break to matter
         confs = rng.choice(np.round(rng.uniform(-2, 0, 20), 2), size=size)
         instances = rng.permutation(size * 2)[:size]
-        cands = [PseudoLabelAssignment(int(i), 0, "t", 0.0, float(c), 0)
-                 for i, c in zip(instances, confs)]
         k = int(rng.integers(1, size + 1))
-        expected = sorted(cands, key=lambda a: (-a.confidence, a.instance))[:k]
-        assert select_top_k(cands, k) == expected
+        expected = sorted(range(size), key=lambda j: (-confs[j], instances[j]))[:k]
+        assert select_top_k(confs, instances, k).tolist() == expected
 
 
 def _grid_dataset(undefined_counts, seed=0):

@@ -73,6 +73,11 @@ class TestParseConfig:
         cfg = parse_config("# heading\n\ndataset.1.file = a # trailing\noutput.dir = o\n")
         assert cfg.datasets[0][0] == "a"
 
+    def test_hash_inside_value_is_kept(self):
+        cfg = parse_config("dataset.1.file = runs/#3/a.arff\t# note\noutput.dir = o#2\n")
+        assert cfg.datasets[0][0] == "runs/#3/a.arff"
+        assert cfg.output_dir == "o#2"
+
     def test_per_task_keys(self):
         cfg = parse_config("dataset.1.file = a\noutput.dir = o\n"
                            "cdlc.min_confidence.emotion = -0.5\n"
@@ -114,6 +119,17 @@ class TestMain:
         cfg.write_text("bogus.key = 1\n")
         assert main(["--config", str(cfg)]) == 1
         assert "bogus.key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["net.head_layers.nosuchtask",
+                                     "cdlc.min_confidence.nosuchtask"])
+    def test_unknown_task_key_exits_1(self, tmp_path, capsys, key):
+        out = tmp_path / "out"
+        cfg = small_config(tmp_path, out)
+        cfg.write_text(cfg.read_text() + f"{key} = 4\n", encoding="utf-8")
+        assert main(["--config", str(cfg), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert f"configuration error: unknown task 'nosuchtask' in key '{key}'" in err
+        assert not (out / "assignments.csv").exists()
 
     def test_missing_config_file_exits_1(self, tmp_path):
         assert main(["--config", str(tmp_path / "absent.conf")]) == 1

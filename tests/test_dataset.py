@@ -227,3 +227,16 @@ def test_assemble_eval_matches_schema():
     assert [t.name for t in ev.tasks] == [t.name for t in ds.tasks]
     assert ev.defined[0].all()
     assert ev.labels[0, 0] == 1
+
+
+def test_missing_feature_error_names_file_row_and_attribute():
+    files = four_file_corpus()
+    bad, nt = _rel("B", ["f1", "f2"], [("emotion", EMOTIONS)],
+                   [[1.0, 1.1, 3], [1.2, None, 0]])
+    with pytest.raises(DatasetError, match=r"file 2, row 2: missing value in feature 'f2'"):
+        assemble([files[0], (bad, nt)])
+    ds = assemble(files)
+    test_rel, _ = _rel("T", ["f1", "f2"], [("emotion", EMOTIONS)], [[None, 0.0, 1]])
+    with pytest.raises(DatasetError,
+                       match=r"evaluation file, row 1: missing value in feature 'f1'"):
+        assemble_eval(test_rel, ds)

@@ -142,10 +142,10 @@ class TestEvaluate:
 
     def test_perfect_classifier_reports_uar_one(self):
         from xdata.metrics import evaluate
-        from xdata.model import predict_deterministic
+        from xdata.model import mc_predict
         tasks, net = self._setup()
         ev = self._eval_set(tasks)
-        preds = predict_deterministic(net, ev.features)
+        preds = mc_predict(net, ev.features)
         ev.labels[:, 0] = preds[0].decoded  # truth := predictions
         report = evaluate(net, ev)
         assert report.tasks["cls"].uar == 1.0
@@ -170,9 +170,10 @@ class TestPseudoLabelAccuracy:
                                   np.zeros(n, dtype=int), ["f1"])
 
     def _assign(self, values, iteration=0):
-        from xdata.trainer import PseudoLabelAssignment
-        return [PseudoLabelAssignment(i, 0, "t", float(v), -0.1, iteration)
-                for i, v in enumerate(values)]
+        from xdata.trainer import Assignments
+        n = len(values)
+        return Assignments(np.full(n, iteration), np.arange(n), np.zeros(n, dtype=int),
+                           np.asarray(values, dtype=float), np.full(n, -0.1))
 
     def test_all_correct(self):
         from xdata.metrics import pseudo_label_accuracy

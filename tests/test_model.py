@@ -6,8 +6,7 @@ import pytest
 from xdata.dataset import TaskSchema
 from xdata.model import (MtShlNetwork, NetworkConfig, forward, init_network,
                          iter_grads, iter_params, loss_and_grads, mc_predict,
-                         mt_loss, predict_deterministic, sample_dropout_masks,
-                         shannon_entropy, train)
+                         mt_loss, sample_dropout_masks, shannon_entropy, train)
 
 THREE_TASKS = [
     TaskSchema("flag", "binary", ("no", "yes")),
@@ -247,6 +246,15 @@ class TestConfidence:
         preds = mc_predict(net, np.random.default_rng(0).normal(size=(5, 5)))
         assert (preds[2].confidence == 0.0).all()
 
+    def test_no_rng_is_one_dropout_free_pass(self):
+        net = micro_net(dropout=0.3, mc_passes=5)
+        x = np.random.default_rng(35).normal(size=(20, 5))
+        preds = mc_predict(net, x)
+        outs = forward(net, x)
+        for m in range(3):
+            assert np.array_equal(preds[m].raw, outs[m])
+        assert (preds[2].confidence == 0.0).all()
+
     def test_classification_confidence_bounds(self):
         net = micro_net(dropout=0.3, mc_passes=5)
         x = np.random.default_rng(31).normal(size=(1000, 5))
@@ -269,7 +277,7 @@ class TestDecoding:
                            [TaskSchema("b", "binary", ("n", "p"))])
         w, b = net.heads[0][0]
         net.heads[0][0] = (np.zeros_like(w), np.zeros_like(b))  # sigmoid(0) = 0.5
-        preds = predict_deterministic(net, np.zeros((3, 2)))
+        preds = mc_predict(net, np.zeros((3, 2)))
         assert (preds[0].decoded == 0).all()
 
     def test_multiclass_argmax(self):
@@ -277,5 +285,5 @@ class TestDecoding:
                            [TaskSchema("c", "multiclass", ("a", "b", "c"))])
         w, b = net.heads[0][0]
         net.heads[0][0] = (np.zeros_like(w), np.log(np.array([0.1, 0.6, 0.3])))
-        preds = predict_deterministic(net, np.zeros((1, 2)))
+        preds = mc_predict(net, np.zeros((1, 2)))
         assert preds[0].decoded[0] == 1

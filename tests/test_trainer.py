@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,33 +8,28 @@ from hypothesis import strategies as st
 from xdata.dataset import MultiTargetDataset, TaskSchema
 from xdata.model import NetworkConfig
 from xdata.trainer import (STATUS_COMPLETED, STATUS_MAX_ITERATIONS,
-                           STATUS_STALLED, CdlcConfig, PseudoLabelAssignment,
-                           run_cdlc, select_top_k)
+                           STATUS_STALLED, CdlcConfig, run_cdlc, select_top_k)
 
 
-def make_assignment(instance, conf, task=0):
-    return PseudoLabelAssignment(instance, task, "t", 0.0, conf, 0)
+def top_instances(pool, k, min_confidence=None):
+    """Instances chosen by select_top_k from (instance, confidence) pairs."""
+    instance = np.array([i for i, _ in pool])
+    confidence = np.array([c for _, c in pool])
+    return instance[select_top_k(confidence, instance, k, min_confidence)].tolist()
 
 
 class TestSelectTopK:
     def test_orders_by_highest_confidence(self):
-        cands = [make_assignment(1, -0.05), make_assignment(2, -0.69),
-                 make_assignment(3, -0.20)]
-        assert [a.instance for a in select_top_k(cands, 2)] == [1, 3]
+        assert top_instances([(1, -0.05), (2, -0.69), (3, -0.20)], 2) == [1, 3]
 
     def test_k_larger_than_pool(self):
-        cands = [make_assignment(i, -0.1 * i) for i in range(3)]
-        assert len(select_top_k(cands, 10)) == 3
+        assert len(top_instances([(i, -0.1 * i) for i in range(3)], 10)) == 3
 
     def test_ties_break_to_lower_instance(self):
-        cands = [make_assignment(5, -0.5), make_assignment(2, -0.5),
-                 make_assignment(9, -0.5)]
-        assert [a.instance for a in select_top_k(cands, 2)] == [2, 5]
+        assert top_instances([(5, -0.5), (2, -0.5), (9, -0.5)], 2) == [2, 5]
 
     def test_min_confidence_filters_before_truncation(self):
-        cands = [make_assignment(1, -0.9), make_assignment(2, -0.1)]
-        out = select_top_k(cands, 2, min_confidence=-0.5)
-        assert [a.instance for a in out] == [2]
+        assert top_instances([(1, -0.9), (2, -0.1)], 2, min_confidence=-0.5) == [2]
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 10_000),
@@ -40,9 +37,8 @@ class TestSelectTopK:
                     min_size=1, max_size=200, unique_by=lambda t: t[0]),
            st.integers(1, 50))
     def test_matches_brute_force_sort(self, pool, k):
-        cands = [make_assignment(i, c) for i, c in pool]
-        expected = sorted(cands, key=lambda a: (-a.confidence, a.instance))[:k]
-        assert select_top_k(cands, k) == expected
+        expected = [i for i, _ in sorted(pool, key=lambda p: (-p[1], p[0]))[:k]]
+        assert top_instances(pool, k) == expected
 
 
 def grid_dataset(undefined_counts, n_features=4, seed=0):
@@ -115,20 +111,35 @@ class TestRunCdlc:
         ds = grid_dataset([80, 40], seed=8)
         cfg = CdlcConfig(network=FAST_NET, select_per_task=30)
         result = run_cdlc(ds, cfg)
-        seen = set()
-        for a in result.assignments:
-            cell = (a.instance, a.task_index)
-            assert cell not in seen
-            assert not ds.defined[a.instance, a.task_index]
-            seen.add(cell)
-        assert len(seen) == 120
+        a = result.assignments
+        cells = set(zip(a.instance.tolist(), a.task_index.tolist()))
+        assert len(cells) == len(a) == 120
+        assert not ds.defined[a.instance, a.task_index].any()
+
+    def test_warm_start_fills_each_undefined_cell_once(self):
+        ds = grid_dataset([90, 50], seed=12)
+        cfg = CdlcConfig(network=FAST_NET, select_per_task=40, retrain_from_scratch=False)
+        result = run_cdlc(ds, cfg)
+        assert result.status == STATUS_COMPLETED
+        assert len(result.records) == 3
+        originally = ds.defined
+        assert result.dataset.defined[originally].all()
+        assert np.array_equal(result.dataset.labels[originally], ds.labels[originally])
+        a = result.assignments
+        cells = list(zip(a.instance.tolist(), a.task_index.tolist()))
+        undefined = {tuple(c) for c in np.argwhere(~originally).tolist()}
+        assert len(cells) == len(set(cells)) == len(undefined)
+        assert set(cells) == undefined
+        assert result.dataset.defined.all()
 
     def test_run_determinism(self):
         ds = grid_dataset([70], seed=9)
         cfg = CdlcConfig(network=FAST_NET, select_per_task=25)
         r1 = run_cdlc(ds, cfg)
         r2 = run_cdlc(ds, cfg)
-        assert r1.assignments == r2.assignments
+        for column in fields(r1.assignments):
+            assert np.array_equal(getattr(r1.assignments, column.name),
+                                  getattr(r2.assignments, column.name))
         assert [r.filled for r in r1.records] == [r.filled for r in r2.records]
 
     def test_no_defined_labels_errors(self):
