@@ -3,29 +3,42 @@
 Supported dialect: ``%`` comment lines, ``@relation``, ``@attribute`` with
 ``numeric``/``real``/``integer`` (all stored as 64-bit float), ``string``, or a
 ``{v1,v2,...}`` nominal specification, then ``@data`` with comma-separated
-rows. ``?`` denotes a missing value. Keywords are case-insensitive; names and
-nominal values may be single-quoted (embedded commas and spaces preserved,
-``\\'`` escapes a quote). Date, relational and sparse-ARFF syntax are rejected
-as unsupported.
+rows. An unquoted ``?`` denotes a missing value. Keywords are case-insensitive;
+names and values may be single-quoted (embedded commas and spaces preserved,
+``\\'`` and ``\\\\`` are escapes inside quotes, any other backslash is literal).
+Whitespace outside quotes at the edges of a value is dropped. Date, relational
+and sparse-ARFF syntax are rejected as unsupported.
 
-Cell values are plain Python values: float for numeric, int (index into the
-attribute's category list) for nominal, str for string, and None for missing.
+A relation holds one column per attribute, all of the same length:
+
+- numeric: a float64 array, NaN for missing;
+- nominal: an int64 array of indices into the attribute's categories, -1 for
+  missing;
+- string: a list of ``str``, ``None`` for missing.
 """
 
 from __future__ import annotations
 
-import math
+import re
 from dataclasses import dataclass
 from typing import IO, Iterable, Optional, Union
+
+import numpy as np
 
 NUMERIC = "numeric"
 NOMINAL = "nominal"
 STRING = "string"
 
-#: Cell marker for a missing value.
-MISSING = None
+Column = Union[np.ndarray, list]
 
-Cell = Union[float, int, str, None]
+# A single-quoted segment; the escape rules of the dialect live here only.
+_QUOTED = r"'(?:[^'\\]|\\['\\]|\\(?!['\\]))*'"
+# The tokenizer: each match is one comma-separated cell (unquoted text and
+# quoted segments in any order, quotes kept). A quote it cannot close leaves
+# characters outside every match, which `_split` detects by length.
+_CELLS = re.compile(rf"(?:^|,)((?:[^',]+|{_QUOTED})*)")
+_SEGMENT = re.compile(_QUOTED)
+_ESCAPE = re.compile(r"\\(['\\])")
 
 
 class ArffError(ValueError):
@@ -62,96 +75,67 @@ class AttributeDecl:
 class ArffRelation:
     relation_name: str
     attributes: list[AttributeDecl]
-    rows: list[list[Cell]]
+    columns: list[Column]  # one per attribute, encoded as in the module docstring
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.columns[0]) if self.columns else 0
 
     def validate(self) -> None:
         names = [a.name for a in self.attributes]
         if len(set(names)) != len(names):
             raise ArffError("duplicate attribute names")
-        for i, row in enumerate(self.rows):
-            if len(row) != len(self.attributes):
-                raise ArffError(f"row {i} has {len(row)} values, expected {len(self.attributes)}")
-            for attr, value in zip(self.attributes, row):
-                _check_cell(attr, value)
-
-
-def _check_cell(attr: AttributeDecl, value: Cell) -> None:
-    if value is MISSING:
-        return
-    if attr.kind == NUMERIC:
-        if not isinstance(value, float) or not math.isfinite(value):
-            raise ArffError(f"attribute {attr.name!r}: expected finite float, got {value!r}")
-    elif attr.kind == NOMINAL:
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ArffError(f"attribute {attr.name!r}: expected category index, got {value!r}")
-        if not 0 <= value < len(attr.categories):
-            raise ArffError(f"attribute {attr.name!r}: category index {value} out of range")
-    else:
-        if not isinstance(value, str):
-            raise ArffError(f"attribute {attr.name!r}: expected string, got {value!r}")
+        if len(self.columns) != len(self.attributes):
+            raise ArffError(f"{len(self.columns)} columns for {len(self.attributes)} attributes")
+        n = self.n_rows
+        for attr, col in zip(self.attributes, self.columns):
+            if len(col) != n:
+                raise ArffError(f"attribute {attr.name!r}: {len(col)} values, expected {n}")
+            if attr.kind == STRING:
+                if not all(v is None or isinstance(v, str) for v in col):
+                    raise ArffError(f"attribute {attr.name!r}: expected str or None values")
+                continue
+            dtype = np.float64 if attr.kind == NUMERIC else np.int64
+            if not isinstance(col, np.ndarray) or col.dtype != dtype or col.ndim != 1:
+                raise ArffError(f"attribute {attr.name!r}: expected a 1-D {np.dtype(dtype)} array")
+            bad = col[np.isinf(col) if attr.kind == NUMERIC
+                      else (col < -1) | (col >= len(attr.categories))]
+            if len(bad):
+                raise ArffError(f"attribute {attr.name!r}: value {bad[0]} out of range")
 
 
 # ---------------------------------------------------------------------------
 # parsing
 
 
-def _split_quoted(text: str, lineno: int, sep: str = ",") -> list[tuple[str, bool]]:
-    """Split on `sep` outside single quotes; returns (token, was_quoted) pairs."""
-    out: list[tuple[str, bool]] = []
-    buf: list[str] = []
-    quoted = False
-    in_quote = False
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if in_quote:
-            if c == "\\" and i + 1 < n and text[i + 1] in ("'", "\\"):
-                buf.append(text[i + 1])
-                i += 2
-                continue
-            if c == "'":
-                in_quote = False
-                i += 1
-                continue
-            buf.append(c)
-            i += 1
-        else:
-            if c == "'":
-                in_quote = True
-                quoted = True
-                i += 1
-            elif c == sep:
-                out.append(("".join(buf) if quoted else "".join(buf).strip(), quoted))
-                buf = []
-                quoted = False
-                i += 1
-            else:
-                buf.append(c)
-                i += 1
-    if in_quote:
+def _unquote(match: re.Match) -> str:
+    return _ESCAPE.sub(r"\1", match[0][1:-1])
+
+
+def _split(text: str, lineno: int) -> list[str]:
+    """The raw comma-separated cells of `text`, quotes and whitespace kept."""
+    cells = _CELLS.findall(text)
+    if sum(map(len, cells)) + len(cells) - 1 != len(text):
         raise ArffError("unterminated quote", lineno)
-    out.append(("".join(buf) if quoted else "".join(buf).strip(), quoted))
-    return out
+    return cells
+
+
+def _decode(raw: Iterable[str]) -> tuple[list[str], np.ndarray]:
+    """Cell values with edge whitespace outside quotes dropped and quoted
+    segments unescaped, and the mask of missing (unquoted ``?``) cells."""
+    stripped = list(map(str.strip, raw))
+    missing = np.array([t == "?" for t in stripped], dtype=bool)
+    return [_SEGMENT.sub(_unquote, t) if "'" in t else t for t in stripped], missing
 
 
 def _parse_name_and_rest(text: str, lineno: int) -> tuple[str, str]:
     """Parse a possibly-quoted leading token, return (token, remainder)."""
     text = text.lstrip()
     if text.startswith("'"):
-        buf = []
-        i = 1
-        while i < len(text):
-            c = text[i]
-            if c == "\\" and i + 1 < len(text) and text[i + 1] in ("'", "\\"):
-                buf.append(text[i + 1])
-                i += 2
-                continue
-            if c == "'":
-                return "".join(buf), text[i + 1:]
-            buf.append(c)
-            i += 1
-        raise ArffError("unterminated quote", lineno)
+        match = _SEGMENT.match(text)
+        if match is None:
+            raise ArffError("unterminated quote", lineno)
+        return _unquote(match), text[match.end():]
     parts = text.split(None, 1)
     if not parts:
         raise ArffError("expected a name", lineno)
@@ -168,8 +152,7 @@ def _parse_attribute(rest: str, lineno: int) -> AttributeDecl:
     if type_text.startswith("{"):
         if not type_text.endswith("}"):
             raise ArffError(f"attribute {name!r}: unterminated nominal specification", lineno)
-        inner = type_text[1:-1]
-        cats = [tok for tok, _ in _split_quoted(inner, lineno)]
+        cats, _ = _decode(_split(type_text[1:-1], lineno))
         if any(c == "" for c in cats):
             raise ArffError(f"attribute {name!r}: empty nominal category", lineno)
         if len(set(cats)) != len(cats):
@@ -187,37 +170,61 @@ def _parse_attribute(rest: str, lineno: int) -> AttributeDecl:
     raise ArffError(f"attribute {name!r}: unknown type {type_text!r}", lineno)
 
 
-def _parse_data_row(line: str, attributes: list[AttributeDecl], lineno: int) -> list[Cell]:
-    if line.lstrip().startswith("{"):
-        raise ArffError("sparse ARFF data rows are unsupported", lineno)
-    tokens = _split_quoted(line, lineno)
-    if len(tokens) != len(attributes):
-        raise ArffError(
-            f"row has {len(tokens)} values but {len(attributes)} attributes are declared", lineno
-        )
-    row: list[Cell] = []
-    for attr, (tok, quoted) in zip(attributes, tokens):
-        if not quoted and tok == "?":
-            row.append(MISSING)
+def _column(attr: AttributeDecl, raw: Iterable[str], linenos: list[int]) -> Column:
+    """Convert one attribute's raw cells (line `linenos[i]` holds cell i)."""
+    values, missing = _decode(raw)
+    if attr.kind == STRING:
+        return [None if m else v for v, m in zip(values, missing.tolist())]
+    if attr.kind == NOMINAL:
+        index = {c: i for i, c in enumerate(attr.categories)}
+        codes = np.array([index.get(v, -1) for v in values], dtype=np.int64)
+        codes[missing] = -1
+        bad = np.flatnonzero((codes < 0) & ~missing)
+        if len(bad):
+            raise ArffError(f"attribute {attr.name!r}: value {values[bad[0]]!r} not in "
+                            "declared categories", linenos[bad[0]])
+        return codes
+    try:
+        column = np.array([np.nan if m else float(v) for v, m in zip(values, missing.tolist())],
+                          dtype=np.float64)
+    except ValueError:
+        i = next(i for i, v in enumerate(values) if not (missing[i] or _is_float(v)))
+        raise ArffError(f"attribute {attr.name!r}: invalid numeric value {values[i]!r}",
+                        linenos[i]) from None
+    bad = np.flatnonzero(~np.isfinite(column) & ~missing)
+    if len(bad):
+        raise ArffError(f"attribute {attr.name!r}: non-finite value {values[bad[0]]!r}",
+                        linenos[bad[0]])
+    return column
+
+
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _parse_data(lines: list[str], first_lineno: int,
+                attributes: list[AttributeDecl]) -> list[Column]:
+    rows: list[list[str]] = []
+    linenos: list[int] = []
+    for lineno, raw in enumerate(lines, start=first_lineno):
+        line = raw.strip()
+        if not line or line.startswith("%"):
             continue
-        if attr.kind == NUMERIC:
-            try:
-                value = float(tok)
-            except ValueError:
-                raise ArffError(f"attribute {attr.name!r}: invalid numeric value {tok!r}", lineno)
-            if not math.isfinite(value):
-                raise ArffError(f"attribute {attr.name!r}: non-finite value {tok!r}", lineno)
-            row.append(value)
-        elif attr.kind == NOMINAL:
-            try:
-                row.append(attr.categories.index(tok))
-            except ValueError:
-                raise ArffError(
-                    f"attribute {attr.name!r}: value {tok!r} not in declared categories", lineno
-                )
-        else:
-            row.append(tok)
-    return row
+        if line.startswith("{"):
+            raise ArffError("sparse ARFF data rows are unsupported", lineno)
+        cells = _split(line, lineno)
+        if len(cells) != len(attributes):
+            raise ArffError(
+                f"row has {len(cells)} values but {len(attributes)} attributes are declared",
+                lineno)
+        rows.append(cells)
+        linenos.append(lineno)
+    raw_columns = zip(*rows) if rows else [()] * len(attributes)
+    return [_column(a, raw, linenos) for a, raw in zip(attributes, raw_columns)]
 
 
 def parse_arff(source: Union[str, IO[str], Iterable[str]]) -> ArffRelation:
@@ -235,15 +242,10 @@ def parse_arff(source: Union[str, IO[str], Iterable[str]]) -> ArffRelation:
 
     relation_name: Optional[str] = None
     attributes: list[AttributeDecl] = []
-    rows: list[list[Cell]] = []
-    in_data = False
 
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\r\n").strip()
+        line = raw.strip()
         if not line or line.startswith("%"):
-            continue
-        if in_data:
-            rows.append(_parse_data_row(line, attributes, lineno))
             continue
         lower = line.lower()
         if lower.startswith("@relation"):
@@ -267,15 +269,14 @@ def parse_arff(source: Union[str, IO[str], Iterable[str]]) -> ArffRelation:
                 raise ArffError("@data with no attributes declared", lineno)
             if line[len("@data"):].strip():
                 raise ArffError("unexpected text after @data", lineno)
-            in_data = True
+            columns = _parse_data(lines[lineno:], lineno + 1, attributes)
+            return ArffRelation(relation_name, attributes, columns)
         else:
             raise ArffError(f"unrecognized declaration: {line!r}", lineno)
 
     if relation_name is None:
         raise ArffError("missing @relation declaration")
-    if not in_data:
-        raise ArffError("missing @data section")
-    return ArffRelation(relation_name, attributes, rows)
+    raise ArffError("missing @data section")
 
 
 # ---------------------------------------------------------------------------
@@ -283,20 +284,22 @@ def parse_arff(source: Union[str, IO[str], Iterable[str]]) -> ArffRelation:
 
 
 def _quote(text: str) -> str:
-    needs = text == "" or text == "?" or any(c in text for c in " \t,'%{}")
+    needs = (text in ("", "?") or text != text.strip()
+             or any(c in text for c in " \t,'%{}"))
     if not needs:
         return text
     return "'" + text.replace("\\", "\\\\").replace("'", "\\'") + "'"
 
 
-def _format_cell(attr: AttributeDecl, value: Cell) -> str:
-    if value is MISSING:
-        return "?"
-    if attr.kind == NUMERIC:
-        return repr(value)
+def _format(attr: AttributeDecl, column: Column) -> list[str]:
+    if attr.kind == STRING:
+        return ["?" if v is None else _quote(v) for v in column]
     if attr.kind == NOMINAL:
-        return _quote(attr.categories[value])
-    return _quote(value)
+        labels = np.array([_quote(c) for c in attr.categories] + ["?"], dtype=object)
+        return labels[column].tolist()
+    texts = np.array(list(map(repr, column.tolist())), dtype=object)
+    texts[np.isnan(column)] = "?"
+    return texts.tolist()
 
 
 def write_arff(relation: ArffRelation) -> str:
@@ -310,6 +313,6 @@ def write_arff(relation: ArffRelation) -> str:
             spec = attr.kind
         out.append(f"@attribute {_quote(attr.name)} {spec}")
     out.append("@data")
-    for row in relation.rows:
-        out.append(",".join(_format_cell(a, v) for a, v in zip(relation.attributes, row)))
+    cells = [_format(a, c) for a, c in zip(relation.attributes, relation.columns)]
+    out.extend(map(",".join, zip(*cells)))
     return "\n".join(out) + "\n"

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .arff import MISSING, NOMINAL, NUMERIC, STRING, ArffRelation, AttributeDecl
+from .arff import NOMINAL, NUMERIC, STRING, ArffRelation, AttributeDecl
 
 BINARY = "binary"
 MULTICLASS = "multiclass"
@@ -40,10 +40,6 @@ class TaskSchema:
             raise DatasetError(f"multiclass task {self.name!r} must have >= 3 classes")
         if self.kind == REGRESSION and self.classes is not None:
             raise DatasetError(f"regression task {self.name!r} cannot have classes")
-
-    @property
-    def is_classification(self) -> bool:
-        return self.kind in (BINARY, MULTICLASS)
 
     @property
     def num_classes(self) -> int:
@@ -76,12 +72,6 @@ class MultiTargetDataset:
             self.features.copy(), self.labels.copy(), self.defined.copy(),
             list(self.tasks), self.origin.copy(), list(self.feature_names),
         )
-
-    def task_index(self, name: str) -> int:
-        for i, t in enumerate(self.tasks):
-            if t.name == name:
-                return i
-        raise KeyError(name)
 
 
 @dataclass
@@ -118,21 +108,27 @@ def _relation_to_arrays(rel: ArffRelation, feat_cols: Sequence[int],
     """Fill the arrays from `rel` column by column. `targets` holds (column, task
     index, declaring attribute); nominal indices are remapped to the task's order."""
     for j, c in enumerate(feat_cols):
-        column = [row[c] for row in rel.rows]
-        if MISSING in column:
+        attr, column = rel.attributes[c], rel.columns[c]
+        if attr.kind != NUMERIC:
+            raise DatasetError(f"{source}: {attr.kind} attribute {attr.name!r} "
+                               "cannot be a feature")
+        missing = np.isnan(column)
+        if missing.any():
             raise DatasetError(
-                f"{source}, row {column.index(MISSING) + 1}: missing value in feature "
-                f"{rel.attributes[c].name!r} (features must be fully defined)"
+                f"{source}, row {np.argmax(missing) + 1}: missing value in feature "
+                f"{attr.name!r} (features must be fully defined)"
             )
         features[:, j] = column
     for c, m, attr in targets:
-        column = [row[c] for row in rel.rows]
-        present = np.array([v is not MISSING for v in column], dtype=bool)
-        values = np.array([v for v in column if v is not MISSING], dtype=float)
+        column = rel.columns[c]
         classes = tasks[m].classes
         if classes is not None:
+            present = column >= 0
             remap = np.array([classes.index(cat) for cat in attr.categories], dtype=float)
-            values = remap[values.astype(int)]
+            values = remap[column[present]]
+        else:
+            present = ~np.isnan(column)
+            values = column[present]
         labels[present, m] = values
         defined[present, m] = True
 
@@ -165,11 +161,6 @@ def assemble(
             raise DatasetError(f"file {d}: num_targets {num_targets} exceeds attribute count")
         split_at = len(attrs) - num_targets
         feat_attrs, target_attrs = attrs[:split_at], attrs[split_at:]
-        for a in feat_attrs:
-            if a.kind == STRING:
-                raise DatasetError(f"file {d}: string attribute {a.name!r} cannot be a feature")
-            if a.kind == NOMINAL:
-                raise DatasetError(f"file {d}: nominal attribute {a.name!r} cannot be a feature")
         names = [a.name for a in feat_attrs]
         if feature_names is None:
             feature_names = names
@@ -198,7 +189,7 @@ def assemble(
     if not tasks:
         raise DatasetError("no target attributes in any input file: at least one task required")
 
-    n_total = sum(len(rel.rows) for rel, _, _ in per_file)
+    n_total = sum(rel.n_rows for rel, _, _ in per_file)
     features = np.zeros((n_total, len(feature_names)))
     labels = np.zeros((n_total, len(tasks)))
     defined = np.zeros((n_total, len(tasks)), dtype=bool)
@@ -207,7 +198,7 @@ def assemble(
     offset = 1 if ignore_first_attribute else 0
     row_at = 0
     for d, (rel, feat_attrs, target_attrs) in enumerate(per_file, start=1):
-        rows = slice(row_at, row_at + len(rel.rows))
+        rows = slice(row_at, row_at + rel.n_rows)
         first_target = offset + len(feat_attrs)
         targets = [(first_target + i, task_pos[a.name], a) for i, a in enumerate(target_attrs)]
         _relation_to_arrays(rel, range(offset, first_target), targets, tasks,
@@ -252,7 +243,7 @@ def assemble_eval(rel: ArffRelation, train: MultiTargetDataset,
         if t.classes is not None and set(schema.classes) != set(t.classes):
             raise DatasetError(f"evaluation task {t.name!r}: nominal category sets differ")
 
-    n = len(rel.rows)
+    n = rel.n_rows
     features = np.zeros((n, len(feat_cols)))
     labels = np.zeros((n, train.n_tasks))
     defined = np.zeros((n, train.n_tasks), dtype=bool)
@@ -265,25 +256,23 @@ def assemble_eval(rel: ArffRelation, train: MultiTargetDataset,
 
 
 def to_relation(ds: MultiTargetDataset, relation_name: str = "completed") -> ArffRelation:
-    """Export the dataset (original units) as one merged ARFF relation."""
+    """Export the dataset (original units) as one merged ARFF relation.
+    Raises DatasetError if a defined label cell holds a non-finite value."""
     attrs = [AttributeDecl(name, NUMERIC) for name in ds.feature_names]
-    for t in ds.tasks:
+    columns = list(ds.features.T.copy())
+    for m, t in enumerate(ds.tasks):
+        labels, defined = ds.labels[:, m], ds.defined[:, m]
+        bad = defined & ~np.isfinite(labels)
+        if bad.any():
+            raise DatasetError(f"task {t.name!r}, row {np.argmax(bad) + 1}: "
+                               f"non-finite value {float(labels[bad][0])} in a defined cell")
         if t.classes is not None:
             attrs.append(AttributeDecl(t.name, NOMINAL, t.classes))
+            columns.append(np.where(defined, labels, -1).astype(np.int64))
         else:
             attrs.append(AttributeDecl(t.name, NUMERIC))
-    rows = []
-    for i in range(ds.n_instances):
-        row: list = [float(v) for v in ds.features[i]]
-        for m, t in enumerate(ds.tasks):
-            if not ds.defined[i, m]:
-                row.append(MISSING)
-            elif t.classes is not None:
-                row.append(int(ds.labels[i, m]))
-            else:
-                row.append(float(ds.labels[i, m]))
-        rows.append(row)
-    return ArffRelation(relation_name, attrs, rows)
+            columns.append(np.where(defined, labels, np.nan))
+    return ArffRelation(relation_name, attrs, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -321,10 +310,6 @@ class Standardizer:
 
     def inverse_features(self, x: np.ndarray) -> np.ndarray:
         return x * self.feature_std + self.feature_mean
-
-    def transform_target(self, m: int, v):
-        mean, std = self.target_stats[m]
-        return (v - mean) / std
 
     def inverse_target(self, m: int, v):
         if m not in self.target_stats:

@@ -30,7 +30,7 @@ def generate(n: int, seed: int, feature_dim: int = 10, noise: float = 0.1) -> Sy
     quadrant = 2 * (z[:, 0] < 0) + (z[:, 1] < 0)
     return SyntheticData(
         features=x,
-        quadrant=quadrant.astype(int),
+        quadrant=quadrant.astype(np.int64),
         coord_a=z[:, 0] + noise * rng.normal(size=n),
         coord_v=z[:, 1] + noise * rng.normal(size=n),
     )
@@ -45,18 +45,8 @@ def _relation(name: str, data: SyntheticData, idx: np.ndarray,
             attrs.append(AttributeDecl("quadrant", NOMINAL, QUADRANT_CLASSES))
         else:
             attrs.append(AttributeDecl(t, NUMERIC))
-    rows = []
-    for i in idx:
-        row: list = [float(v) for v in data.features[i]]
-        for t in targets:
-            if t == "quadrant":
-                row.append(int(data.quadrant[i]))
-            elif t == "coord_a":
-                row.append(float(data.coord_a[i]))
-            else:
-                row.append(float(data.coord_v[i]))
-        rows.append(row)
-    return ArffRelation(name, attrs, rows)
+    columns = list(data.features[idx].T) + [getattr(data, t)[idx] for t in targets]
+    return ArffRelation(name, attrs, columns)
 
 
 def make_corpus(n_train: int = 2500, n_test: int = 500, seed: int = 0,

@@ -110,6 +110,8 @@ def run_cdlc(ds: MultiTargetDataset, config: CdlcConfig,
     record 0 reflects training on the original labels only), then assigns up
     to select_per_task pseudo-labels per task. Terminates when the grid is
     complete, max_iterations is reached, or an iteration assigns nothing.
+    Raises FloatingPointError if a candidate's prediction or confidence is
+    non-finite.
     """
     config.validate()
     if eval_set is not None and [t.name for t in eval_set.tasks] != [t.name for t in ds.tasks]:
@@ -153,10 +155,14 @@ def run_cdlc(ds: MultiTargetDataset, config: CdlcConfig,
             open_rows = np.flatnonzero(~work.defined[ui, m])
             instance = ui[open_rows]
             confidence = preds[m].confidence[open_rows]
+            candidates = preds[m].decoded[open_rows].astype(float)
+            if not (np.isfinite(confidence).all() and np.isfinite(candidates).all()):
+                raise FloatingPointError(f"iteration {iteration}: non-finite prediction "
+                                         f"or confidence for task {task.name!r}")
             pos = select_top_k(confidence, instance, config.select_per_task,
                                config.min_confidence.get(task.name))
             rows = instance[pos]
-            values = preds[m].decoded[open_rows[pos]].astype(float)
+            values = candidates[pos]
             work.labels[rows, m] = values
             work.defined[rows, m] = True
             chunks.append((np.full(len(pos), iteration), rows, np.full(len(pos), m),

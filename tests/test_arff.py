@@ -1,12 +1,13 @@
-import math
 from pathlib import Path
 
+import numpy as np
 import pytest
+from arff_columns import columns_equal, count_missing, from_rows, relation
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xdata.arff import (MISSING, NOMINAL, NUMERIC, STRING, ArffError,
-                        ArffRelation, AttributeDecl, parse_arff, write_arff)
+from xdata.arff import (NOMINAL, NUMERIC, STRING, ArffError, AttributeDecl,
+                        parse_arff, write_arff)
 
 DATA = Path(__file__).parent / "data" / "arff"
 
@@ -15,13 +16,14 @@ def test_parse_basic_example():
     rel = parse_arff("@relation t\n@attribute a numeric\n@attribute c {x,y}\n@data\n1.5,x\n?,y\n")
     assert rel.relation_name == "t"
     assert [a.kind for a in rel.attributes] == [NUMERIC, NOMINAL]
-    assert rel.rows == [[1.5, 0], [MISSING, 1]]
+    assert columns_equal(rel.columns, from_rows(rel.attributes, [[1.5, 0], [None, 1]]))
 
 
 def test_parse_empty_data():
     rel = parse_arff("@relation t\n@attribute a numeric\n@data\n")
     assert len(rel.attributes) == 1
-    assert rel.rows == []
+    assert rel.n_rows == 0
+    assert columns_equal(rel.columns, [np.zeros(0)])
 
 
 def test_arity_error_carries_line_number():
@@ -33,7 +35,7 @@ def test_arity_error_carries_line_number():
 def test_numeric_aliases_map_to_float():
     rel = parse_arff("@relation t\n@attribute a real\n@attribute b INTEGER\n@data\n1,2\n")
     assert all(a.kind == NUMERIC for a in rel.attributes)
-    assert rel.rows == [[1.0, 2.0]]
+    assert columns_equal(rel.columns, [np.array([1.0]), np.array([2.0])])
 
 
 def test_nominal_matching_is_case_sensitive():
@@ -44,24 +46,58 @@ def test_nominal_matching_is_case_sensitive():
 def test_quoted_value_preserves_commas_and_spaces():
     rel = parse_arff("@relation t\n@attribute c {'a, b','c d'}\n@data\n'a, b'\n")
     assert rel.attributes[0].categories == ("a, b", "c d")
-    assert rel.rows == [[0]]
+    assert columns_equal(rel.columns, [np.array([0])])
 
 
 def test_write_quotes_whitespace_category():
-    rel = ArffRelation("t", [AttributeDecl("c", NOMINAL, ("very happy", "ok"))], [[0]])
+    rel = relation("t", [AttributeDecl("c", NOMINAL, ("very happy", "ok"))], [[0]])
     text = write_arff(rel)
     assert "'very happy'" in text
 
 
+def test_write_quotes_edge_whitespace():
+    rel = relation("t", [AttributeDecl("s", STRING)], [["\xa0x"], [" y\t"]])
+    assert parse_arff(write_arff(rel)).columns == [["\xa0x", " y\t"]]
+
+
 def test_write_roundtrips_float_bits():
-    rel = ArffRelation("t", [AttributeDecl("a", NUMERIC)], [[0.1]])
+    rel = relation("t", [AttributeDecl("a", NUMERIC)], [[0.1]])
     back = parse_arff(write_arff(rel))
-    assert back.rows[0][0] == 0.1
+    assert back.columns[0][0] == 0.1
 
 
 def test_unquoted_question_mark_is_missing_quoted_is_not():
     rel = parse_arff("@relation t\n@attribute c {'?',ok}\n@data\n?\n'?'\n")
-    assert rel.rows == [[MISSING], [0]]
+    assert columns_equal(rel.columns, [np.array([-1, 0])])
+
+
+def test_whitespace_outside_quotes_is_dropped():
+    rel = parse_arff("@relation t\n@attribute c {x, 'y z' }\n@attribute s string\n"
+                     "@attribute n numeric\n@data\n'x' , ' cd ' , 1\n 'y z',  'cd'  ,2\n")
+    assert rel.attributes[0].categories == ("x", "y z")
+    assert rel.columns[0].tolist() == [0, 1]
+    assert rel.columns[1] == [" cd ", "cd"]
+    assert rel.columns[2].tolist() == [1.0, 2.0]
+
+
+def test_escape_fixture_values():
+    rel = parse_arff((DATA / "valid" / "escapes.arff").read_text(encoding="utf-8"))
+    assert rel.relation_name == "esc'apes"
+    assert rel.attributes[2].categories == ("x y", "plain")
+    assert rel.columns[0] == ["it's", "back\\slash", "lone \\ inside", "lone\\outside\\\\too",
+                              "abc", "x y", "a b c d", "\\'"]
+    assert columns_equal(rel.columns[1:], [
+        np.array([1.0, 2.0, 3.0, 4.0, 5.0, 2.5, np.nan, np.nan]),
+        np.array([1, 0, 1, 1, 1, 0, 1, -1]),
+    ])
+
+
+def test_long_unterminated_quote_reports_its_line():
+    cell = "'" + "x \\ " * 5000  # 20 001 characters, no closing quote
+    text = "@relation t\n@attribute s string\n@data\nok\n" + cell + "\n"
+    with pytest.raises(ArffError, match="unterminated quote") as exc:
+        parse_arff(text)
+    assert exc.value.line == 5
 
 
 @pytest.mark.parametrize("snippet,err", [
@@ -80,10 +116,8 @@ def test_fixture_roundtrip(path):
     again = parse_arff(text)
     assert again.relation_name == rel.relation_name
     assert again.attributes == rel.attributes
-    assert again.rows == rel.rows
-    missing = sum(v is MISSING for row in rel.rows for v in row)
-    missing2 = sum(v is MISSING for row in again.rows for v in row)
-    assert missing == missing2
+    assert columns_equal(again.columns, rel.columns)
+    assert count_missing(again) == count_missing(rel)
 
 
 @pytest.mark.parametrize("path", sorted((DATA / "malformed").glob("*.arff")))
@@ -121,7 +155,7 @@ def relations(draw):
         row = []
         for a in attrs:
             if draw(st.booleans()) and draw(st.integers(0, 3)) == 0:
-                row.append(MISSING)
+                row.append(None)
             elif a.kind == NUMERIC:
                 row.append(draw(st.floats(allow_nan=False, allow_infinity=False, width=64)))
             elif a.kind == NOMINAL:
@@ -129,7 +163,7 @@ def relations(draw):
             else:
                 row.append(draw(_text))
         rows.append(row)
-    return ArffRelation(draw(_text), attrs, rows)
+    return relation(draw(_text), attrs, rows)
 
 
 @settings(max_examples=200, deadline=None)
@@ -138,10 +172,5 @@ def test_roundtrip_property(rel):
     again = parse_arff(write_arff(rel))
     assert again.relation_name == rel.relation_name
     assert again.attributes == rel.attributes
-    assert len(again.rows) == len(rel.rows)
-    for a, b in zip(rel.rows, again.rows):
-        for va, vb in zip(a, b):
-            if isinstance(va, float):
-                assert math.isclose(va, vb, rel_tol=0, abs_tol=0) or (va == vb)
-            else:
-                assert va == vb
+    assert again.n_rows == rel.n_rows
+    assert columns_equal(again.columns, rel.columns)

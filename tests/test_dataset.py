@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from arff_columns import count_missing, relation
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +18,7 @@ def _rel(name, features, targets, rows):
             attrs.append(AttributeDecl(tname, NUMERIC))
         else:
             attrs.append(AttributeDecl(tname, NOMINAL, cats))
-    return ArffRelation(name, attrs, rows), len(targets)
+    return relation(name, attrs, rows), len(targets)
 
 
 EMOTIONS = ("ang", "hap", "sad", "neu")
@@ -67,16 +68,16 @@ class TestAssemble:
             assemble([a, b])
 
     def test_string_feature_rejected(self):
-        rel = ArffRelation("A", [AttributeDecl("id", STRING),
-                                 AttributeDecl("t", NUMERIC)], [])
+        rel = relation("A", [AttributeDecl("id", STRING),
+                             AttributeDecl("t", NUMERIC)], [])
         with pytest.raises(DatasetError, match="string"):
             assemble([(rel, 1)])
 
     def test_ignore_first_attribute(self):
-        rel = ArffRelation("A", [AttributeDecl("id", STRING),
-                                 AttributeDecl("f1", NUMERIC),
-                                 AttributeDecl("t", NUMERIC)],
-                           [["row1", 1.0, 2.0]])
+        rel = relation("A", [AttributeDecl("id", STRING),
+                             AttributeDecl("f1", NUMERIC),
+                             AttributeDecl("t", NUMERIC)],
+                       [["row1", 1.0, 2.0]])
         ds = assemble([(rel, 1)], ignore_first_attribute=True)
         assert ds.feature_names == ["f1"]
         assert ds.labels[0, 0] == 2.0
@@ -98,10 +99,11 @@ class TestAssemble:
         files = four_file_corpus()
         ds1 = assemble(files)
         rel, nt = files[0]
-        rel_perm = ArffRelation(rel.relation_name, rel.attributes, rel.rows[::-1])
+        rel_perm = ArffRelation(rel.relation_name, rel.attributes,
+                                [c[::-1] for c in rel.columns])
         ds2 = assemble([(rel_perm, nt)] + files[1:])
         assert [t.name for t in ds2.tasks] == [t.name for t in ds1.tasks]
-        n0 = len(rel.rows)
+        n0 = rel.n_rows
         assert np.array_equal(ds2.features[:n0], ds1.features[:n0][::-1])
         assert np.array_equal(ds2.defined[:n0], ds1.defined[:n0][::-1])
         assert np.array_equal(ds2.features[n0:], ds1.features[n0:])
@@ -210,11 +212,9 @@ def test_merged_arff_roundtrip():
     ds = assemble(four_file_corpus())
     rel = to_relation(ds)
     again = parse_arff(write_arff(rel))
-    assert len(again.rows) == ds.n_instances
+    assert again.n_rows == ds.n_instances
     # undefined label cells serialize as missing
-    undef = int((~ds.defined).sum())
-    missing = sum(v is None for row in again.rows for v in row)
-    assert missing == undef
+    assert count_missing(again) == int((~ds.defined).sum())
 
 
 def test_assemble_eval_matches_schema():
@@ -240,3 +240,23 @@ def test_missing_feature_error_names_file_row_and_attribute():
     with pytest.raises(DatasetError,
                        match=r"evaluation file, row 1: missing value in feature 'f1'"):
         assemble_eval(test_rel, ds)
+
+
+@pytest.mark.parametrize("attr", [AttributeDecl("f1", NOMINAL, ("lo", "hi")),
+                                  AttributeDecl("f1", STRING)])
+def test_assemble_eval_rejects_non_numeric_feature(attr):
+    ds = assemble(four_file_corpus())
+    test_rel = relation("T", [attr, AttributeDecl("f2", NUMERIC),
+                              AttributeDecl("emotion", NOMINAL, EMOTIONS)],
+                        [[1 if attr.kind == NOMINAL else "hi", 0.0, 1]])
+    with pytest.raises(DatasetError, match=rf"evaluation file: {attr.kind} attribute 'f1' "
+                                           "cannot be a feature"):
+        assemble_eval(test_rel, ds)
+
+
+def test_to_relation_rejects_non_finite_defined_label():
+    ds = assemble(four_file_corpus())
+    assert ds.defined[0, 1]  # arousal of the first instance
+    ds.labels[0, 1] = np.nan
+    with pytest.raises(DatasetError, match=r"task 'arousal', row 1: non-finite value"):
+        to_relation(ds)
