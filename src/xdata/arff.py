@@ -6,8 +6,10 @@ Supported dialect: ``%`` comment lines, ``@relation``, ``@attribute`` with
 rows. An unquoted ``?`` denotes a missing value. Keywords are case-insensitive;
 names and values may be single-quoted (embedded commas and spaces preserved,
 ``\\'`` and ``\\\\`` are escapes inside quotes, any other backslash is literal).
-Whitespace outside quotes at the edges of a value is dropped. Date, relational
-and sparse-ARFF syntax are rejected as unsupported.
+Whitespace outside quotes at the edges of a value is dropped. Lines split at
+``\n`` only (a ``\r`` before it is dropped); the writer rejects text holding
+``\n`` or ``\r``, which the dialect cannot escape. Date, relational and
+sparse-ARFF syntax are rejected as unsupported.
 
 A relation holds one column per attribute, all of the same length:
 
@@ -39,6 +41,9 @@ _QUOTED = r"'(?:[^'\\]|\\['\\]|\\(?!['\\]))*'"
 _CELLS = re.compile(rf"(?:^|,)((?:[^',]+|{_QUOTED})*)")
 _SEGMENT = re.compile(_QUOTED)
 _ESCAPE = re.compile(r"\\(['\\])")
+# The writer quotes a value holding whitespace (an unquoted name ends at it),
+# the separator, the quote, or a comment or sparse-row marker.
+_UNSAFE = re.compile(r"[\s,'%{}]")
 
 
 class ArffError(ValueError):
@@ -85,6 +90,10 @@ class ArffRelation:
         names = [a.name for a in self.attributes]
         if len(set(names)) != len(names):
             raise ArffError("duplicate attribute names")
+        _reject_line_break(self.relation_name, "relation name")
+        for attr in self.attributes:
+            for text in (attr.name, *(attr.categories or ())):
+                _reject_line_break(text, f"attribute {attr.name!r}")
         if len(self.columns) != len(self.attributes):
             raise ArffError(f"{len(self.columns)} columns for {len(self.attributes)} attributes")
         n = self.n_rows
@@ -94,6 +103,9 @@ class ArffRelation:
             if attr.kind == STRING:
                 if not all(v is None or isinstance(v, str) for v in col):
                     raise ArffError(f"attribute {attr.name!r}: expected str or None values")
+                for row, v in enumerate(col):
+                    if v is not None:
+                        _reject_line_break(v, f"attribute {attr.name!r}, row {row}")
                 continue
             dtype = np.float64 if attr.kind == NUMERIC else np.int64
             if not isinstance(col, np.ndarray) or col.dtype != dtype or col.ndim != 1:
@@ -102,6 +114,11 @@ class ArffRelation:
                       else (col < -1) | (col >= len(attr.categories))]
             if len(bad):
                 raise ArffError(f"attribute {attr.name!r}: value {bad[0]} out of range")
+
+
+def _reject_line_break(text: str, where: str) -> None:
+    if "\n" in text or "\r" in text:  # lines split at \n; no escape exists for either
+        raise ArffError(f"{where}: {text!r} contains a line break")
 
 
 # ---------------------------------------------------------------------------
@@ -234,11 +251,9 @@ def parse_arff(source: Union[str, IO[str], Iterable[str]]) -> ArffRelation:
     Raises :class:`ArffError` with a line number on any malformed input.
     """
     if hasattr(source, "read"):
-        lines = source.read().splitlines()
-    elif isinstance(source, str):
-        lines = source.splitlines()
-    else:
-        lines = [ln.rstrip("\r\n") for ln in source]
+        source = source.read()
+    # every line is stripped before use, which drops the \r of a \r\n ending
+    lines = source.split("\n") if isinstance(source, str) else list(source)
 
     relation_name: Optional[str] = None
     attributes: list[AttributeDecl] = []
@@ -284,9 +299,7 @@ def parse_arff(source: Union[str, IO[str], Iterable[str]]) -> ArffRelation:
 
 
 def _quote(text: str) -> str:
-    needs = (text in ("", "?") or text != text.strip()
-             or any(c in text for c in " \t,'%{}"))
-    if not needs:
+    if text not in ("", "?") and not _UNSAFE.search(text):
         return text
     return "'" + text.replace("\\", "\\\\").replace("'", "\\'") + "'"
 

@@ -60,6 +60,29 @@ def test_write_quotes_edge_whitespace():
     assert parse_arff(write_arff(rel)).columns == [["\xa0x", " y\t"]]
 
 
+def test_line_break_characters_other_than_newline_roundtrip():
+    values = [["a\x0cb"], ["c\u2028d"], ["\x85"]]
+    rel = relation("t", [AttributeDecl("s", STRING)], values)
+    again = parse_arff(write_arff(rel))
+    assert again.n_rows == 3
+    assert again.columns == [["a\x0cb", "c\u2028d", "\x85"]]
+
+
+@pytest.mark.parametrize("text", ["a\nb", "a\rb", "a\r\n"])
+def test_write_rejects_newline_in_value(text):
+    rel = relation("t", [AttributeDecl("s", STRING)], [["ok"], [text]])
+    with pytest.raises(ArffError, match="attribute 's', row 1: .* contains a line break"):
+        write_arff(rel)
+
+
+def test_write_rejects_newline_in_names_and_categories():
+    for name, attr in [("t\n", AttributeDecl("a", NUMERIC)),
+                       ("t", AttributeDecl("a\rb", NUMERIC)),
+                       ("t", AttributeDecl("c", NOMINAL, ("x", "y\nz")))]:
+        with pytest.raises(ArffError, match="contains a line break"):
+            write_arff(relation(name, [attr], []))
+
+
 def test_write_roundtrips_float_bits():
     rel = relation("t", [AttributeDecl("a", NUMERIC)], [[0.1]])
     back = parse_arff(write_arff(rel))
@@ -132,7 +155,8 @@ def test_malformed_fixtures_error_with_line(path):
 
 _text = st.text(
     alphabet=st.characters(whitelist_categories=("L", "N"),
-                           whitelist_characters=" ,'\\{}-_.?%"),
+                           # with the line-break characters other than \n and \r
+                           whitelist_characters=" ,'\\{}-_.?%\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"),
     min_size=1, max_size=12,
 ).filter(lambda s: s.strip() != "")
 

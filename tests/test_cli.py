@@ -131,16 +131,14 @@ class TestMain:
         assert f"configuration error: unknown task 'nosuchtask' in key '{key}'" in err
         assert not (out / "assignments.csv").exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow while diverging
-    def test_non_finite_predictions_exit_3(self, tmp_path, capsys):
+    def test_diverging_training_exits_3(self, tmp_path, capsys):
         out = tmp_path / "out"
         cfg = small_config(tmp_path, out)
         cfg.write_text(cfg.read_text() + "net.learning_rate = 5\nnet.activation = relu\n",
                        encoding="utf-8")
         assert main(["--config", str(cfg), "--quiet"]) == 3
         err = capsys.readouterr().err
-        assert ("runtime failure: iteration 0: non-finite prediction or confidence "
-                "for task 'coord_a'") in err
+        assert err == "runtime failure: epoch 2: non-finite network parameters\n"
         assert not (out / "completed.arff").exists()
 
     def test_missing_config_file_exits_1(self, tmp_path):

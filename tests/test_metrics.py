@@ -135,7 +135,7 @@ class TestEvaluate:
         from xdata.metrics import evaluate
         tasks, net = self._setup()
         w, b = net.heads[1][-1]
-        net.heads[1][-1] = (np.zeros_like(w), b * 0 + 1.0)  # constant output
+        w[...], b[...] = 0.0, 1.0  # constant output
         with pytest.warns(UserWarning, match="zero-variance"):
             report = evaluate(net, self._eval_set(tasks))
         assert not report.tasks["reg"].evaluable

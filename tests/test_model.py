@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from xdata.dataset import TaskSchema
-from xdata.model import (MtShlNetwork, NetworkConfig, forward, init_network,
-                         iter_grads, iter_params, loss_and_grads, mc_predict,
-                         mt_loss, sample_dropout_masks, shannon_entropy, train)
+from xdata.model import (MtShlNetwork, NetworkConfig, forward, init_network, loss_and_grads,
+                         mc_predict, mt_loss, sample_dropout_masks, shannon_entropy,
+                         train)
 
 THREE_TASKS = [
     TaskSchema("flag", "binary", ("no", "yes")),
@@ -34,8 +34,7 @@ def random_batch(n, rng):
 class TestInit:
     def test_deterministic_in_seed(self):
         a, b = micro_net(seed=9), micro_net(seed=9)
-        for pa, pb in zip(iter_params(a), iter_params(b)):
-            assert np.array_equal(pa, pb)
+        assert np.array_equal(a.params, b.params)
 
     def test_shapes_chain(self):
         cfg = NetworkConfig(shared_layers=(8, 8), seed=1)
@@ -53,6 +52,39 @@ class TestInit:
             NetworkConfig(dropout=0.5, mc_passes=1).validate()
 
 
+class TestParameterBuffer:
+    def test_layers_are_views_into_params(self):
+        net = micro_net(heads={"cat": (3,)})
+        layers = [*net.trunk, *(layer for head in net.heads for layer in head)]
+        assert net.params.size == sum(w.size + b.size for w, b in layers)
+        for w, b in layers:
+            assert np.shares_memory(w, net.params)
+            assert np.shares_memory(b, net.params)
+        before = net.params.copy()
+        net.heads[1][-1][0][...] = 7.0
+        assert (net.params != before).sum() == net.heads[1][-1][0].size
+
+    def test_copy_shares_no_memory(self):
+        net = micro_net()
+        dup = net.copy()
+        assert np.array_equal(dup.params, net.params)
+        assert not np.shares_memory(dup.params, net.params)
+        for w, b in (*dup.trunk, *(layer for head in dup.heads for layer in head)):
+            assert not np.shares_memory(w, net.params)
+            assert not np.shares_memory(b, net.params)
+
+    def test_layers_cannot_be_rebound(self):
+        net = micro_net()
+        w, b = net.heads[1][-1]
+        with pytest.raises(TypeError):
+            net.heads[1][-1] = (np.zeros_like(w), np.zeros_like(b))
+
+    def test_buffer_size_must_match_layout(self):
+        net = micro_net()
+        with pytest.raises(ValueError, match="parameters"):
+            MtShlNetwork(net.params[:-1].copy(), net.tasks, net.config, net.feature_dim)
+
+
 class TestForward:
     def test_zero_dropout_matches_deterministic(self):
         net = micro_net(dropout=0.0)
@@ -66,7 +98,7 @@ class TestForward:
     def test_softmax_of_zero_weights_is_uniform(self):
         net = micro_net()
         w, b = net.heads[1][-1]
-        net.heads[1][-1] = (np.zeros_like(w), np.zeros_like(b))
+        w[...], b[...] = 0.0, 0.0
         out = forward(net, np.ones((3, 5)))
         assert np.allclose(out[1], 0.25)
 
@@ -79,7 +111,7 @@ class TestForward:
         net = micro_net(shared=(4,))
         # blow up the multiclass output layer to push logits to ~1e3
         w, b = net.heads[1][-1]
-        net.heads[1][-1] = (w * 0 + 500.0, b + 500.0)
+        w[...], b[...] = 500.0, b + 500.0
         out = forward(net, np.random.default_rng(3).normal(size=(20, 5)))
         p = out[1]
         assert (p >= 0).all()
@@ -96,9 +128,9 @@ class TestMtLoss:
         rng = np.random.default_rng(4)
         x, y, _ = random_batch(6, rng)
         mask = np.zeros((6, 3), dtype=bool)
-        loss, grads = loss_and_grads(net, x, y, mask)
-        assert loss == 0.0
-        assert all(np.all(g == 0) for g in iter_grads(grads))
+        grads = loss_and_grads(net, x, y, mask)
+        assert mt_loss(net, x, y, mask) == 0.0
+        assert np.all(grads == 0)
 
     def test_regression_squared_error(self):
         net = micro_net(shared=())
@@ -106,7 +138,7 @@ class TestMtLoss:
         net_single = init_network(NetworkConfig(shared_layers=(), seed=0), 2,
                                   [TaskSchema("r", "regression")])
         w, b = net_single.heads[0][0]
-        net_single.heads[0][0] = (np.zeros_like(w), b + 0.5)
+        w[...], b[...] = 0.0, b + 0.5
         y = np.array([[1.0]])
         mask = np.array([[True]])
         assert mt_loss(net_single, np.zeros((1, 2)), y, mask) == pytest.approx(0.25)
@@ -115,8 +147,7 @@ class TestMtLoss:
         net = init_network(NetworkConfig(shared_layers=(), seed=0), 2,
                            [TaskSchema("c", "multiclass", ("a", "b", "c"))])
         w, b = net.heads[0][0]
-        logits = np.log(np.array([0.7, 0.2, 0.1]))
-        net.heads[0][0] = (np.zeros_like(w), logits)
+        w[...], b[...] = 0.0, np.log(np.array([0.7, 0.2, 0.1]))
         loss = mt_loss(net, np.zeros((1, 2)), np.array([[0.0]]),
                        np.array([[True]]))
         assert loss == pytest.approx(-math.log(0.7), abs=1e-9)
@@ -126,13 +157,11 @@ class TestMtLoss:
         rng = np.random.default_rng(5)
         x, y, mask = random_batch(8, rng)
         mask[2, 1] = False
-        loss1, grads1 = loss_and_grads(net, x, y, mask)
         y2 = y.copy()
         y2[2, 1] = 3.0  # arbitrary perturbation of an undefined cell
-        loss2, grads2 = loss_and_grads(net, x, y2, mask)
-        assert loss1 == loss2
-        for a, b in zip(iter_grads(grads1), iter_grads(grads2)):
-            assert np.array_equal(a, b)
+        assert mt_loss(net, x, y, mask) == mt_loss(net, x, y2, mask)
+        assert np.array_equal(loss_and_grads(net, x, y, mask),
+                              loss_and_grads(net, x, y2, mask))
 
     def test_single_cell_toggle_adds_exactly_that_loss(self):
         net = micro_net(seed=7)
@@ -146,22 +175,20 @@ class TestMtLoss:
 
 
 def finite_difference_check(net, x, y, mask, eps=1e-5, tol=1e-4):
-    _, grads = loss_and_grads(net, x, y, mask)
-    for p, g in zip(iter_params(net), iter_grads(grads)):
-        flat_p = p.reshape(-1)
-        flat_g = g.reshape(-1)
-        for i in range(flat_p.size):
-            orig = flat_p[i]
-            flat_p[i] = orig + eps
-            lp = mt_loss(net, x, y, mask)
-            flat_p[i] = orig - eps
-            lm = mt_loss(net, x, y, mask)
-            flat_p[i] = orig
-            fd = (lp - lm) / (2 * eps)
-            err = abs(fd - flat_g[i])
-            assert err <= max(1e-8, tol * max(abs(fd), abs(flat_g[i]))), (
-                f"gradient mismatch: analytic {flat_g[i]}, fd {fd}"
-            )
+    grads = loss_and_grads(net, x, y, mask)
+    p = net.params
+    for i in range(p.size):
+        orig = p[i]
+        p[i] = orig + eps
+        lp = mt_loss(net, x, y, mask)
+        p[i] = orig - eps
+        lm = mt_loss(net, x, y, mask)
+        p[i] = orig
+        fd = (lp - lm) / (2 * eps)
+        err = abs(fd - grads[i])
+        assert err <= max(1e-8, tol * max(abs(fd), abs(grads[i]))), (
+            f"gradient mismatch: analytic {grads[i]}, fd {fd}"
+        )
 
 
 class TestGradients:
@@ -215,17 +242,38 @@ class TestTrain:
         net = micro_net(seed=25, epochs=4, dropout=0.3)
         t1 = train(net, x, y, mask)
         t2 = train(net, x, y, mask)
-        for a, b in zip(iter_params(t1), iter_params(t2)):
-            assert np.array_equal(a, b)
+        assert np.array_equal(t1.params, t2.params)
 
     def test_input_network_unchanged(self):
         rng = np.random.default_rng(26)
         x, y, mask = random_batch(30, rng)
         net = micro_net(seed=27, epochs=2, dropout=0.0)
-        snapshot = [p.copy() for p in iter_params(net)]
+        snapshot = net.params.copy()
         train(net, x, y, mask)
-        for a, b in zip(snapshot, iter_params(net)):
-            assert np.array_equal(a, b)
+        assert np.array_equal(snapshot, net.params)
+
+    def test_momentum_matches_heavy_ball_oracle(self):
+        rng = np.random.default_rng(28)
+        x, y, mask = random_batch(20, rng)
+        lr, momentum = 0.01, 0.9
+        net = micro_net(seed=29, epochs=3, dropout=0.0, batch_size=32,
+                        learning_rate=lr, momentum=momentum)
+        # one step per epoch, on the rows in train's seeded shuffle order
+        oracle, v = net.copy(), np.zeros_like(net.params)
+        order_rng = np.random.default_rng(net.config.seed)
+        for _ in range(3):
+            idx = order_rng.permutation(len(x))
+            v = momentum * v + loss_and_grads(oracle, x[idx], y[idx], mask[idx])
+            oracle.params[...] = oracle.params - lr * v
+        assert np.array_equal(train(net, x, y, mask).params, oracle.params)
+
+    def test_diverging_training_stops_at_the_epoch(self):
+        rng = np.random.default_rng(30)
+        x, y, mask = random_batch(40, rng)
+        x *= 1e200
+        net = micro_net(seed=31, epochs=3, dropout=0.0, activation="relu")
+        with pytest.raises(FloatingPointError, match="^epoch 0: non-finite network parameters$"):
+            train(net, x, y, mask)
 
     def test_empty_labeled_set_errors(self):
         net = micro_net()
@@ -276,7 +324,7 @@ class TestDecoding:
         net = init_network(NetworkConfig(shared_layers=(), seed=0, dropout=0.0), 2,
                            [TaskSchema("b", "binary", ("n", "p"))])
         w, b = net.heads[0][0]
-        net.heads[0][0] = (np.zeros_like(w), np.zeros_like(b))  # sigmoid(0) = 0.5
+        w[...], b[...] = 0.0, 0.0  # sigmoid(0) = 0.5
         preds = mc_predict(net, np.zeros((3, 2)))
         assert (preds[0].decoded == 0).all()
 
@@ -284,6 +332,6 @@ class TestDecoding:
         net = init_network(NetworkConfig(shared_layers=(), seed=0, dropout=0.0), 2,
                            [TaskSchema("c", "multiclass", ("a", "b", "c"))])
         w, b = net.heads[0][0]
-        net.heads[0][0] = (np.zeros_like(w), np.log(np.array([0.1, 0.6, 0.3])))
+        w[...], b[...] = 0.0, np.log(np.array([0.1, 0.6, 0.3]))
         preds = mc_predict(net, np.zeros((1, 2)))
         assert preds[0].decoded[0] == 1

@@ -147,3 +147,17 @@ class TestRunCdlc:
         ds.defined[:] = False
         with pytest.raises(ValueError):
             run_cdlc(ds, CdlcConfig(network=FAST_NET, select_per_task=10))
+
+    def test_non_finite_confidence_stops_the_run(self, monkeypatch):
+        import xdata.trainer
+        real = xdata.trainer.mc_predict
+
+        def nan_confidence(net, x, rng=None):
+            preds = real(net, x, rng)
+            preds[1].confidence[:] = np.nan
+            return preds
+
+        monkeypatch.setattr(xdata.trainer, "mc_predict", nan_confidence)
+        ds = grid_dataset([40, 40], seed=11)
+        with pytest.raises(FloatingPointError, match=r"^iteration 0: .* task 't1'$"):
+            run_cdlc(ds, CdlcConfig(network=FAST_NET, select_per_task=10))
