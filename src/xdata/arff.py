@@ -7,9 +7,9 @@ rows. An unquoted ``?`` denotes a missing value. Keywords are case-insensitive;
 names and values may be single-quoted (embedded commas and spaces preserved,
 ``\\'`` and ``\\\\`` are escapes inside quotes, any other backslash is literal).
 Whitespace outside quotes at the edges of a value is dropped. Lines split at
-``\n`` only (a ``\r`` before it is dropped); the writer rejects text holding
-``\n`` or ``\r``, which the dialect cannot escape. Date, relational and
-sparse-ARFF syntax are rejected as unsupported.
+``\n`` only (a ``\r`` before it is dropped, any other ``\r`` is an error);
+the writer rejects text holding ``\n`` or ``\r``, which the dialect cannot
+escape. Date, relational and sparse-ARFF syntax are rejected as unsupported.
 
 A relation holds one column per attribute, all of the same length:
 
@@ -44,6 +44,8 @@ _ESCAPE = re.compile(r"\\(['\\])")
 # The writer quotes a value holding whitespace (an unquoted name ends at it),
 # the separator, the quote, or a comment or sparse-row marker.
 _UNSAFE = re.compile(r"[\s,'%{}]")
+# A \r that does not end its line (the one ending a line is half of \r\n).
+_LONE_CR = re.compile(r"\r(?!\n?\Z)")
 
 
 class ArffError(ValueError):
@@ -254,6 +256,9 @@ def parse_arff(source: Union[str, IO[str], Iterable[str]]) -> ArffRelation:
         source = source.read()
     # every line is stripped before use, which drops the \r of a \r\n ending
     lines = source.split("\n") if isinstance(source, str) else list(source)
+    for lineno, line in enumerate(lines, start=1):
+        if "\r" in line and _LONE_CR.search(line):
+            raise ArffError("\\r not followed by \\n (only \\n and \\r\\n end a line)", lineno)
 
     relation_name: Optional[str] = None
     attributes: list[AttributeDecl] = []

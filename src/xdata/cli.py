@@ -1,7 +1,13 @@
 """Command-line entry point and run configuration.
 
-Configuration is a strict ``key = value`` text file (``#`` comments). Unknown
-keys are errors; every omitted key has a documented default (see README).
+Configuration is a strict ``key = value`` text file (``#`` comments); unknown
+keys are errors. The fields of ``RunConfig``, of its ``cdlc``
+(:class:`~xdata.trainer.CdlcConfig`, keys ``cdlc.<field>``) and of that one's
+``network`` (:class:`~xdata.model.NetworkConfig`, keys ``net.<field>``) are the
+only declaration of the keys and their defaults, in echo order; a field's
+``metadata["key"]`` overrides its key, and a ``dict`` field is a per-task key
+family ``<key>.<task>``. Only ``dataset.<n>.file``/``num_targets`` are parsed by
+hand. The test suite checks the README key table against these fields.
 Exit codes: 0 success, 1 configuration error, 2 data error, 3 runtime failure.
 """
 
@@ -9,11 +15,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import logging
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import Field, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Any, NamedTuple, Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -21,7 +28,7 @@ from .arff import ArffError, parse_arff, write_arff
 from .dataset import (REGRESSION, DatasetError, MultiTargetDataset, assemble,
                       assemble_eval, drop_labels, standardize, to_relation)
 from .metrics import evaluate, pseudo_label_accuracy
-from .model import NetworkConfig, mc_predict
+from .model import mc_predict
 from .trainer import (CdlcConfig, CdlcResult, apply_assignments, run_cdlc,
                       write_assignments_csv, write_iterations_csv)
 
@@ -32,99 +39,104 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    datasets: list[tuple[str, int]]  # (file path, num_targets)
-    output_dir: str
-    test_file: Optional[str] = None
-    drop_fraction: Optional[float] = None
-    drop_seed: int = 1
-    ignore_first_attribute: bool = False
+    # (file path, num_targets) from the indexed dataset.<n>.* keys
+    datasets: list[tuple[str, int]] = field(default_factory=list, metadata={"key": None})
+    test_file: Optional[str] = field(default=None, metadata={"key": "test.file"})
+    output_dir: Optional[str] = field(default=None,
+                                      metadata={"key": "output.dir", "required": True})
+    drop_fraction: Optional[float] = field(default=None, metadata={"key": "drop.fraction"})
+    drop_seed: int = field(default=1, metadata={"key": "drop.seed",
+                                                "echoed_with": "drop_fraction"})
+    ignore_first_attribute: bool = field(default=False,
+                                         metadata={"key": "data.ignore_first_attribute"})
     cdlc: CdlcConfig = field(default_factory=CdlcConfig)
+
+    def validate(self) -> None:
+        """Range checks; each message names the configuration key at fault."""
+        for i, (_, nt) in enumerate(self.datasets, start=1):
+            if nt < 0:
+                raise ValueError(f"dataset.{i}.num_targets must be >= 0")
+        if self.drop_fraction is not None and not 0.0 <= self.drop_fraction <= 1.0:
+            raise ValueError("drop.fraction must be in [0, 1]")
+        self.cdlc.validate()
 
     def to_config_text(self) -> str:
         """Canonical key = value form of the effective configuration."""
         lines = []
         for i, (path, nt) in enumerate(self.datasets, start=1):
-            lines.append(f"dataset.{i}.file = {path}")
-            lines.append(f"dataset.{i}.num_targets = {nt}")
-        if self.test_file is not None:
-            lines.append(f"test.file = {self.test_file}")
-        lines.append(f"output.dir = {self.output_dir}")
-        if self.drop_fraction is not None:
-            lines.append(f"drop.fraction = {self.drop_fraction}")
-            lines.append(f"drop.seed = {self.drop_seed}")
-        lines.append(f"data.ignore_first_attribute = {str(self.ignore_first_attribute).lower()}")
-        c = self.cdlc
-        lines.append(f"cdlc.select_per_task = {c.select_per_task}")
-        if c.max_iterations is not None:
-            lines.append(f"cdlc.max_iterations = {c.max_iterations}")
-        for task, v in sorted(c.min_confidence.items()):
-            lines.append(f"cdlc.min_confidence.{task} = {v}")
-        lines.append(f"cdlc.retrain_from_scratch = {str(c.retrain_from_scratch).lower()}")
-        lines.append(f"cdlc.eval_every_iteration = {str(c.eval_every_iteration).lower()}")
-        n = c.network
-        lines.append(f"net.shared_layers = {','.join(str(s) for s in n.shared_layers)}")
-        for task, sizes in sorted(n.head_layers.items()):
-            lines.append(f"net.head_layers.{task} = {','.join(str(s) for s in sizes)}")
-        lines.append(f"net.dropout = {n.dropout}")
-        lines.append(f"net.activation = {n.activation}")
-        lines.append(f"net.epochs = {n.epochs}")
-        lines.append(f"net.learning_rate = {n.learning_rate}")
-        lines.append(f"net.batch_size = {n.batch_size}")
-        lines.append(f"net.momentum = {n.momentum}")
-        lines.append(f"net.mc_passes = {n.mc_passes}")
-        lines.append(f"net.seed = {n.seed}")
+            lines += [f"dataset.{i}.file = {path}", f"dataset.{i}.num_targets = {nt}"]
+        for k in _keys(self):
+            if k.per_task:
+                lines += [f"{k.key}.{task} = {_format(v)}" for task, v in sorted(k.value.items())]
+                continue
+            gate = k.field.metadata.get("echoed_with")
+            if k.value is not None and (gate is None or getattr(k.owner, gate) is not None):
+                lines.append(f"{k.key} = {_format(k.value)}")
         return "\n".join(lines) + "\n"
 
 
-def _parse_int(key: str, value: str) -> int:
+def _format(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, tuple):
+        return ",".join(map(str, value))
+    return str(value)
+
+
+_BOOLS = {**dict.fromkeys(("true", "yes", "1"), True),
+          **dict.fromkeys(("false", "no", "0"), False)}
+# (conversion, what it expects) per field value type; range checks are in validate()
+_PARSERS = {
+    int: (int, "an integer"), float: (float, "a number"),
+    bool: (lambda v: _BOOLS[v.lower()], "true/false"),
+    tuple[int, ...]: (lambda v: tuple(map(int, v.split(","))) if v.strip() else (),
+                      "comma-separated integers"),
+    str: (str, "text"),
+}
+
+
+def _parse(key: str, text: str, value_type):
+    convert, expected = _PARSERS[value_type]
     try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"key {key!r}: expected an integer, got {value!r}")
+        return convert(text)
+    except (KeyError, ValueError):
+        raise ConfigError(f"key {key!r}: expected {expected}, got {text!r}")
 
 
-def _parse_float(key: str, value: str) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"key {key!r}: expected a number, got {value!r}")
+class _Key(NamedTuple):
+    """One declared key, or a per-task key family (a dict field)."""
+
+    key: str
+    owner: Any  # the config instance holding the field
+    field: Field
+    value_type: Any  # Optional[T] and dict[str, T] both hold T
+
+    @property
+    def per_task(self) -> bool:
+        return isinstance(self.value, dict)
+
+    @property
+    def value(self):
+        return getattr(self.owner, self.field.name)
 
 
-def _parse_bool(key: str, value: str) -> bool:
-    v = value.lower()
-    if v in ("true", "yes", "1"):
-        return True
-    if v in ("false", "no", "0"):
-        return False
-    raise ConfigError(f"key {key!r}: expected true/false, got {value!r}")
-
-
-def _parse_sizes(key: str, value: str) -> tuple[int, ...]:
-    if not value.strip():
-        return ()
-    try:
-        sizes = tuple(int(p) for p in value.split(","))
-    except ValueError:
-        raise ConfigError(f"key {key!r}: expected comma-separated integers, got {value!r}")
-    if any(s <= 0 for s in sizes):
-        raise ConfigError(f"key {key!r}: layer sizes must be positive")
-    return sizes
+def _keys(config, prefix: str = ""):
+    """The declared keys of `config` and its nested config dataclasses, in field
+    order: ``metadata["key"]`` if given (None: parsed by hand), else prefix + name."""
+    hints = get_type_hints(type(config))
+    for f in fields(config):
+        key = f.metadata.get("key", prefix + f.name)
+        if is_dataclass(getattr(config, f.name)):
+            yield from _keys(getattr(config, f.name), key + ".")
+        elif key is not None:
+            hint = hints[f.name]
+            origin, args = get_origin(hint), get_args(hint)
+            yield _Key(key, config, f,
+                       args[1] if origin is dict else args[0] if origin is Union else hint)
 
 
 _COMMENT_RE = re.compile(r"(?:^|\s)#")
 _DATASET_RE = re.compile(r"^dataset\.(\d+)\.(file|num_targets)$")
-_MINCONF_RE = re.compile(r"^cdlc\.min_confidence\.(.+)$")
-_HEAD_RE = re.compile(r"^net\.head_layers\.(.+)$")
-
-_SIMPLE_KEYS = {
-    "test.file", "output.dir", "drop.fraction", "drop.seed",
-    "data.ignore_first_attribute",
-    "cdlc.select_per_task", "cdlc.max_iterations",
-    "cdlc.retrain_from_scratch", "cdlc.eval_every_iteration",
-    "net.shared_layers", "net.dropout", "net.activation", "net.epochs",
-    "net.learning_rate", "net.batch_size", "net.momentum", "net.mc_passes",
-    "net.seed",
-}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -141,11 +153,12 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         values[key] = value
 
+    config = RunConfig()
+    keys = {k.key: k for k in _keys(config)}
+    family = re.compile("^({})\\.(.+)$".format(
+        "|".join(re.escape(k.key) for k in keys.values() if k.per_task)))
     dataset_files: dict[int, str] = {}
     dataset_targets: dict[int, int] = {}
-    min_confidence: dict[str, float] = {}
-    head_layers: dict[str, tuple[int, ...]] = {}
-    simple: dict[str, str] = {}
     for key, value in values.items():
         m = _DATASET_RE.match(key)
         if m:
@@ -153,20 +166,16 @@ def parse_config(text: str) -> RunConfig:
             if m.group(2) == "file":
                 dataset_files[idx] = value
             else:
-                dataset_targets[idx] = _parse_int(key, value)
+                dataset_targets[idx] = _parse(key, value, int)
             continue
-        m = _MINCONF_RE.match(key)
+        m = family.match(key)
+        k = keys[m.group(1)] if m else keys.get(key)
+        if k is None or k.per_task != bool(m):
+            raise ConfigError(f"unknown key {key!r}")
         if m:
-            min_confidence[m.group(1)] = _parse_float(key, value)
-            continue
-        m = _HEAD_RE.match(key)
-        if m:
-            head_layers[m.group(1)] = _parse_sizes(key, value)
-            continue
-        if key in _SIMPLE_KEYS:
-            simple[key] = value
-            continue
-        raise ConfigError(f"unknown key {key!r}")
+            k.value[m.group(2)] = _parse(key, value, k.value_type)
+        else:
+            setattr(k.owner, k.field.name, _parse(key, value, k.value_type))
 
     if not dataset_files:
         raise ConfigError("missing mandatory key 'dataset.1.file'")
@@ -175,53 +184,13 @@ def parse_config(text: str) -> RunConfig:
     for idx in dataset_targets:
         if idx not in dataset_files:
             raise ConfigError(f"dataset.{idx}.num_targets given without dataset.{idx}.file")
-    datasets = [(dataset_files[i], dataset_targets.get(i, 0))
-                for i in range(1, len(dataset_files) + 1)]
-    for i, (_, nt) in enumerate(datasets, start=1):
-        if nt < 0:
-            raise ConfigError(f"key 'dataset.{i}.num_targets': must be >= 0")
-    if "output.dir" not in simple:
-        raise ConfigError("missing mandatory key 'output.dir'")
-
-    net = NetworkConfig(
-        shared_layers=_parse_sizes("net.shared_layers", simple.get("net.shared_layers", "64")),
-        head_layers=head_layers,
-        dropout=_parse_float("net.dropout", simple.get("net.dropout", "0.1")),
-        activation=simple.get("net.activation", "tanh"),
-        epochs=_parse_int("net.epochs", simple.get("net.epochs", "50")),
-        learning_rate=_parse_float("net.learning_rate", simple.get("net.learning_rate", "0.001")),
-        batch_size=_parse_int("net.batch_size", simple.get("net.batch_size", "64")),
-        momentum=_parse_float("net.momentum", simple.get("net.momentum", "0")),
-        mc_passes=_parse_int("net.mc_passes", simple.get("net.mc_passes", "20")),
-        seed=_parse_int("net.seed", simple.get("net.seed", "1")),
-    )
-    cdlc = CdlcConfig(
-        network=net,
-        select_per_task=_parse_int("cdlc.select_per_task",
-                                   simple.get("cdlc.select_per_task", "1000")),
-        max_iterations=(_parse_int("cdlc.max_iterations", simple["cdlc.max_iterations"])
-                        if "cdlc.max_iterations" in simple else None),
-        min_confidence=min_confidence,
-        retrain_from_scratch=_parse_bool(
-            "cdlc.retrain_from_scratch", simple.get("cdlc.retrain_from_scratch", "true")),
-        eval_every_iteration=_parse_bool(
-            "cdlc.eval_every_iteration", simple.get("cdlc.eval_every_iteration", "true")),
-    )
-    config = RunConfig(
-        datasets=datasets,
-        output_dir=simple["output.dir"],
-        test_file=simple.get("test.file"),
-        drop_fraction=(_parse_float("drop.fraction", simple["drop.fraction"])
-                       if "drop.fraction" in simple else None),
-        drop_seed=_parse_int("drop.seed", simple.get("drop.seed", "1")),
-        ignore_first_attribute=_parse_bool(
-            "data.ignore_first_attribute", simple.get("data.ignore_first_attribute", "false")),
-        cdlc=cdlc,
-    )
-    if config.drop_fraction is not None and not 0.0 <= config.drop_fraction <= 1.0:
-        raise ConfigError("key 'drop.fraction': must be in [0, 1]")
+    config.datasets = [(dataset_files[i], dataset_targets.get(i, 0))
+                       for i in range(1, len(dataset_files) + 1)]
+    for k in keys.values():
+        if k.field.metadata.get("required") and k.value is None:
+            raise ConfigError(f"missing mandatory key {k.key!r}")
     try:
-        cdlc.validate()
+        config.validate()
     except ValueError as exc:
         raise ConfigError(str(exc))
     return config
@@ -246,11 +215,10 @@ def _read_relation(path: str):
 def _check_task_keys(config: RunConfig, ds: MultiTargetDataset) -> None:
     """Every task named in a per-task key must be an assembled task."""
     names = {t.name for t in ds.tasks}
-    for prefix, keyed in (("net.head_layers", config.cdlc.network.head_layers),
-                          ("cdlc.min_confidence", config.cdlc.min_confidence)):
-        for task in sorted(keyed):
+    for k in _keys(config):
+        for task in sorted(k.value) if k.per_task else ():
             if task not in names:
-                raise ConfigError(f"unknown task {task!r} in key '{prefix}.{task}'")
+                raise ConfigError(f"unknown task {task!r} in key '{k.key}.{task}'")
 
 
 def _write_scatter(out_dir: Path, result: CdlcResult, eval_ds, standardizer) -> None:
@@ -371,7 +339,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--config", required=True, help="run configuration file")
     parser.add_argument("--seed", type=int, help="override net.seed")
     parser.add_argument("--out-dir", help="override output.dir")
-    parser.add_argument("--quiet", action="store_true", help="suppress progress output")
+    parser.add_argument("--quiet", action="store_true",
+                        help="suppress progress output and warnings")
     args = parser.parse_args(argv)
 
     try:
@@ -387,6 +356,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
 
+    # library warnings ("head is frozen", "assigned no cells") obey --quiet too
+    xdata_logger = logging.getLogger("xdata")
+    level = xdata_logger.level
+    if args.quiet:
+        xdata_logger.setLevel(logging.ERROR)
     try:
         run(config, quiet=args.quiet)
     except ConfigError as exc:
@@ -398,6 +372,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 3
+    finally:
+        xdata_logger.setLevel(level)
     return 0
 
 

@@ -10,7 +10,7 @@ defined and 0.0 elsewhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,7 +31,6 @@ class TaskSchema:
     name: str
     kind: str  # BINARY, MULTICLASS or REGRESSION
     classes: Optional[tuple[str, ...]] = None
-    source_datasets: frozenset[int] = frozenset()
 
     def __post_init__(self):
         if self.kind == BINARY and (self.classes is None or len(self.classes) != 2):
@@ -92,13 +91,13 @@ def split(ds: MultiTargetDataset) -> SplitView:
 # assembly
 
 
-def _task_from_attr(attr: AttributeDecl, file_index: int) -> TaskSchema:
+def _task_from_attr(attr: AttributeDecl) -> TaskSchema:
     if attr.kind == NUMERIC:
-        return TaskSchema(attr.name, REGRESSION, None, frozenset({file_index}))
+        return TaskSchema(attr.name, REGRESSION)
     if attr.kind == STRING:
         raise DatasetError(f"string attribute {attr.name!r} cannot be a target")
     kind = BINARY if len(attr.categories) == 2 else MULTICLASS
-    return TaskSchema(attr.name, kind, tuple(attr.categories), frozenset({file_index}))
+    return TaskSchema(attr.name, kind, tuple(attr.categories))
 
 
 def _relation_to_arrays(rel: ArffRelation, feat_cols: Sequence[int],
@@ -169,7 +168,7 @@ def assemble(
                 f"file {d}: feature attributes {names} do not match first file's {feature_names}"
             )
         for a in target_attrs:
-            schema = _task_from_attr(a, d)
+            schema = _task_from_attr(a)
             if a.name not in task_pos:
                 task_pos[a.name] = len(tasks)
                 tasks.append(schema)
@@ -181,9 +180,6 @@ def assemble(
                     )
                 if prior.classes is not None and set(prior.classes) != set(schema.classes):
                     raise DatasetError(f"task {a.name!r}: nominal category sets differ")
-                tasks[task_pos[a.name]] = replace(
-                    prior, source_datasets=prior.source_datasets | {d}
-                )
         per_file.append((rel, feat_attrs, target_attrs))
 
     if not tasks:
@@ -237,7 +233,7 @@ def assemble_eval(rel: ArffRelation, train: MultiTargetDataset,
         if t.name not in target_cols:
             continue
         a = attrs[target_cols[t.name] - offset]
-        schema = _task_from_attr(a, 0)
+        schema = _task_from_attr(a)
         if schema.kind != t.kind:
             raise DatasetError(f"evaluation task {t.name!r}: kind conflict")
         if t.classes is not None and set(schema.classes) != set(t.classes):

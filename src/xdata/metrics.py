@@ -23,24 +23,16 @@ def uar(true_labels: Sequence[int], predicted: Sequence[int], n_classes: int) ->
         raise ValueError("true and predicted lengths differ")
     if t.min() < 0 or t.max() >= n_classes or p.min() < 0 or p.max() >= n_classes:
         raise ValueError("labels out of range")
-    recalls = []
-    for c in range(n_classes):
-        total = (t == c).sum()
-        if total == 0:
-            continue
-        recalls.append(((t == c) & (p == c)).sum() / total)
-    return float(np.mean(recalls))
+    return float(np.mean(list(per_class_recalls(t, p, n_classes).values())))
 
 
 def per_class_recalls(true_labels, predicted, n_classes: int) -> dict[int, float]:
+    """Recall of each class present in `true_labels`, by class index."""
     t = np.asarray(true_labels, dtype=int)
     p = np.asarray(predicted, dtype=int)
-    out = {}
-    for c in range(n_classes):
-        total = (t == c).sum()
-        if total > 0:
-            out[c] = float(((t == c) & (p == c)).sum() / total)
-    return out
+    totals = np.bincount(t, minlength=n_classes)
+    hits = np.bincount(t[t == p], minlength=n_classes)
+    return {int(c): float(hits[c] / totals[c]) for c in np.flatnonzero(totals)}
 
 
 def pearson_cc(x: Sequence[float], y: Sequence[float]) -> float:
@@ -63,7 +55,6 @@ def pearson_cc(x: Sequence[float], y: Sequence[float]) -> float:
 
 @dataclass
 class TaskMetrics:
-    task: str
     kind: str
     n: int
     evaluable: bool = True
@@ -108,7 +99,7 @@ def evaluate(net: MtShlNetwork, eval_set: MultiTargetDataset,
         sel = eval_set.defined[:, m]
         n = int(sel.sum())
         if n == 0:
-            report.tasks[task.name] = TaskMetrics(task.name, task.kind, 0, evaluable=False)
+            report.tasks[task.name] = TaskMetrics(task.kind, 0, evaluable=False)
             continue
         if task.kind == REGRESSION:
             y_true = eval_set.labels[sel, m]
@@ -117,10 +108,10 @@ def evaluate(net: MtShlNetwork, eval_set: MultiTargetDataset,
                 y_true = standardizer.inverse_target(m, y_true)
                 y_pred = standardizer.inverse_target(m, y_pred)
             if n < 2:
-                report.tasks[task.name] = TaskMetrics(task.name, task.kind, n, evaluable=False)
+                report.tasks[task.name] = TaskMetrics(task.kind, n, evaluable=False)
                 continue
             cc = pearson_cc(y_true, y_pred)
-            report.tasks[task.name] = TaskMetrics(task.name, task.kind, n,
+            report.tasks[task.name] = TaskMetrics(task.kind, n,
                                                   evaluable=not np.isnan(cc), cc=cc)
         else:
             y_true = eval_set.labels[sel, m].astype(int)
@@ -129,14 +120,13 @@ def evaluate(net: MtShlNetwork, eval_set: MultiTargetDataset,
             recalls = per_class_recalls(y_true, y_pred, k)
             named = {task.classes[c]: r for c, r in recalls.items()}
             report.tasks[task.name] = TaskMetrics(
-                task.name, task.kind, n, uar=uar(y_true, y_pred, k), recalls=named
+                task.kind, n, uar=uar(y_true, y_pred, k), recalls=named
             )
     return report
 
 
 @dataclass
 class PseudoLabelReport:
-    task: str
     kind: str
     n_compared: int
     n_skipped: int  # assignments with no withheld truth (originally unlabeled rows)
@@ -165,20 +155,20 @@ def pseudo_label_accuracy(assignments, withheld_truth: MultiTargetDataset,
         n = int(comparable.sum())
         skipped = len(instance) - n
         if n == 0:
-            reports[task.name] = PseudoLabelReport(task.name, task.kind, 0, skipped)
+            reports[task.name] = PseudoLabelReport(task.kind, 0, skipped)
             continue
         truth = withheld_truth.labels[instance[comparable], m]
         assigned = values[mine][comparable]
         if task.kind == REGRESSION:
             cc = pearson_cc(truth, assigned) if n >= 2 else None
             mae = float(np.abs(truth - assigned).mean())
-            reports[task.name] = PseudoLabelReport(task.name, task.kind, n, skipped,
+            reports[task.name] = PseudoLabelReport(task.kind, n, skipped,
                                                    cc=cc, mae=mae)
         else:
             hits = assigned.astype(int) == truth.astype(int)
             iteration = assignments.iteration[mine][comparable]
             reports[task.name] = PseudoLabelReport(
-                task.name, task.kind, n, skipped, accuracy=float(hits.mean()),
+                task.kind, n, skipped, accuracy=float(hits.mean()),
                 accuracy_per_iteration={int(i): float(hits[iteration == i].mean())
                                         for i in np.unique(iteration)},
             )

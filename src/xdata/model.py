@@ -50,18 +50,22 @@ class NetworkConfig:
     seed: int = 1
 
     def validate(self) -> None:
-        if not all(s > 0 for s in self.shared_layers):
-            raise ValueError("shared layer sizes must be positive")
+        """Range checks; each message names the configuration key at fault."""
+        sizes = {"net.shared_layers": self.shared_layers,
+                 **{f"net.head_layers.{t}": h for t, h in sorted(self.head_layers.items())}}
+        for key, layers in sizes.items():
+            if not all(s > 0 for s in layers):
+                raise ValueError(f"{key}: layer sizes must be positive")
         if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must be in [0, 1)")
+            raise ValueError("net.dropout must be in [0, 1)")
         if self.activation not in ("tanh", "relu"):
-            raise ValueError(f"unknown activation {self.activation!r}")
+            raise ValueError(f"net.activation must be tanh or relu, got {self.activation!r}")
         if self.epochs <= 0 or self.learning_rate <= 0 or self.batch_size <= 0:
-            raise ValueError("epochs, learning_rate and batch_size must be positive")
+            raise ValueError("net.epochs, net.learning_rate and net.batch_size must be positive")
         if self.mc_passes < 1:
-            raise ValueError("mc_passes must be >= 1")
+            raise ValueError("net.mc_passes must be >= 1")
         if self.dropout > 0 and self.mc_passes < 2:
-            raise ValueError("mc_passes must be >= 2 when dropout is active")
+            raise ValueError("net.mc_passes must be >= 2 when net.dropout > 0")
 
 
 Layer = tuple[np.ndarray, np.ndarray]  # (weights in_dim x out_dim, bias out_dim)
@@ -350,9 +354,7 @@ def shannon_entropy(p: np.ndarray) -> np.ndarray:
 class TaskPredictionBatch:
     """Per-task predictions for a batch of rows (standardized target space)."""
 
-    task_index: int
     decoded: np.ndarray  # class indices (int) or regression values (float)
-    raw: np.ndarray  # mean probabilities (B,) / (B, K), or mean output (B,)
     confidence: np.ndarray  # (B,); higher = more certain, <= 0
 
 
@@ -386,10 +388,10 @@ def mc_predict(net: MtShlNetwork, x: np.ndarray,
         mean = stack.mean(axis=0)
         if task.kind == REGRESSION:
             var = stack.var(axis=0, ddof=1) if len(passes) > 1 else np.zeros(x.shape[0])
-            results.append(TaskPredictionBatch(m, mean, mean, -var))
+            results.append(TaskPredictionBatch(mean, -var))
         else:
             dist = np.stack([1.0 - mean, mean], axis=-1) if task.kind == "binary" else mean
             conf = -shannon_entropy(dist)
-            results.append(TaskPredictionBatch(m, _decode_classification(task, mean), mean, conf))
+            results.append(TaskPredictionBatch(_decode_classification(task, mean), conf))
     return results
 

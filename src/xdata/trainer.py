@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -31,18 +31,20 @@ STATUS_STALLED = "stalled"
 
 @dataclass
 class CdlcConfig:
-    network: NetworkConfig = field(default_factory=NetworkConfig)
+    # the cdlc.<field> configuration keys in echo order, then net.<field> (see xdata.cli)
     select_per_task: int = 1000
     max_iterations: Optional[int] = None
-    min_confidence: dict[str, float] = field(default_factory=dict)
+    min_confidence: dict[str, float] = field(default_factory=dict)  # per task
     retrain_from_scratch: bool = True
     eval_every_iteration: bool = True
+    network: NetworkConfig = field(default_factory=NetworkConfig, metadata={"key": "net"})
 
     def validate(self) -> None:
+        """Range checks; each message names the configuration key at fault."""
         if self.select_per_task < 1:
-            raise ValueError("select_per_task must be >= 1")
+            raise ValueError("cdlc.select_per_task must be >= 1")
         if self.max_iterations is not None and self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+            raise ValueError("cdlc.max_iterations must be >= 1")
         self.network.validate()
 
 
@@ -135,8 +137,7 @@ def run_cdlc(ds: MultiTargetDataset, config: CdlcConfig,
         started = time.perf_counter()
 
         if net is None or config.retrain_from_scratch:
-            net_cfg = NetworkConfig(**{**config.network.__dict__,
-                                       "seed": config.network.seed + iteration})
+            net_cfg = replace(config.network, seed=config.network.seed + iteration)
             net = init_network(net_cfg, work.n_features, work.tasks)
         li = view.labeled_indices
         net = train(net, work.features[li], work.labels[li], work.defined[li])

@@ -75,6 +75,21 @@ def test_write_rejects_newline_in_value(text):
         write_arff(rel)
 
 
+@pytest.mark.parametrize("text,line", [
+    ("@relation t\n@attribute s string\n@data\na\rb\n", 4),
+    ("@relation t\r@attribute s string\n@data\na\n", 1),
+    ("@relation t\r\n@attribute s string\r\n@data\r\nx\r\na\r\r\n", 5),
+])
+def test_lone_carriage_return_is_an_error_naming_the_line(text, line):
+    with pytest.raises(ArffError, match=rf"^line {line}: \\r not followed by"):
+        parse_arff(text)
+
+
+def test_crlf_line_endings_read():
+    rel = parse_arff("@relation t\r\n@attribute s string\r\n@data\r\na b\r\n")
+    assert rel.columns == [["a b"]]
+
+
 def test_write_rejects_newline_in_names_and_categories():
     for name, attr in [("t\n", AttributeDecl("a", NUMERIC)),
                        ("t", AttributeDecl("a\rb", NUMERIC)),

@@ -1,9 +1,14 @@
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import xdata
 from xdata.arff import write_arff
-from xdata.cli import ConfigError, main, parse_config
+from xdata.cli import ConfigError, RunConfig, _format, _keys, main, parse_config
 from xdata.synthetic import make_corpus
 
 
@@ -63,6 +68,18 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="dropout"):
             parse_config("dataset.1.file = a\noutput.dir = o\nnet.dropout = 1.5\n")
 
+    @pytest.mark.parametrize("line,message", [
+        ("net.shared_layers = 8,0", "net.shared_layers: layer sizes must be positive"),
+        ("net.head_layers.r = 0", "net.head_layers.r: layer sizes must be positive"),
+        ("net.dropout = 1", "net.dropout must be in [0, 1)"),
+        ("cdlc.select_per_task = 0", "cdlc.select_per_task must be >= 1"),
+        ("drop.fraction = 1.5", "drop.fraction must be in [0, 1]"),
+    ])
+    def test_range_errors_name_the_full_key(self, line, message):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(f"dataset.1.file = a\noutput.dir = o\n{line}\n")
+        assert str(exc.value) == message
+
     def test_missing_mandatory_keys(self):
         with pytest.raises(ConfigError, match="dataset.1.file"):
             parse_config("output.dir = o\n")
@@ -84,6 +101,23 @@ class TestParseConfig:
                            "net.head_layers.emotion = 8,4\n")
         assert cfg.cdlc.min_confidence == {"emotion": -0.5}
         assert cfg.cdlc.network.head_layers == {"emotion": (8, 4)}
+
+    def test_readme_key_table_matches_declared_fields(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        rows = re.findall(r"^\| `([^`]+)` \| ([^|]*?) \|", readme, re.MULTILINE)
+        assert rows[:2] == [("dataset.<n>.file", "required for n=1"),
+                            ("dataset.<n>.num_targets", "0")]
+        declared = []
+        for k in _keys(RunConfig()):
+            if k.per_task:
+                declared.append((f"{k.key}.<task>", ("unset", "empty")))
+            elif k.field.metadata.get("required"):
+                declared.append((k.key, ("required",)))
+            else:
+                declared.append((k.key, ("unset" if k.value is None else _format(k.value),)))
+        assert [key for key, _ in rows[2:]] == [key for key, _ in declared]
+        for (key, default), (_, allowed) in zip(rows[2:], declared):
+            assert default in allowed, f"README default of {key}: {default!r}, declared {allowed}"
 
     def test_effective_config_echo_roundtrips(self):
         text = ("dataset.1.file = a.arff\ndataset.1.num_targets = 2\n"
@@ -160,3 +194,20 @@ class TestMain:
         cfg = small_config(tmp_path, out)
         main(["--config", str(cfg), "--quiet"])
         assert capsys.readouterr().err == ""
+
+    def test_quiet_silences_library_warnings(self, tmp_path):
+        # a subprocess, because pytest's log capture hides Python's last-resort
+        # handler, which is what prints a library warning to stderr
+        out = tmp_path / "out"
+        cfg = small_config(tmp_path, out)
+        cfg.write_text(cfg.read_text() + "cdlc.min_confidence.quadrant = 1\n",
+                       encoding="utf-8")
+        src = str(Path(xdata.__file__).parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-c", "from xdata.cli import entry; entry()",
+                              "--config", str(cfg), "--quiet"],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0
+        assert run.stderr == ""
+        assert "status: stalled" in (out / "report.txt").read_text()

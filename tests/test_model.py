@@ -51,6 +51,12 @@ class TestInit:
         with pytest.raises(ValueError):
             NetworkConfig(dropout=0.5, mc_passes=1).validate()
 
+    def test_head_layer_sizes_must_be_positive(self):
+        cfg = NetworkConfig(head_layers={"cat": (4,), "value": (0,)})
+        with pytest.raises(ValueError,
+                           match=r"^net\.head_layers\.value: layer sizes must be positive$"):
+            init_network(cfg, 5, THREE_TASKS)
+
 
 class TestParameterBuffer:
     def test_layers_are_views_into_params(self):
@@ -298,9 +304,13 @@ class TestConfidence:
         net = micro_net(dropout=0.3, mc_passes=5)
         x = np.random.default_rng(35).normal(size=(20, 5))
         preds = mc_predict(net, x)
-        outs = forward(net, x)
-        for m in range(3):
-            assert np.array_equal(preds[m].raw, outs[m])
+        p_flag, p_cat, value = forward(net, x)
+        assert np.array_equal(preds[0].decoded, (p_flag > 0.5).astype(int))
+        assert np.array_equal(preds[0].confidence,
+                              -shannon_entropy(np.stack([1.0 - p_flag, p_flag], axis=-1)))
+        assert np.array_equal(preds[1].decoded, p_cat.argmax(axis=1))
+        assert np.array_equal(preds[1].confidence, -shannon_entropy(p_cat))
+        assert np.array_equal(preds[2].decoded, value)
         assert (preds[2].confidence == 0.0).all()
 
     def test_classification_confidence_bounds(self):
