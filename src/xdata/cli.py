@@ -22,13 +22,10 @@ from dataclasses import Field, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Any, NamedTuple, Optional, Union, get_args, get_origin, get_type_hints
 
-import numpy as np
-
 from .arff import ArffError, parse_arff, write_arff
 from .dataset import (REGRESSION, DatasetError, MultiTargetDataset, assemble,
                       assemble_eval, drop_labels, standardize, to_relation)
-from .metrics import evaluate, pseudo_label_accuracy
-from .model import mc_predict
+from .metrics import MetricReport, evaluate, pseudo_label_accuracy
 from .trainer import (CdlcConfig, CdlcResult, apply_assignments, run_cdlc,
                       write_assignments_csv, write_iterations_csv)
 
@@ -209,7 +206,9 @@ def _read_relation(path: str):
     p = Path(path)
     if not p.is_file():
         raise DatasetError(f"input file not found: {path}")
-    return parse_arff(p.read_text(encoding="utf-8"))
+    # newline="": a lone \r reaches the parser, which rejects it, not a line split
+    with open(p, encoding="utf-8", newline="") as f:
+        return parse_arff(f.read())
 
 
 def _check_task_keys(config: RunConfig, ds: MultiTargetDataset) -> None:
@@ -221,23 +220,20 @@ def _check_task_keys(config: RunConfig, ds: MultiTargetDataset) -> None:
                 raise ConfigError(f"unknown task {task!r} in key '{k.key}.{task}'")
 
 
-def _write_scatter(out_dir: Path, result: CdlcResult, eval_ds, standardizer) -> None:
-    preds = mc_predict(result.final_net, eval_ds.features)
-    for m, task in enumerate(eval_ds.tasks):
-        sel = eval_ds.defined[:, m]
-        if not sel.any():
+def _write_scatter(out_dir: Path, metrics: MetricReport, tasks) -> None:
+    """One true-vs-predicted CSV per task with defined test cells."""
+    for task in tasks:
+        tm = metrics.tasks[task.name]
+        if tm.true is None:
             continue
+        pairs = zip(tm.true.tolist(), tm.predicted.tolist())
         with open(out_dir / f"scatter_{task.name}.csv", "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(["true", "predicted"])
-            for i in np.flatnonzero(sel):
-                if task.kind == REGRESSION:
-                    t = standardizer.inverse_target(m, eval_ds.labels[i, m])
-                    p = standardizer.inverse_target(m, preds[m].decoded[i])
-                    w.writerow([repr(float(t)), repr(float(p))])
-                else:
-                    w.writerow([task.classes[int(eval_ds.labels[i, m])],
-                                task.classes[int(preds[m].decoded[i])]])
+            if task.kind == REGRESSION:
+                w.writerows((repr(t), repr(p)) for t, p in pairs)
+            else:
+                w.writerows((task.classes[t], task.classes[p]) for t, p in pairs)
 
 
 def _report_lines(config: RunConfig, result: CdlcResult, final_metrics,
@@ -318,8 +314,11 @@ def run(config: RunConfig, quiet: bool = False) -> None:
 
     final_metrics = None
     if eval_std is not None and result.final_net is not None:
-        final_metrics = evaluate(result.final_net, eval_std, standardizer)
-        _write_scatter(out_dir, result, eval_std, standardizer)
+        # the last record already evaluated final_net unless cdlc.eval_every_iteration is off
+        final_metrics = result.records[-1].metrics
+        if final_metrics is None:
+            final_metrics = evaluate(result.final_net, eval_std, standardizer)
+        _write_scatter(out_dir, final_metrics, eval_std.tasks)
 
     pl_reports = None
     if withheld is not None:

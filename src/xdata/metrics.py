@@ -61,6 +61,9 @@ class TaskMetrics:
     uar: Optional[float] = None
     recalls: Optional[dict[str, float]] = None
     cc: Optional[float] = None
+    # the n defined cells: original units (regression) or class indices
+    true: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    predicted: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -89,7 +92,9 @@ def evaluate(net: MtShlNetwork, eval_set: MultiTargetDataset,
 
     Instances whose true cell is undefined are excluded per task; a task with
     no defined cells is reported as not evaluable. Regression correlations are
-    computed in original target units when a standardizer is supplied.
+    computed in original target units when a standardizer is supplied; each
+    evaluated task keeps its true and predicted values (``TaskMetrics.true``,
+    ``.predicted``).
     """
     if [t.name for t in net.tasks] != [t.name for t in eval_set.tasks]:
         raise ValueError("evaluation set task schemas do not match the network")
@@ -101,27 +106,22 @@ def evaluate(net: MtShlNetwork, eval_set: MultiTargetDataset,
         if n == 0:
             report.tasks[task.name] = TaskMetrics(task.kind, 0, evaluable=False)
             continue
+        y_true, y_pred = eval_set.labels[sel, m], preds[m].decoded[sel]
         if task.kind == REGRESSION:
-            y_true = eval_set.labels[sel, m]
-            y_pred = preds[m].decoded[sel]
             if standardizer is not None:
                 y_true = standardizer.inverse_target(m, y_true)
                 y_pred = standardizer.inverse_target(m, y_pred)
-            if n < 2:
-                report.tasks[task.name] = TaskMetrics(task.kind, n, evaluable=False)
-                continue
-            cc = pearson_cc(y_true, y_pred)
-            report.tasks[task.name] = TaskMetrics(task.kind, n,
-                                                  evaluable=not np.isnan(cc), cc=cc)
+            cc = pearson_cc(y_true, y_pred) if n >= 2 else None
+            tm = TaskMetrics(task.kind, n, evaluable=cc is not None and not np.isnan(cc),
+                             cc=cc)
         else:
-            y_true = eval_set.labels[sel, m].astype(int)
-            y_pred = preds[m].decoded[sel]
+            y_true = y_true.astype(int)
             k = task.num_classes
             recalls = per_class_recalls(y_true, y_pred, k)
             named = {task.classes[c]: r for c, r in recalls.items()}
-            report.tasks[task.name] = TaskMetrics(
-                task.kind, n, uar=uar(y_true, y_pred, k), recalls=named
-            )
+            tm = TaskMetrics(task.kind, n, uar=uar(y_true, y_pred, k), recalls=named)
+        tm.true, tm.predicted = y_true, y_pred
+        report.tasks[task.name] = tm
     return report
 
 

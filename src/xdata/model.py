@@ -11,8 +11,9 @@ estimated by repeated stochastic forward passes: classification confidence is
 the negated Shannon entropy of the mean output distribution, regression
 confidence the negated sample variance of the outputs.
 
-All computation is float64 numpy; training is plain minibatch SGD (optional
-momentum) and fully deterministic in (config, seed, data).
+All computation is float64 numpy, the output activations included (the
+max-shifted softmax and log-softmax and the sigmoid below); training is plain
+minibatch SGD (optional momentum) and fully deterministic in (config, seed, data).
 
 Parameter layout: all weights and biases live in one flat float64 array,
 ``MtShlNetwork.params``: the trunk layers, then each head's layers in task
@@ -29,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import expit, log_softmax, softmax
 
 from .dataset import REGRESSION, TaskSchema
 
@@ -197,12 +197,28 @@ def _forward(net: MtShlNetwork, x: np.ndarray, masks: Optional[dict]):
     return trunk_cache, head_caches, logits
 
 
+def _softmax(z: np.ndarray) -> np.ndarray:
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _log_softmax(z: np.ndarray) -> np.ndarray:
+    shifted = z - z.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    # exp(-z) overflows to inf for very negative z, and the result is then exactly 0
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
+
+
 def _activate_output(task: TaskSchema, z: np.ndarray) -> np.ndarray:
     """Logits -> probabilities (classification) or identity (regression)."""
     if task.kind == "multiclass":
-        return softmax(z, axis=1)
+        return _softmax(z)
     if task.kind == "binary":
-        return expit(z[:, 0])
+        return _sigmoid(z[:, 0])
     return z[:, 0]
 
 
@@ -228,21 +244,20 @@ def _cell_losses(task: TaskSchema, z: np.ndarray, y: np.ndarray) -> np.ndarray:
     if task.kind == "binary":
         return np.logaddexp(0.0, z[:, 0]) - y * z[:, 0]
     if task.kind == "multiclass":
-        logp = log_softmax(z, axis=1)
+        logp = _log_softmax(z)
         return -logp[np.arange(len(y)), y.astype(int)]
     d = z[:, 0] - y
     return d * d
 
 
 def _output_grad(task: TaskSchema, z: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """d(cell loss)/d(logits), per row."""
-    if task.kind == "binary":
-        return (expit(z[:, 0]) - y)[:, None]
+    """d(cell loss)/d(logits), per row: the activated output minus the target
+    (one-hot for multiclass), doubled for the squared error of regression."""
+    a = _activate_output(task, z)
     if task.kind == "multiclass":
-        g = softmax(z, axis=1)
-        g[np.arange(len(y)), y.astype(int)] -= 1.0
-        return g
-    return (2.0 * (z[:, 0] - y))[:, None]
+        a[np.arange(len(y)), y.astype(int)] -= 1.0
+        return a
+    return (2.0 * (a - y) if task.kind == REGRESSION else a - y)[:, None]
 
 
 def mt_loss(net: MtShlNetwork, x: np.ndarray, y: np.ndarray, defined: np.ndarray,

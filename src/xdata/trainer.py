@@ -20,7 +20,7 @@ import numpy as np
 
 from .dataset import MultiTargetDataset, Standardizer, split
 from .metrics import MetricReport, evaluate
-from .model import NetworkConfig, init_network, mc_predict, train
+from .model import MtShlNetwork, NetworkConfig, init_network, mc_predict, train
 
 logger = logging.getLogger(__name__)
 
@@ -88,7 +88,7 @@ class CdlcResult:
     records: list[IterationRecord]
     assignments: Assignments
     status: str
-    final_net: Optional[object] = None  # network from the last iteration
+    final_net: Optional[MtShlNetwork] = None  # network from the last iteration
 
 
 def select_top_k(confidence: np.ndarray, instance: np.ndarray, k: int,

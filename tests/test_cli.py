@@ -175,6 +175,57 @@ class TestMain:
         assert err == "runtime failure: epoch 2: non-finite network parameters\n"
         assert not (out / "completed.arff").exists()
 
+    def _tiny_run(self, tmp_path, data: str) -> Path:
+        arff = tmp_path / "tiny.arff"
+        arff.write_bytes(("@relation tiny\n@attribute x numeric\n"
+                          "@attribute y {a,b}\n@data\n" + data).encode())
+        cfg = tmp_path / "c.conf"
+        cfg.write_text(f"dataset.1.file = {arff}\ndataset.1.num_targets = 1\n"
+                       f"output.dir = {tmp_path}/out\nnet.shared_layers = 2\n"
+                       "net.epochs = 1\nnet.mc_passes = 2\n")
+        return cfg
+
+    def test_lone_carriage_return_in_data_exits_2(self, tmp_path, capsys):
+        cfg = self._tiny_run(tmp_path, "1,a\r2,b\n3,?\n")
+        assert main(["--config", str(cfg), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: line 5: \\r not followed by \\n"), err
+        assert not (tmp_path / "out" / "completed.arff").exists()
+
+    def test_crlf_input_file_runs(self, tmp_path):
+        cfg = self._tiny_run(tmp_path, "1,a\r\n2,b\r\n3,?\r\n")
+        assert main(["--config", str(cfg), "--quiet"]) == 0
+        data = (tmp_path / "out" / "completed.arff").read_text().split("@data\n")[1]
+        assert len(data.splitlines()) == 3 and "?" not in data
+
+    def test_final_metrics_do_not_depend_on_per_iteration_evaluation(self, tmp_path):
+        # the test set's coord_v has one defined cell: not evaluable, still scattered
+        test_rel, _ = make_corpus(n_train=240, n_test=60, seed=0)["test"]
+        coord_v = test_rel.columns[-1]
+        coord_v[1:] = float("nan")
+        test_file = tmp_path / "test_one_v.arff"
+        test_file.write_text(write_arff(test_rel), encoding="utf-8")
+        outs = []
+        for every in ("true", "false"):
+            out = tmp_path / f"every_{every}"
+            cfg = small_config(tmp_path, out)
+            cfg.write_text(re.sub(r"test\.file = .*", f"test.file = {test_file}",
+                                  cfg.read_text())
+                           + f"cdlc.eval_every_iteration = {every}\n", encoding="utf-8")
+            assert main(["--config", str(cfg), "--quiet"]) == 0
+            outs.append(out)
+        reports = [(o / "report.txt").read_text().split("final test metrics:")[1]
+                   for o in outs]
+        assert reports[0] == reports[1]
+        assert "coord_v: not evaluable (n=1)" in reports[0]
+        scatters = sorted(p.name for p in outs[0].glob("scatter_*.csv"))
+        assert scatters == ["scatter_coord_a.csv", "scatter_coord_v.csv",
+                            "scatter_quadrant.csv"]
+        for name in scatters:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+        assert (outs[0] / "scatter_coord_v.csv").read_text().count("\n") == 2
+        assert (outs[0] / "scatter_quadrant.csv").read_text().count("\n") == 61
+
     def test_missing_config_file_exits_1(self, tmp_path):
         assert main(["--config", str(tmp_path / "absent.conf")]) == 1
 

@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import xdata
 from xdata.dataset import TaskSchema
 from xdata.model import (MtShlNetwork, NetworkConfig, forward, init_network, loss_and_grads,
                          mc_predict, mt_loss, sample_dropout_masks, shannon_entropy,
@@ -126,6 +132,41 @@ class TestForward:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             forward(micro_net(), np.zeros((2, 7)))
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.1])
+    def test_saturated_logits_stay_finite_without_warnings(self, dropout):
+        # no hidden layers: x = +-1 gives logits of exactly +-800 (0 for class c)
+        net = init_network(NetworkConfig(shared_layers=(), dropout=dropout, mc_passes=3),
+                           1, THREE_TASKS)
+        for (w, b), row in zip((h[-1] for h in net.heads),
+                               ([800.0], [800.0, -800.0, 0.0, -800.0], [800.0])):
+            w[...], b[...] = row, 0.0
+        x = np.array([[1.0], [-1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outs = forward(net, x, np.random.default_rng(0) if dropout else None)
+            preds = mc_predict(net, x, np.random.default_rng(0))
+        assert outs[0].tolist() == [1.0, 0.0]
+        assert np.abs(outs[1].sum(axis=1) - 1.0).max() <= 1e-12
+        assert outs[1].argmax(axis=1).tolist() == [0, 1]
+        assert outs[2].tolist() == [800.0, -800.0]
+        for out in outs:
+            assert np.isfinite(out).all()
+        assert [p.decoded.tolist() for p in preds] == [[1, 0], [0, 1], [800.0, -800.0]]
+        for p in preds:
+            assert np.isfinite(p.confidence).all()
+
+    def test_import_loads_no_scipy(self):
+        # a fresh interpreter, because this test process may have imported scipy
+        src = str(Path(xdata.__file__).parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run(
+            [sys.executable, "-c", "import sys, xdata.cli; print(sorted(m for m in sys.modules "
+                                   "if m == 'scipy' or m.startswith('scipy.')))"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == "[]\n"
 
 
 class TestMtLoss:
