@@ -11,6 +11,17 @@ estimated by repeated stochastic forward passes: classification confidence is
 the negated Shannon entropy of the mean output distribution, regression
 confidence the negated sample variance of the outputs.
 
+Prediction (:func:`forward`, :func:`mc_predict`) runs all passes of one call
+through one function, separate from the training forward, which keeps caches
+for backprop. Dropout never touches the inputs, so the first trunk layer's
+activation is computed once per call. Each pass draws its masks in the order
+of :func:`sample_dropout_masks` (trunk layers, then each head's hidden layers
+in task order) into reused buffers, works in place in per-layer buffers, and
+writes its outputs into one preallocated (passes, B) or (passes, B, K) array
+per task. The float operations are those of the training forward and of
+stacking per-pass outputs, so the outputs are byte-identical to that stacked
+form (the reference in the tests).
+
 All computation is float64 numpy, the output activations included (the
 max-shifted softmax and log-softmax and the sigmoid below); training is plain
 minibatch SGD (optional momentum) and fully deterministic in (config, seed, data).
@@ -142,7 +153,8 @@ def init_network(config: NetworkConfig, feature_dim: int,
 
 
 def _act(z: np.ndarray, kind: str) -> np.ndarray:
-    return np.tanh(z) if kind == "tanh" else np.maximum(z, 0.0)
+    """The hidden activation of `z`, in place."""
+    return np.tanh(z, out=z) if kind == "tanh" else np.maximum(z, 0.0, out=z)
 
 
 def _dact(a: np.ndarray, kind: str) -> np.ndarray:
@@ -222,6 +234,68 @@ def _activate_output(task: TaskSchema, z: np.ndarray) -> np.ndarray:
     return z[:, 0]
 
 
+def _as_rows(net: MtShlNetwork, x) -> np.ndarray:
+    """`x` as a float (B, F) batch; a 1-D input is one row."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    if x.shape[1] != net.feature_dim:
+        raise ValueError(f"expected {net.feature_dim} features, got {x.shape[1]}")
+    return x
+
+
+def _predict_passes(net: MtShlNetwork, x: np.ndarray, rng: Optional[np.random.Generator],
+                    passes: int) -> list[np.ndarray]:
+    """Activated outputs of `passes` forward passes of the batch `x`, one
+    (passes, B) or (passes, B, K) array per task.
+
+    Dropout-free when `rng` is None or p = 0, else every pass draws its masks
+    as :func:`sample_dropout_masks` does, in the same order. Computes what
+    :func:`_forward` does with the same float operations, in buffers reused
+    across passes.
+    """
+    p = net.config.dropout
+    akind, rows = net.config.activation, x.shape[0]
+    drop = rng is not None and p > 0.0
+    scale = 1.0 / (1.0 - p)
+    draws: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # width -> (uniforms, keep)
+
+    def dense(a, layer, out):  # out = a @ w + b
+        np.matmul(a, layer[0], out=out)
+        out += layer[1]
+        return out
+
+    def dropout(h, out):  # out = h * mask, the mask drawn as sample_dropout_masks draws it
+        if not drop:
+            return h
+        if h.shape[1] not in draws:
+            draws[h.shape[1]] = np.empty(h.shape), np.empty(h.shape, dtype=bool)
+        u, keep = draws[h.shape[1]]
+        rng.random(out=u)
+        np.greater_equal(u, p, out=keep)
+        np.multiply(keep, scale, out=u)
+        return np.multiply(h, u, out=out)
+
+    def buffers(layers):
+        return [np.empty((rows, w.shape[1])) for w, _ in layers]
+
+    trunk_bufs = buffers(net.trunk)
+    head_bufs = [buffers(head) for head in net.heads]
+    # dropout never touches the inputs, so the first trunk layer's activation
+    # is the same in every pass
+    first = _act(dense(x, net.trunk[0], np.empty_like(trunk_bufs[0])), akind) if net.trunk else x
+    outs = [np.empty((passes, rows, head_output_size(t)) if t.kind == "multiclass"
+                     else (passes, rows)) for t in net.tasks]
+    for t in range(passes):
+        top = dropout(first, trunk_bufs[0]) if net.trunk else x
+        for layer, buf in zip(net.trunk[1:], trunk_bufs[1:]):
+            top = dropout(_act(dense(top, layer, buf), akind), buf)
+        for task, head, bufs, out in zip(net.tasks, net.heads, head_bufs, outs):
+            a = top
+            for layer, buf in zip(head[:-1], bufs):
+                a = dropout(_act(dense(a, layer, buf), akind), buf)
+            out[t] = _activate_output(task, dense(a, head[-1], bufs[-1]))
+    return outs
+
+
 def forward(net: MtShlNetwork, x: np.ndarray,
             rng: Optional[np.random.Generator] = None) -> list[np.ndarray]:
     """Activated per-task outputs for a batch.
@@ -231,12 +305,7 @@ def forward(net: MtShlNetwork, x: np.ndarray,
     probability of class 1, multiclass a (B, K) distribution, regression the
     raw output.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.shape[1] != net.feature_dim:
-        raise ValueError(f"expected {net.feature_dim} features, got {x.shape[1]}")
-    masks = sample_dropout_masks(net, x.shape[0], rng) if rng is not None else None
-    _, _, logits = _forward(net, x, masks)
-    return [_activate_output(t, z) for t, z in zip(net.tasks, logits)]
+    return [out[0] for out in _predict_passes(net, _as_rows(net, x), rng, 1)]
 
 
 def _cell_losses(task: TaskSchema, z: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -291,15 +360,19 @@ def _hidden_backward(layers, cache: list, masks: Optional[list], da: np.ndarray,
 
 
 def loss_and_grads(net: MtShlNetwork, x: np.ndarray, y: np.ndarray,
-                   defined: np.ndarray, masks: Optional[dict] = None) -> np.ndarray:
+                   defined: np.ndarray, masks: Optional[dict] = None,
+                   grad: Optional[MtShlNetwork] = None) -> np.ndarray:
     """Gradients of the masked loss, one flat array laid out like ``net.params``.
 
-    The loss itself is :func:`mt_loss`; the name stays because the benchmark
-    times the ``model.grad`` stage and ``micro.grad_us`` under it.
+    Written into ``grad.params`` (every entry overwritten) when `grad` is
+    given, else into a fresh array. The loss itself is :func:`mt_loss`; the
+    name stays because the benchmark times the ``model.grad`` stage and
+    ``micro.grad_us`` under it.
     """
     akind = net.config.activation
     trunk_cache, head_caches, logits = _forward(net, np.asarray(x, dtype=float), masks)
-    grad = MtShlNetwork(np.zeros_like(net.params), net.tasks, net.config, net.feature_dim)
+    if grad is None:
+        grad = MtShlNetwork(np.zeros_like(net.params), net.tasks, net.config, net.feature_dim)
     d_top = 0.0
     for m, (task, head, cache) in enumerate(zip(net.tasks, net.heads, head_caches)):
         sel = defined[:, m]
@@ -337,7 +410,9 @@ def train(net: MtShlNetwork, x: np.ndarray, y: np.ndarray,
             logger.warning("task %r has no defined labels; its head is frozen", task.name)
 
     out = net.copy()
-    velocity = np.zeros_like(out.params)
+    # allocated once per call: loss_and_grads and the update write into them
+    grad = MtShlNetwork(np.zeros_like(out.params), out.tasks, cfg, out.feature_dim)
+    velocity, step = np.zeros_like(out.params), np.empty_like(out.params)
     rng = np.random.default_rng(cfg.seed)
     # overflow is expected while diverging; the per-epoch check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -347,8 +422,8 @@ def train(net: MtShlNetwork, x: np.ndarray, y: np.ndarray,
                 idx = order[start:start + cfg.batch_size]
                 masks = sample_dropout_masks(out, len(idx), rng)
                 velocity *= cfg.momentum
-                velocity += loss_and_grads(out, x[idx], y[idx], defined[idx], masks)
-                out.params -= cfg.learning_rate * velocity
+                velocity += loss_and_grads(out, x[idx], y[idx], defined[idx], masks, grad=grad)
+                out.params -= np.multiply(cfg.learning_rate, velocity, out=step)
             if not np.isfinite(out.params).all():
                 raise FloatingPointError(f"epoch {epoch}: non-finite network parameters")
     return out
@@ -390,19 +465,13 @@ def mc_predict(net: MtShlNetwork, x: np.ndarray,
     mean. Regression: mean output, confidence is the negated unbiased sample
     variance across passes (0 for a single pass).
     """
-    cfg = net.config
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if rng is None or cfg.dropout == 0.0:
-        passes = [forward(net, x)]
-    else:
-        passes = [forward(net, x, rng) for _ in range(cfg.mc_passes)]
-
+    x = _as_rows(net, x)
+    passes = 1 if rng is None or net.config.dropout == 0.0 else net.config.mc_passes
     results = []
-    for m, task in enumerate(net.tasks):
-        stack = np.stack([p[m] for p in passes])  # (T, B) or (T, B, K)
-        mean = stack.mean(axis=0)
+    for task, stack in zip(net.tasks, _predict_passes(net, x, rng, passes)):
+        mean = stack.mean(axis=0)  # stack: (T, B) or (T, B, K)
         if task.kind == REGRESSION:
-            var = stack.var(axis=0, ddof=1) if len(passes) > 1 else np.zeros(x.shape[0])
+            var = stack.var(axis=0, ddof=1) if passes > 1 else np.zeros(x.shape[0])
             results.append(TaskPredictionBatch(mean, -var))
         else:
             dist = np.stack([1.0 - mean, mean], axis=-1) if task.kind == "binary" else mean

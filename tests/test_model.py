@@ -10,9 +10,9 @@ import pytest
 
 import xdata
 from xdata.dataset import TaskSchema
-from xdata.model import (MtShlNetwork, NetworkConfig, forward, init_network, loss_and_grads,
-                         mc_predict, mt_loss, sample_dropout_masks, shannon_entropy,
-                         train)
+from xdata.model import (MtShlNetwork, NetworkConfig, _activate_output, _forward, forward,
+                         init_network, loss_and_grads, mc_predict, mt_loss,
+                         sample_dropout_masks, shannon_entropy, train)
 
 THREE_TASKS = [
     TaskSchema("flag", "binary", ("no", "yes")),
@@ -257,6 +257,19 @@ class TestGradients:
         x, y, mask = random_batch(5, rng)
         finite_difference_check(net, x, y, mask)
 
+    @pytest.mark.parametrize("shared", [(), (6, 4)])
+    def test_gradient_buffer_is_overwritten(self, shared):
+        rng = np.random.default_rng(14)
+        net = micro_net(seed=14, shared=shared, heads={"cat": (3,)}, dropout=0.3)
+        x, y, mask = random_batch(8, rng)
+        mask[:, 0] = False  # an all-undefined task still gets its zero gradient written
+        masks = sample_dropout_masks(net, len(x), rng)
+        grad = MtShlNetwork(np.full_like(net.params, np.nan), net.tasks, net.config,
+                            net.feature_dim)
+        out = loss_and_grads(net, x, y, mask, masks, grad=grad)
+        assert out is grad.params
+        assert np.array_equal(out, loss_and_grads(net, x, y, mask, masks))
+
 
 class TestTrain:
     def test_loss_decreases_on_separable_data(self):
@@ -386,3 +399,103 @@ class TestDecoding:
         w[...], b[...] = 0.0, np.log(np.array([0.1, 0.6, 0.3]))
         preds = mc_predict(net, np.zeros((1, 2)))
         assert preds[0].decoded[0] == 1
+
+
+def stacked_mc_predict(net, x, rng=None):
+    """Reference for mc_predict: the stacked form, one list of per-task outputs
+    per pass through the training forward :func:`_forward` under masks from
+    :func:`sample_dropout_masks`, then ``np.stack`` per task."""
+    def one_pass(pass_rng):
+        masks = None if pass_rng is None else sample_dropout_masks(net, x.shape[0], pass_rng)
+        _, _, logits = _forward(net, x, masks)
+        return [_activate_output(t, z) for t, z in zip(net.tasks, logits)]
+
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    if rng is None or net.config.dropout == 0.0:
+        passes = [one_pass(None)]
+    else:
+        passes = [one_pass(rng) for _ in range(net.config.mc_passes)]
+    results = []
+    for m, task in enumerate(net.tasks):
+        stack = np.stack([p[m] for p in passes])
+        mean = stack.mean(axis=0)
+        if task.kind == "regression":
+            var = stack.var(axis=0, ddof=1) if len(passes) > 1 else np.zeros(x.shape[0])
+            results.append((mean, -var))
+        else:
+            dist = np.stack([1.0 - mean, mean], axis=-1) if task.kind == "binary" else mean
+            decoded = (mean > 0.5).astype(int) if task.kind == "binary" else mean.argmax(axis=1)
+            results.append((decoded, -shannon_entropy(dist)))
+    return results
+
+
+# every task kind (THREE_TASKS), with and without head hidden layers
+NET_SHAPES = [
+    ((), {}),
+    ((6,), {"flag": (3,), "value": (5, 2)}),
+    ((6, 4), {}),
+    ((6, 4), {"flag": (3,), "cat": (4,), "value": (5, 2)}),
+]
+
+
+class TestPredictionPath:
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize("shared,heads", NET_SHAPES)
+    def test_mc_predict_equals_stacked_reference(self, activation, shared, heads):
+        x = np.random.default_rng(40).normal(size=(300, 5))
+        for dropout in (0.0, 0.3):
+            net = micro_net(seed=41, shared=shared, heads=heads, dropout=dropout,
+                            activation=activation, mc_passes=6)
+            for seed in (None, 42):
+                rng, ref_rng = (None, None) if seed is None else (
+                    np.random.default_rng(seed), np.random.default_rng(seed))
+                got = mc_predict(net, x, rng)
+                for pred, (decoded, confidence) in zip(got, stacked_mc_predict(net, x, ref_rng)):
+                    assert pred.decoded.dtype == decoded.dtype
+                    assert np.array_equal(pred.decoded, decoded)
+                    assert np.array_equal(pred.confidence, confidence)
+                if seed is not None:  # the same number of uniforms, drawn in the same order
+                    assert rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize("shared,heads", NET_SHAPES)
+    def test_forward_equals_training_forward_under_sampled_masks(self, activation, shared,
+                                                                heads):
+        net = micro_net(seed=43, shared=shared, heads=heads, dropout=0.3, activation=activation)
+        x = np.random.default_rng(44).normal(size=(50, 5))
+        masks = sample_dropout_masks(net, len(x), np.random.default_rng(45))
+        _, _, logits = _forward(net, x, masks)
+        for out, task, z in zip(forward(net, x, np.random.default_rng(45)), net.tasks, logits):
+            assert np.array_equal(out, _activate_output(task, z))
+
+    @pytest.mark.parametrize("seed", [None, 46])
+    def test_zero_rows_give_empty_results(self, seed):
+        net = micro_net(shared=(6,), heads={"cat": (3,)}, dropout=0.3, mc_passes=4)
+        rng = None if seed is None else np.random.default_rng(seed)
+        for pred in mc_predict(net, np.zeros((0, 5)), rng):
+            assert pred.decoded.shape == (0,)
+            assert pred.confidence.shape == (0,)
+
+    def test_one_dimensional_input_is_one_row(self):
+        net = micro_net(shared=(6,), dropout=0.3, mc_passes=4)
+        x = np.random.default_rng(47).normal(size=(1, 5))
+        row = mc_predict(net, x[0], np.random.default_rng(48))
+        batch = mc_predict(net, x, np.random.default_rng(48))
+        for a, b in zip(row, batch):
+            assert a.decoded.shape == a.confidence.shape == (1,)
+            assert np.array_equal(a.decoded, b.decoded)
+            assert np.array_equal(a.confidence, b.confidence)
+
+    def test_wrong_feature_count_is_named(self):
+        with pytest.raises(ValueError, match="^expected 5 features, got 7$"):
+            mc_predict(micro_net(dropout=0.3), np.zeros((2, 7)), np.random.default_rng(0))
+
+    def test_network_and_input_unchanged(self):
+        net = micro_net(shared=(6, 4), heads={"flag": (3,)}, dropout=0.3, mc_passes=4,
+                        activation="relu")
+        x = np.random.default_rng(49).normal(size=(30, 5))
+        params, features = net.params.copy(), x.copy()
+        mc_predict(net, x, np.random.default_rng(50))
+        mc_predict(net, x)
+        assert np.array_equal(net.params, params)
+        assert np.array_equal(x, features)
