@@ -21,6 +21,15 @@ THREE_TASKS = [
 ]
 
 
+# every task kind (THREE_TASKS), with and without head hidden layers
+NET_SHAPES = [
+    ((), {}),
+    ((6,), {"flag": (3,), "value": (5, 2)}),
+    ((6, 4), {}),
+    ((6, 4), {"flag": (3,), "cat": (4,), "value": (5, 2)}),
+]
+
+
 def micro_net(seed=0, shared=(6, 4), heads=None, dropout=0.0, **kw):
     cfg = NetworkConfig(shared_layers=shared, head_layers=heads or {},
                         dropout=dropout, seed=seed, **kw)
@@ -49,6 +58,23 @@ class TestInit:
         assert net.trunk[1][0].shape == (8, 8)
         assert net.heads[0][0][0].shape == (8, 1)
 
+    @pytest.mark.parametrize("shared,heads", NET_SHAPES)
+    def test_glorot_draws_per_layer_in_documented_order(self, shared, heads):
+        # trunk layers, then each head's layers in task order, whatever the layout
+        sizes = [5, *shared]
+        shapes = list(zip(sizes, sizes[1:]))
+        for task in THREE_TASKS:
+            head = [sizes[-1], *heads.get(task.name, ()), 4 if task.kind == "multiclass" else 1]
+            shapes += zip(head, head[1:])
+        net = micro_net(seed=8, shared=shared, heads=heads)
+        layers = [*net.trunk, *(layer for head in net.heads for layer in head)]
+        assert len(layers) == len(shapes)
+        rng = np.random.default_rng(8)
+        for (w, b), (n_in, n_out) in zip(layers, shapes):
+            s = np.sqrt(6.0 / (n_in + n_out))
+            assert np.array_equal(w, rng.uniform(-s, s, n_in * n_out).reshape(n_in, n_out))
+            assert np.array_equal(b, np.zeros(n_out))
+
     def test_zero_tasks_error(self):
         with pytest.raises(ValueError):
             init_network(NetworkConfig(), 10, [])
@@ -75,6 +101,31 @@ class TestParameterBuffer:
         before = net.params.copy()
         net.heads[1][-1][0][...] = 7.0
         assert (net.params != before).sum() == net.heads[1][-1][0].size
+
+    @pytest.mark.parametrize("shared,heads", NET_SHAPES)
+    def test_layout_is_trunk_then_fused_block_then_hidden_heads(self, shared, heads):
+        net = micro_net(shared=shared, heads=heads)
+        fused = [head[-1] for head in net.heads if len(head) == 1]
+        hidden = [layer for head in net.heads if len(head) > 1 for layer in head]
+        if fused:  # their output layers side by side, in task order
+            assert np.array_equal(net.block[0], np.hstack([w for w, _ in fused]))
+            assert np.array_equal(net.block[1], np.concatenate([b for _, b in fused]))
+        else:
+            assert net.block is None
+        layers = [*net.trunk, *([net.block] if fused else []), *hidden]
+        assert np.array_equal(np.concatenate([a.ravel() for layer in layers for a in layer]),
+                              net.params)
+
+    def test_fused_head_write_changes_only_its_columns(self):
+        net = micro_net()  # every head fused; cat's columns lie between flag's and value's
+        w, b = net.heads[1][-1]
+        assert np.shares_memory(w, net.block[0]) and np.shares_memory(b, net.block[1])
+        before = net.params.copy()
+        others = [(v.copy(), c.copy()) for m in (0, 2) for v, c in net.heads[m]]
+        w[...] = 7.0
+        assert (net.params != before).sum() == w.size
+        for (v, c), (v0, c0) in zip((layer for m in (0, 2) for layer in net.heads[m]), others):
+            assert np.array_equal(v, v0) and np.array_equal(c, c0)
 
     def test_copy_shares_no_memory(self):
         net = micro_net()
@@ -221,15 +272,15 @@ class TestMtLoss:
         assert single == pytest.approx(only_cell, abs=1e-12)
 
 
-def finite_difference_check(net, x, y, mask, eps=1e-5, tol=1e-4):
-    grads = loss_and_grads(net, x, y, mask)
+def finite_difference_check(net, x, y, mask, masks=None, eps=1e-5, tol=1e-4):
+    grads = loss_and_grads(net, x, y, mask, masks)
     p = net.params
     for i in range(p.size):
         orig = p[i]
         p[i] = orig + eps
-        lp = mt_loss(net, x, y, mask)
+        lp = mt_loss(net, x, y, mask, masks)
         p[i] = orig - eps
-        lm = mt_loss(net, x, y, mask)
+        lm = mt_loss(net, x, y, mask, masks)
         p[i] = orig
         fd = (lp - lm) / (2 * eps)
         err = abs(fd - grads[i])
@@ -256,6 +307,20 @@ class TestGradients:
         net = micro_net(seed=13, shared=(5,), activation="relu")
         x, y, mask = random_batch(5, rng)
         finite_difference_check(net, x, y, mask)
+
+    # all heads fused; and `flag` and `value` fused on both sides of a hidden `cat` head
+    @pytest.mark.parametrize("heads", [{}, {"cat": (3,)}])
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    def test_finite_differences_under_sampled_dropout_masks(self, activation, heads):
+        rng = np.random.default_rng(15)
+        net = micro_net(seed=15, shared=(6, 4), heads=heads, dropout=0.3, activation=activation)
+        # biases off zero: a relu unit fed only dropped units then sits off its kink
+        for _, b in (*net.trunk, *(layer for head in net.heads for layer in head)):
+            b[...] = rng.uniform(0.05, 0.1, b.size)
+        x, y, mask = random_batch(7, rng)
+        masks = sample_dropout_masks(net, len(x), rng)
+        assert masks["trunk"][0].min() == 0.0  # some units are dropped
+        finite_difference_check(net, x, y, mask, masks)
 
     @pytest.mark.parametrize("shared", [(), (6, 4)])
     def test_gradient_buffer_is_overwritten(self, shared):
@@ -312,19 +377,24 @@ class TestTrain:
         train(net, x, y, mask)
         assert np.array_equal(snapshot, net.params)
 
-    def test_momentum_matches_heavy_ball_oracle(self):
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    def test_momentum_matches_heavy_ball_oracle(self, dropout):
         rng = np.random.default_rng(28)
         x, y, mask = random_batch(20, rng)
-        lr, momentum = 0.01, 0.9
-        net = micro_net(seed=29, epochs=3, dropout=0.0, batch_size=32,
+        lr, momentum, batch = 0.01, 0.9, 8
+        net = micro_net(seed=29, epochs=3, dropout=dropout, batch_size=batch,
                         learning_rate=lr, momentum=momentum)
-        # one step per epoch, on the rows in train's seeded shuffle order
+        # per epoch a seeded shuffle, then minibatches of 8, 8 and 4 rows in its
+        # order, each drawing its dropout masks after the shuffle
         oracle, v = net.copy(), np.zeros_like(net.params)
-        order_rng = np.random.default_rng(net.config.seed)
+        step_rng = np.random.default_rng(net.config.seed)
         for _ in range(3):
-            idx = order_rng.permutation(len(x))
-            v = momentum * v + loss_and_grads(oracle, x[idx], y[idx], mask[idx])
-            oracle.params[...] = oracle.params - lr * v
+            order = step_rng.permutation(len(x))
+            for start in range(0, len(x), batch):
+                idx = order[start:start + batch]
+                masks = sample_dropout_masks(oracle, len(idx), step_rng)
+                v = momentum * v + loss_and_grads(oracle, x[idx], y[idx], mask[idx], masks)
+                oracle.params[...] = oracle.params - lr * v
         assert np.array_equal(train(net, x, y, mask).params, oracle.params)
 
     def test_diverging_training_stops_at_the_epoch(self):
@@ -401,14 +471,19 @@ class TestDecoding:
         assert preds[0].decoded[0] == 1
 
 
+def training_outputs(net, x, masks):
+    """Activated per-task outputs of the training forward :func:`_forward`."""
+    z = _forward(net, x, masks)[-1]
+    return [_activate_output(t, z[:, cs]) for t, cs in zip(net.tasks, net.cols)]
+
+
 def stacked_mc_predict(net, x, rng=None):
     """Reference for mc_predict: the stacked form, one list of per-task outputs
     per pass through the training forward :func:`_forward` under masks from
     :func:`sample_dropout_masks`, then ``np.stack`` per task."""
     def one_pass(pass_rng):
         masks = None if pass_rng is None else sample_dropout_masks(net, x.shape[0], pass_rng)
-        _, _, logits = _forward(net, x, masks)
-        return [_activate_output(t, z) for t, z in zip(net.tasks, logits)]
+        return training_outputs(net, x, masks)
 
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if rng is None or net.config.dropout == 0.0:
@@ -427,15 +502,6 @@ def stacked_mc_predict(net, x, rng=None):
             decoded = (mean > 0.5).astype(int) if task.kind == "binary" else mean.argmax(axis=1)
             results.append((decoded, -shannon_entropy(dist)))
     return results
-
-
-# every task kind (THREE_TASKS), with and without head hidden layers
-NET_SHAPES = [
-    ((), {}),
-    ((6,), {"flag": (3,), "value": (5, 2)}),
-    ((6, 4), {}),
-    ((6, 4), {"flag": (3,), "cat": (4,), "value": (5, 2)}),
-]
 
 
 class TestPredictionPath:
@@ -464,9 +530,9 @@ class TestPredictionPath:
         net = micro_net(seed=43, shared=shared, heads=heads, dropout=0.3, activation=activation)
         x = np.random.default_rng(44).normal(size=(50, 5))
         masks = sample_dropout_masks(net, len(x), np.random.default_rng(45))
-        _, _, logits = _forward(net, x, masks)
-        for out, task, z in zip(forward(net, x, np.random.default_rng(45)), net.tasks, logits):
-            assert np.array_equal(out, _activate_output(task, z))
+        for out, ref in zip(forward(net, x, np.random.default_rng(45)),
+                            training_outputs(net, x, masks)):
+            assert np.array_equal(out, ref)
 
     @pytest.mark.parametrize("seed", [None, 46])
     def test_zero_rows_give_empty_results(self, seed):
