@@ -202,13 +202,28 @@ def _progress(quiet: bool, message: str) -> None:
         print(message, file=sys.stderr)
 
 
+def _utf8_text(path: str, data: bytes, error: type) -> str:
+    """`data`, the bytes of the file `path`, decoded as UTF-8 with line ends
+    kept as they are; a byte that does not decode raises `error` naming the
+    file and its line."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}: line {line}: not UTF-8 text "
+                    f"(byte 0x{data[exc.start]:02x})") from None
+
+
 def _read_relation(path: str):
     p = Path(path)
     if not p.is_file():
         raise DatasetError(f"input file not found: {path}")
-    # newline="": a lone \r reaches the parser, which rejects it, not a line split
-    with open(p, encoding="utf-8", newline="") as f:
-        return parse_arff(f.read())
+    # line ends kept: a lone \r reaches the parser, which rejects it, not a line split
+    text = _utf8_text(path, p.read_bytes(), ArffError)
+    try:
+        return parse_arff(text)
+    except ArffError as exc:
+        raise ArffError(f"{path}: {exc}") from None
 
 
 def _check_task_keys(config: RunConfig, ds: MultiTargetDataset) -> None:
@@ -346,7 +361,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         path = Path(args.config)
         if not path.is_file():
             raise ConfigError(f"config file not found: {args.config}")
-        config = parse_config(path.read_text(encoding="utf-8"))
+        config = parse_config(_utf8_text(args.config, path.read_bytes(), ConfigError))
         if args.seed is not None:
             config.cdlc.network.seed = args.seed
         if args.out_dir is not None:

@@ -6,7 +6,15 @@ The training loss is the sum of per-task losses over *defined* label cells
 only; undefined cells contribute exactly zero to loss and gradients.
 
 Dropout is inverted (survivors scaled by 1/(1-p) at sample time), applied to
-hidden units of trunk and heads, never to inputs or outputs. Uncertainty is
+hidden units of trunk and heads, never to inputs or outputs. One draw covers
+every hidden unit of a batch of B rows: the U hidden units (trunk layers, then
+each head's hidden layers in task order; ``MtShlNetwork.spans``) take B*U
+32-bit words from one ``rng.bit_generator.random_raw(ceil(B*U/2))`` call,
+viewed as uint32 (native byte order). They are laid out layer-major: layer j's
+keep mask is the next B*W_j words, reshaped (B, W_j). A unit is kept iff its
+word is >= t = min(round(p * 2**32), 2**32 - 1), so P(keep) is within 2**-33
+of 1 - p; the clamp stops a p just below 1 from wrapping t to 0, which would
+keep every unit. p = 0 draws nothing. Uncertainty is
 estimated by repeated stochastic forward passes: classification confidence is
 the negated Shannon entropy of the mean output distribution, regression
 confidence the negated sample variance of the outputs.
@@ -14,13 +22,14 @@ confidence the negated sample variance of the outputs.
 Prediction (:func:`forward`, :func:`mc_predict`) runs all passes of one call
 through one function, separate from the training forward, which keeps caches
 for backprop. Dropout never touches the inputs, so the first trunk layer's
-activation is computed once per call. Each pass draws its masks in the order
-of :func:`sample_dropout_masks` (trunk layers, then each head's hidden layers
-in task order) into reused buffers, works in place in per-layer buffers, and
-writes its outputs into one preallocated (passes, B) or (passes, B, K) array
-per task. The float operations are those of the training forward and of
-stacking per-pass outputs, so the outputs are byte-identical to that stacked
-form (the reference in the tests).
+activation is computed once per call. Each pass makes the draw of
+:func:`sample_dropout_masks` into one reused bool buffer and applies each
+layer's keep mask as (h * keep) * scale, which equals h * (keep * scale) as
+both factors are exact; it works in place in per-layer buffers and writes its
+outputs into one preallocated (passes, B) or (passes, B, K) array per task.
+The float operations are those of the training forward and of stacking
+per-pass outputs, so the outputs are byte-identical to that stacked form (the
+reference in the tests).
 
 All computation is float64 numpy, the output activations included (the
 max-shifted softmax and log-softmax and the sigmoid below); training is plain
@@ -53,6 +62,7 @@ targets) * weights on its contiguous rows.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -87,8 +97,11 @@ class NetworkConfig:
             raise ValueError("net.dropout must be in [0, 1)")
         if self.activation not in ("tanh", "relu"):
             raise ValueError(f"net.activation must be tanh or relu, got {self.activation!r}")
-        if self.epochs <= 0 or self.learning_rate <= 0 or self.batch_size <= 0:
-            raise ValueError("net.epochs, net.learning_rate and net.batch_size must be positive")
+        for key in ("epochs", "learning_rate", "batch_size"):
+            if not 0 < getattr(self, key) < math.inf:
+                raise ValueError(f"net.{key} must be positive and finite")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError("net.momentum must be in [0, 1)")
         if self.mc_passes < 1:
             raise ValueError("net.mc_passes must be >= 1")
         if self.dropout > 0 and self.mc_passes < 2:
@@ -153,10 +166,22 @@ class MtShlNetwork:
     heads: tuple[tuple[Layer, ...], ...] = field(init=False, repr=False)  # last: output
     block: Optional[Layer] = field(init=False, repr=False)  # fused output layers
     cols: tuple[slice, ...] = field(init=False, repr=False)  # per task, of the logits
+    # (lo, hi) hidden-unit span of each layer in a dropout draw, per group
+    # (trunk, then each head's hidden layers); `units` in all
+    spans: tuple[tuple[tuple[int, int], ...], ...] = field(init=False, repr=False)
+    units: int = field(init=False, repr=False)
 
     def __post_init__(self):
         self.trunk, self.heads, self.block, self.cols = _layer_views(
             self.params, _layer_shapes(self.config, self.feature_dim, self.tasks))
+        spans, lo = [], 0
+        for layers in (self.trunk, *(head[:-1] for head in self.heads)):
+            group = []
+            for w, _ in layers:
+                group.append((lo, lo + w.shape[1]))
+                lo += w.shape[1]
+            spans.append(tuple(group))
+        self.spans, self.units = tuple(spans), lo
 
     def copy(self) -> "MtShlNetwork":
         return MtShlNetwork(self.params.copy(), list(self.tasks), self.config, self.feature_dim)
@@ -195,21 +220,27 @@ def _dact(a: np.ndarray, kind: str) -> np.ndarray:
     return 1.0 - a * a if kind == "tanh" else a > 0
 
 
-def sample_dropout_masks(net: MtShlNetwork, batch: int,
-                         rng: np.random.Generator) -> Optional[dict]:
-    """Inverted-dropout masks for all hidden units of a batch, or None if p=0."""
+def _draw_keep(rng: np.random.Generator, p: float, keep: np.ndarray) -> np.ndarray:
+    """Fill the flat bool buffer `keep` with one dropout draw (see the module
+    docstring): word i of one random_raw call is kept iff >= the threshold."""
+    words = rng.bit_generator.random_raw((keep.size + 1) // 2).view(np.uint32)
+    threshold = np.uint32(min(round(p * 2**32), 2**32 - 1))
+    return np.greater_equal(words[:keep.size], threshold, out=keep)
+
+
+def sample_dropout_masks(net: MtShlNetwork, batch: int, rng: np.random.Generator,
+                         keep: Optional[np.ndarray] = None) -> Optional[dict]:
+    """Inverted-dropout masks (keep / (1 - p)) for all hidden units of a batch,
+    or None if p=0. `keep`, a bool buffer of at least batch * net.units
+    entries, holds the draw (a prefix of it) instead of a fresh array."""
     p = net.config.dropout
     if p == 0.0:
         return None
-    scale = 1.0 / (1.0 - p)
-
-    def mask(size):
-        return (rng.random((batch, size)) >= p) * scale
-
-    return {
-        "trunk": [mask(w.shape[1]) for w, _ in net.trunk],
-        "heads": [[mask(w.shape[1]) for w, _ in head[:-1]] for head in net.heads],
-    }
+    n, scale = batch * net.units, 1.0 / (1.0 - p)
+    keep = _draw_keep(rng, p, np.empty(n, dtype=bool) if keep is None else keep[:n])
+    trunk, *heads = ([keep[batch * lo:batch * hi].reshape(batch, hi - lo) * scale
+                      for lo, hi in group] for group in net.spans)
+    return {"trunk": trunk, "heads": heads}
 
 
 def _hidden_forward(layers, a: np.ndarray, masks: Optional[list], akind: str):
@@ -283,32 +314,29 @@ def _predict_passes(net: MtShlNetwork, x: np.ndarray, rng: Optional[np.random.Ge
     """Activated outputs of `passes` forward passes of the batch `x`, one
     (passes, B) or (passes, B, K) array per task.
 
-    Dropout-free when `rng` is None or p = 0, else every pass draws its masks
-    as :func:`sample_dropout_masks` does, in the same order. Computes what
-    :func:`_forward` does with the same float operations, in buffers reused
-    across passes.
+    Dropout-free when `rng` is None or p = 0, else every pass makes the draw
+    of :func:`sample_dropout_masks`. Computes what :func:`_forward` does with
+    the same float operations, in buffers reused across passes.
     """
     p = net.config.dropout
     akind, rows = net.config.activation, x.shape[0]
-    drop = rng is not None and p > 0.0
     scale = 1.0 / (1.0 - p)
-    draws: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # width -> (uniforms, keep)
+    # one pass's draw, and per group (trunk, then each head) each layer's view of it
+    keep = np.empty(rows * net.units, dtype=bool) if rng is not None and p > 0.0 else None
+    keeps = [[None if keep is None else keep[rows * lo:rows * hi].reshape(rows, hi - lo)
+              for lo, hi in group] for group in net.spans]
 
     def dense(a, layer, out):  # out = a @ w + b
         np.matmul(a, layer[0], out=out)
         out += layer[1]
         return out
 
-    def dropout(h, out):  # out = h * mask, the mask drawn as sample_dropout_masks draws it
-        if not drop:
+    def dropout(h, kept, out):  # out = h * (kept * scale), the sample_dropout_masks mask
+        if kept is None:
             return h
-        if h.shape[1] not in draws:
-            draws[h.shape[1]] = np.empty(h.shape), np.empty(h.shape, dtype=bool)
-        u, keep = draws[h.shape[1]]
-        rng.random(out=u)
-        np.greater_equal(u, p, out=keep)
-        np.multiply(keep, scale, out=u)
-        return np.multiply(h, u, out=out)
+        np.multiply(h, kept, out=out)
+        out *= scale
+        return out
 
     def buffers(layers):
         return [np.empty((rows, w.shape[1])) for w, _ in layers]
@@ -322,17 +350,20 @@ def _predict_passes(net: MtShlNetwork, x: np.ndarray, rng: Optional[np.random.Ge
     outs = [np.empty((passes, rows, head_output_size(t)) if t.kind == "multiclass"
                      else (passes, rows)) for t in net.tasks]
     for t in range(passes):
-        top = dropout(first, trunk_bufs[0]) if net.trunk else x
-        for layer, buf in zip(net.trunk[1:], trunk_bufs[1:]):
-            top = dropout(_act(dense(top, layer, buf), akind), buf)
+        if keep is not None:
+            _draw_keep(rng, p, keep)
+        top = dropout(first, keeps[0][0], trunk_bufs[0]) if net.trunk else x
+        for layer, kept, buf in zip(net.trunk[1:], keeps[0][1:], trunk_bufs[1:]):
+            top = dropout(_act(dense(top, layer, buf), akind), kept, buf)
         zb = None if net.block is None else dense(top, net.block, block_buf)
-        for task, head, cs, bufs, out in zip(net.tasks, net.heads, net.cols, head_bufs, outs):
+        for task, head, cs, bufs, kept_head, out in zip(net.tasks, net.heads, net.cols,
+                                                        head_bufs, keeps[1:], outs):
             if bufs is None:  # fused: task's columns of the block's logits
                 z = zb[:, cs]
             else:
                 a = top
-                for layer, buf in zip(head[:-1], bufs):
-                    a = dropout(_act(dense(a, layer, buf), akind), buf)
+                for layer, kept, buf in zip(head[:-1], kept_head, bufs):
+                    a = dropout(_act(dense(a, layer, buf), akind), kept, buf)
                 z = dense(a, head[-1], bufs[-1])
             out[t] = _activate_output(task, z)
     return outs
@@ -481,6 +512,7 @@ def train(net: MtShlNetwork, x: np.ndarray, y: np.ndarray,
     # allocated once per call: loss_and_grads and the update write into them
     grad = MtShlNetwork(np.zeros_like(out.params), out.tasks, cfg, out.feature_dim)
     velocity, step = np.zeros_like(out.params), np.empty_like(out.params)
+    keep = np.empty(cfg.batch_size * out.units, dtype=bool)  # each step's dropout draw
     targets, weights = _encode_targets(out, y, defined)
     rng = np.random.default_rng(cfg.seed)
     # overflow is expected while diverging; the per-epoch check below reports it
@@ -491,7 +523,7 @@ def train(net: MtShlNetwork, x: np.ndarray, y: np.ndarray,
             xs, ts, ws = x[order], targets[order], weights[order]
             for start in range(0, n, cfg.batch_size):
                 rows = slice(start, start + cfg.batch_size)
-                masks = sample_dropout_masks(out, len(xs[rows]), rng)
+                masks = sample_dropout_masks(out, len(xs[rows]), rng, keep)
                 velocity *= cfg.momentum
                 velocity += loss_and_grads(out, xs[rows], None, None, masks, grad=grad,
                                            encoded=(ts[rows], ws[rows]))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -45,6 +46,9 @@ class CdlcConfig:
             raise ValueError("cdlc.select_per_task must be >= 1")
         if self.max_iterations is not None and self.max_iterations < 1:
             raise ValueError("cdlc.max_iterations must be >= 1")
+        for task, value in sorted(self.min_confidence.items()):
+            if not math.isfinite(value):
+                raise ValueError(f"cdlc.min_confidence.{task} must be finite")
         self.network.validate()
 
 

@@ -165,6 +165,50 @@ class TestMain:
         assert f"configuration error: unknown task 'nosuchtask' in key '{key}'" in err
         assert not (out / "assignments.csv").exists()
 
+    @pytest.mark.parametrize("line,message", [
+        ("net.momentum = 1.5", "net.momentum must be in [0, 1)"),
+        ("net.momentum = -2", "net.momentum must be in [0, 1)"),
+        ("net.learning_rate = nan", "net.learning_rate must be positive and finite"),
+        ("net.learning_rate = inf", "net.learning_rate must be positive and finite"),
+        ("cdlc.min_confidence.quadrant = nan", "cdlc.min_confidence.quadrant must be finite"),
+    ])
+    def test_out_of_range_setting_exits_1_naming_the_key(self, tmp_path, capsys, line,
+                                                         message):
+        out = tmp_path / "out"
+        cfg = small_config(tmp_path, out)
+        cfg.write_text(cfg.read_text() + line + "\n", encoding="utf-8")
+        assert main(["--config", str(cfg), "--quiet"]) == 1
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not out.exists()
+
+    def test_arff_error_names_the_file_among_several(self, tmp_path, capsys):
+        cfg = small_config(tmp_path, tmp_path / "out")
+        bad = tmp_path / "file3.arff"
+        text = bad.read_text(encoding="utf-8")
+        bad.write_text(text + "1,2,3\n", encoding="utf-8")
+        assert main(["--config", str(cfg), "--quiet"]) == 2
+        line = text.count("\n") + 1
+        assert capsys.readouterr().err.startswith(
+            f"data error: {bad}: line {line}: row has 3 values but "), bad
+
+    def test_undecodable_input_file_is_a_data_error_naming_it(self, tmp_path, capsys):
+        cfg = small_config(tmp_path, tmp_path / "out")
+        bad = tmp_path / "file2.arff"
+        data = bad.read_bytes()
+        cut = data.index(b"@data\n") + len(b"@data\n")
+        bad.write_bytes(data[:cut] + b"\xff" + data[cut:])
+        assert main(["--config", str(cfg), "--quiet"]) == 2
+        line = data[:cut].count(b"\n") + 1
+        assert capsys.readouterr().err == \
+            f"data error: {bad}: line {line}: not UTF-8 text (byte 0xff)\n"
+
+    def test_undecodable_config_file_is_a_configuration_error(self, tmp_path, capsys):
+        cfg = tmp_path / "c.conf"
+        cfg.write_bytes(b"dataset.1.file = a.arff\noutput.dir = out\n# caf\xe9\n")
+        assert main(["--config", str(cfg), "--quiet"]) == 1
+        assert capsys.readouterr().err == \
+            f"configuration error: {cfg}: line 3: not UTF-8 text (byte 0xe9)\n"
+
     def test_diverging_training_exits_3(self, tmp_path, capsys):
         out = tmp_path / "out"
         cfg = small_config(tmp_path, out)
@@ -189,7 +233,8 @@ class TestMain:
         cfg = self._tiny_run(tmp_path, "1,a\r2,b\n3,?\n")
         assert main(["--config", str(cfg), "--quiet"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("data error: line 5: \\r not followed by \\n"), err
+        assert err.startswith(f"data error: {tmp_path / 'tiny.arff'}: line 5: "
+                              "\\r not followed by \\n"), err
         assert not (tmp_path / "out" / "completed.arff").exists()
 
     def test_crlf_input_file_runs(self, tmp_path):

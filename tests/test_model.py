@@ -471,6 +471,46 @@ class TestDecoding:
         assert preds[0].decoded[0] == 1
 
 
+class TestDropoutDraw:
+    @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+    def test_keep_rate_is_one_minus_p(self, p):
+        net = micro_net(shared=(1001,), dropout=p)
+        masks = sample_dropout_masks(net, 1001, np.random.default_rng(60))
+        mask = masks["trunk"][0]
+        n = mask.size  # odd, so the last 64-bit word is half used
+        assert n >= 10**6 and masks["heads"] == [[], [], []]
+        assert set(np.unique(mask)) == {0.0, 1.0 / (1.0 - p)}
+        kept = np.count_nonzero(mask)
+        assert abs(kept - n * (1 - p)) <= 5 * math.sqrt(n * p * (1 - p))
+
+    def test_dropout_just_below_one_drops_almost_every_unit(self):
+        p = 1 - 1e-12
+        net = micro_net(shared=(1000,), dropout=p)  # validate() accepts it
+        # round(p * 2**32) is 2**32, which would wrap to a threshold of 0 in 32 bits
+        masks = sample_dropout_masks(net, 1000, np.random.default_rng(61))
+        assert np.count_nonzero(masks["trunk"][0]) <= 2  # expected 10**6 / 2**32
+
+    @pytest.mark.parametrize("shared,heads", NET_SHAPES)
+    def test_masks_are_one_raw_draw_sliced_layer_major(self, shared, heads):
+        p, batch = 0.3, 7
+        net = micro_net(shared=shared, heads=heads, dropout=p)
+        rng, ref_rng = np.random.default_rng(62), np.random.default_rng(62)
+        masks = sample_dropout_masks(net, batch, rng)
+        layers = [*net.trunk, *(layer for head in net.heads for layer in head[:-1])]
+        n = batch * sum(w.shape[1] for w, _ in layers)
+        words = ref_rng.bit_generator.random_raw((n + 1) // 2).view(np.uint32)[:n]
+        threshold = min(round(p * 2**32), 2**32 - 1)
+        got = [*masks["trunk"], *(m for head in masks["heads"] for m in head)]
+        assert len(got) == len(layers)
+        start = 0
+        for (w, _), mask in zip(layers, got):
+            width = w.shape[1]
+            ref = (words[start:start + batch * width].reshape(batch, width) >= threshold)
+            assert np.array_equal(mask, ref * (1.0 / (1.0 - p)))
+            start += batch * width
+        assert rng.random() == ref_rng.random()  # nothing else was drawn
+
+
 def training_outputs(net, x, masks):
     """Activated per-task outputs of the training forward :func:`_forward`."""
     z = _forward(net, x, masks)[-1]
@@ -520,7 +560,7 @@ class TestPredictionPath:
                     assert pred.decoded.dtype == decoded.dtype
                     assert np.array_equal(pred.decoded, decoded)
                     assert np.array_equal(pred.confidence, confidence)
-                if seed is not None:  # the same number of uniforms, drawn in the same order
+                if seed is not None:  # the same number of words, drawn in the same order
                     assert rng.random() == ref_rng.random()
 
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
