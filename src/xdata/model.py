@@ -5,58 +5,55 @@ A shared trunk feeds one head per task; heads end in a single sigmoid unit
 The training loss is the sum of per-task losses over *defined* label cells
 only; undefined cells contribute exactly zero to loss and gradients.
 
-Dropout is inverted (survivors scaled by 1/(1-p) at sample time), applied to
-hidden units of trunk and heads, never to inputs or outputs. One draw covers
-every hidden unit of a batch of B rows: the U hidden units (trunk layers, then
-each head's hidden layers in task order; ``MtShlNetwork.spans``) take B*U
-32-bit words from one ``rng.bit_generator.random_raw(ceil(B*U/2))`` call,
-viewed as uint32 (native byte order). They are laid out layer-major: layer j's
-keep mask is the next B*W_j words, reshaped (B, W_j). A unit is kept iff its
-word is >= t = min(round(p * 2**32), 2**32 - 1), so P(keep) is within 2**-33
-of 1 - p; the clamp stops a p just below 1 from wrapping t to 0, which would
-keep every unit. p = 0 draws nothing. Uncertainty is
-estimated by repeated stochastic forward passes: classification confidence is
-the negated Shannon entropy of the mean output distribution, regression
+Layout: after the trunk, the heads are grouped by depth (number of hidden
+layers), groups in ascending depth and heads in task order within a group.
+A group is one stack of layers: its first layer holds its heads' first layers
+side by side (they all read the trunk output), and every later layer, the
+output layer included, is block-diagonal, head j's layer in the j-th diagonal
+block. Heads without hidden layers form the depth-0 group, one (H, sum K)
+layer. One flat float64 array, ``MtShlNetwork.params``, holds the trunk's
+layers, then each group's, each layer its row-major (in_dim x out_dim)
+weights then its bias. The off-diagonal entries of block-diagonal layers are
+stored (``zeros`` holds their flat indices) and stay exactly 0.0, because
+:func:`loss_and_grads` zeroes their gradient. ``trunk`` and ``groups`` are
+views into ``params``; ``heads[m]`` is task m's layers as views into its
+group's (write through them, ``w[...] = ...``) and ``cols[m]`` its slice of
+the logits' columns. Gradients share the layout, so an SGD step is one vector
+operation. Initial weights are drawn per layer in the order trunk, then each
+head's layers in task order, whatever the layout.
+
+Dropout is inverted, applied to hidden units of trunk and heads, never to
+inputs or outputs. One draw covers every hidden unit of a batch of B rows: the
+U hidden units (trunk layers, then each group's hidden layers;
+``MtShlNetwork.spans``) take B*U 32-bit words from one
+``rng.bit_generator.random_raw(ceil(B*U/2))`` call, viewed as uint32 (native
+byte order), layer-major: layer j's bool keep mask is the next B*W_j words,
+reshaped (B, W_j); a group's layer is as wide as its heads' layers together.
+A unit is kept iff its word is >= t = min(round(p * 2**32), 2**32 - 1), so
+P(keep) is within 2**-33 of 1 - p; the clamp stops a p just below 1 from
+wrapping t to 0, which would keep every unit. p = 0 draws nothing. Training
+and prediction apply a mask as (h * keep) * scale with scale = 1/(1-p), which
+equals h * (keep * scale) as both factors are exact. Uncertainty is estimated
+by repeated stochastic forward passes: classification confidence is the
+negated Shannon entropy of the mean output distribution, regression
 confidence the negated sample variance of the outputs.
 
 Prediction (:func:`forward`, :func:`mc_predict`) runs all passes of one call
 through one function, separate from the training forward, which keeps caches
-for backprop. Dropout never touches the inputs, so the first trunk layer's
-activation is computed once per call. Each pass makes the draw of
-:func:`sample_dropout_masks` into one reused bool buffer and applies each
-layer's keep mask as (h * keep) * scale, which equals h * (keep * scale) as
-both factors are exact; it works in place in per-layer buffers and writes its
-outputs into one preallocated (passes, B) or (passes, B, K) array per task.
-The float operations are those of the training forward and of stacking
-per-pass outputs, so the outputs are byte-identical to that stacked form (the
-reference in the tests).
+for backprop. It computes the first trunk layer's activation once per call
+(dropout never touches the inputs), makes each pass's draw into one reused
+bool buffer, works in place in per-layer buffers and writes into one
+preallocated (passes, B) or (passes, B, K) array per task. Its float
+operations are those of the training forward, so its outputs are
+byte-identical to stacking per-pass training outputs (the tests' reference).
 
 All computation is float64 numpy, the output activations included (the
 max-shifted softmax and log-softmax and the sigmoid below); training is plain
 minibatch SGD (optional momentum) and fully deterministic in (config, seed, data).
-
-Parameter layout: all weights and biases live in one flat float64 array,
-``MtShlNetwork.params``, each layer its row-major (in_dim x out_dim) weights
-then its bias. First come the trunk layers. Next comes the fused output
-block ``block``: one (H, sum K) layer that holds, side by side in task
-order, the output layers of every head without hidden layers, so their
-logits, weight gradient and share of the trunk's gradient take one matmul
-each. Each remaining head's layers follow, in task order (output layer
-last). ``trunk`` and ``heads`` are tuples of views into it (write through
-them, ``w[...] = ...``); a fused head's output layer is its column slice of
-the block, and ``cols[m]`` is task m's slice of the logits' columns (the
-block's first, then the other heads'). Heads with hidden layers keep their
-own first layer: fusing those into one matmul made an MC pass 1.1-1.2x
-slower in two measurements at 5000 rows (64-unit relu trunk, three 16-unit
-heads), because each head then works on a strided column slice. Gradients
-share the layout, so an SGD step is one vector operation. Initial weights
-are drawn per layer in the order trunk, then each head's layers in task
-order, whatever the layout.
-
-Training encodes the labels once per :func:`train` call into a target and a
-weight matrix in the logits' column order and gathers them with the inputs
-once per epoch; each step's output gradient is then (activated logits -
-targets) * weights on its contiguous rows.
+It encodes the labels once per :func:`train` call into a target and a weight
+matrix in the logits' column order and gathers them with the inputs once per
+epoch; each step's output gradient is then (activated logits - targets) *
+weights on its contiguous rows.
 """
 
 from __future__ import annotations
@@ -64,6 +61,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -117,22 +115,32 @@ def head_output_size(task: TaskSchema) -> int:
     return 1  # binary sigmoid unit or regression scalar
 
 
-def _layer_shapes(config: NetworkConfig, feature_dim: int,
-                  tasks: list[TaskSchema]) -> list[list[tuple[int, int]]]:
-    """(n_in, n_out) per layer: the trunk's group, then one group per task head."""
+def _layout(config: NetworkConfig, feature_dim: int, tasks: list[TaskSchema]):
+    """(trunk, groups) as in the module docstring: (n_in, n_out) of each trunk
+    layer, and per group its task indices and, per layer, the layer's
+    (n_in, n_out) and each member head's (rows, cols) slice of its weights."""
     sizes = [feature_dim, *config.shared_layers]
-    groups = [list(zip(sizes, sizes[1:]))]
-    for task in tasks:
-        head = [sizes[-1], *config.head_layers.get(task.name, ()), head_output_size(task)]
-        groups.append(list(zip(head, head[1:])))
-    return groups
+    heads = [[sizes[-1], *config.head_layers.get(t.name, ()), head_output_size(t)]
+             for t in tasks]
+    groups = []
+    for size in sorted({len(head) for head in heads}):
+        members = [m for m, head in enumerate(heads) if len(head) == size]
+        layers, rows = [], [slice(None)] * len(members)  # a first layer reads all of the trunk
+        for i in range(1, size):
+            ends = list(accumulate(heads[m][i] for m in members))
+            cols = [slice(end - heads[m][i], end) for m, end in zip(members, ends)]
+            n_in = layers[-1][0][1] if layers else sizes[-1]
+            layers.append(((n_in, ends[-1]), list(zip(rows, cols))))
+            rows = cols
+        groups.append((members, layers))
+    return list(zip(sizes, sizes[1:])), groups
 
 
-def _layer_views(flat: np.ndarray, groups: list[list[tuple[int, int]]]):
-    """(trunk, heads, block, cols): (W, b) views into `flat`, laid out as in the
-    module docstring. `block` is the fused output layer (None if every head has
-    hidden layers); cols[m] is task m's slice of the logits' columns."""
-    offset = 0
+def _layer_views(flat: np.ndarray, trunk_shapes, group_shapes, n_tasks: int):
+    """(trunk, groups, heads, cols, zeros): the views into `flat` and the flat
+    indices of its structural zeros, for the :func:`_layout` shapes."""
+    offset, zeros, start = 0, [], 0
+    heads, cols, groups = [[] for _ in range(n_tasks)], [None] * n_tasks, []
 
     def take(n_in, n_out):
         nonlocal offset
@@ -141,19 +149,24 @@ def _layer_views(flat: np.ndarray, groups: list[list[tuple[int, int]]]):
         offset = end + n_out
         return layer
 
-    trunk, shapes = tuple(take(*shape) for shape in groups[0]), groups[1:]
-    fused = [m for m, group in enumerate(shapes) if len(group) == 1]
-    cols, start = {}, 0
-    for m in sorted(range(len(shapes)), key=lambda m: m not in fused):  # fused heads first
-        cols[m] = slice(start, start + shapes[m][-1][1])
-        start = cols[m].stop
-    block = take(shapes[fused[0]][0][0], cols[fused[-1]].stop) if fused else None
-    heads = tuple(((block[0][:, cols[m]], block[1][cols[m]]),) if m in fused
-                  else tuple(take(*shape) for shape in group)
-                  for m, group in enumerate(shapes))
+    trunk = tuple(take(*shape) for shape in trunk_shapes)
+    for members, layers in group_shapes:
+        group = []
+        for shape, blocks in layers:
+            base, structural = offset, np.ones(shape, dtype=bool)
+            w, b = take(*shape)
+            for m, (rows, cs) in zip(members, blocks):
+                heads[m].append((w[rows, cs], b[cs]))
+                structural[rows, cs] = False
+            zeros.append(base + np.flatnonzero(structural))
+            group.append((w, b))
+        for m, (_, cs) in zip(members, layers[-1][1]):
+            cols[m] = slice(start + cs.start, start + cs.stop)
+        groups.append((tuple(group), slice(start, start + b.size)))
+        start += b.size
     if offset != flat.size:
         raise ValueError(f"expected {offset} parameters, got {flat.size}")
-    return trunk, heads, block, tuple(cols[m] for m in range(len(shapes)))
+    return trunk, tuple(groups), tuple(map(tuple, heads)), tuple(cols), np.concatenate(zeros)
 
 
 @dataclass
@@ -163,25 +176,22 @@ class MtShlNetwork:
     config: NetworkConfig
     feature_dim: int
     trunk: tuple[Layer, ...] = field(init=False, repr=False)  # views into params
+    # per group (ascending depth): its layers (last: output) and logits' columns
+    groups: tuple[tuple[tuple[Layer, ...], slice], ...] = field(init=False, repr=False)
     heads: tuple[tuple[Layer, ...], ...] = field(init=False, repr=False)  # last: output
-    block: Optional[Layer] = field(init=False, repr=False)  # fused output layers
     cols: tuple[slice, ...] = field(init=False, repr=False)  # per task, of the logits
-    # (lo, hi) hidden-unit span of each layer in a dropout draw, per group
-    # (trunk, then each head's hidden layers); `units` in all
-    spans: tuple[tuple[tuple[int, int], ...], ...] = field(init=False, repr=False)
+    zeros: np.ndarray = field(init=False, repr=False)  # indices of structural zeros
+    # (lo, hi) hidden-unit span of each hidden layer in a dropout draw (trunk
+    # layers, then each group's); `units` in all
+    spans: tuple[tuple[int, int], ...] = field(init=False, repr=False)
     units: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.trunk, self.heads, self.block, self.cols = _layer_views(
-            self.params, _layer_shapes(self.config, self.feature_dim, self.tasks))
-        spans, lo = [], 0
-        for layers in (self.trunk, *(head[:-1] for head in self.heads)):
-            group = []
-            for w, _ in layers:
-                group.append((lo, lo + w.shape[1]))
-                lo += w.shape[1]
-            spans.append(tuple(group))
-        self.spans, self.units = tuple(spans), lo
+        self.trunk, self.groups, self.heads, self.cols, self.zeros = _layer_views(
+            self.params, *_layout(self.config, self.feature_dim, self.tasks), len(self.tasks))
+        hidden = (*self.trunk, *(layer for layers, _ in self.groups for layer in layers[:-1]))
+        ends = list(accumulate((w.shape[1] for w, _ in hidden), initial=0))
+        self.spans, self.units = tuple(zip(ends, ends[1:])), ends[-1]
 
     def copy(self) -> "MtShlNetwork":
         return MtShlNetwork(self.params.copy(), list(self.tasks), self.config, self.feature_dim)
@@ -195,11 +205,12 @@ def init_network(config: NetworkConfig, feature_dim: int,
         raise ValueError("at least one task required")
     if feature_dim < 1:
         raise ValueError("feature_dim must be >= 1")
-    groups = _layer_shapes(config, feature_dim, tasks)
-    net = MtShlNetwork(np.zeros(sum((n_in + 1) * n_out for group in groups
-                                    for n_in, n_out in group)), list(tasks), config, feature_dim)
+    trunk, groups = _layout(config, feature_dim, tasks)
+    shapes = [*trunk, *(shape for _, layers in groups for shape, _ in layers)]
+    net = MtShlNetwork(np.zeros(sum((n_in + 1) * n_out for n_in, n_out in shapes)),
+                       list(tasks), config, feature_dim)
     rng = np.random.default_rng(config.seed)
-    # drawn per layer in the order of _layer_shapes, whatever the layout
+    # drawn per layer in the order trunk, then each head's layers, whatever the layout
     for w, _ in (*net.trunk, *(layer for head in net.heads for layer in head)):
         scale = np.sqrt(6.0 / sum(w.shape))
         w[...] = rng.uniform(-scale, scale, size=w.size).reshape(w.shape)
@@ -220,60 +231,71 @@ def _dact(a: np.ndarray, kind: str) -> np.ndarray:
     return 1.0 - a * a if kind == "tanh" else a > 0
 
 
-def _draw_keep(rng: np.random.Generator, p: float, keep: np.ndarray) -> np.ndarray:
-    """Fill the flat bool buffer `keep` with one dropout draw (see the module
-    docstring): word i of one random_raw call is kept iff >= the threshold."""
+def _dense(a: np.ndarray, layer: Layer, out: np.ndarray) -> np.ndarray:
+    """out = a @ w + b, in place."""
+    np.matmul(a, layer[0], out=out)
+    out += layer[1]
+    return out
+
+
+def _drop(h: np.ndarray, keep: Optional[np.ndarray], scale: float, out=None) -> np.ndarray:
+    """Inverted dropout (h * keep) * scale, into `out` if given; `h` if keep is None."""
+    if keep is None:
+        return h
+    out = np.multiply(h, keep, out=out)
+    out *= scale
+    return out
+
+
+def _draw(net: MtShlNetwork, rng: np.random.Generator, keep: np.ndarray,
+          rows: int) -> list[np.ndarray]:
+    """One dropout draw (module docstring) of `rows` rows into the flat bool
+    buffer `keep`: word i of one random_raw call is kept iff >= the threshold.
+    Returns each hidden layer's (rows, W) view of it."""
     words = rng.bit_generator.random_raw((keep.size + 1) // 2).view(np.uint32)
-    threshold = np.uint32(min(round(p * 2**32), 2**32 - 1))
-    return np.greater_equal(words[:keep.size], threshold, out=keep)
+    threshold = np.uint32(min(round(net.config.dropout * 2**32), 2**32 - 1))
+    np.greater_equal(words[:keep.size], threshold, out=keep)
+    return [keep[rows * lo:rows * hi].reshape(rows, hi - lo) for lo, hi in net.spans]
 
 
 def sample_dropout_masks(net: MtShlNetwork, batch: int, rng: np.random.Generator,
-                         keep: Optional[np.ndarray] = None) -> Optional[dict]:
-    """Inverted-dropout masks (keep / (1 - p)) for all hidden units of a batch,
-    or None if p=0. `keep`, a bool buffer of at least batch * net.units
-    entries, holds the draw (a prefix of it) instead of a fresh array."""
-    p = net.config.dropout
-    if p == 0.0:
+                         keep: Optional[np.ndarray] = None) -> Optional[list[np.ndarray]]:
+    """The bool keep masks of one dropout draw for a batch, one (batch, W) per
+    hidden layer (trunk layers, then each group's), or None if p = 0. `keep`,
+    a bool buffer of at least batch * net.units entries, holds the draw (a
+    prefix of it) instead of a fresh array."""
+    if net.config.dropout == 0.0:
         return None
-    n, scale = batch * net.units, 1.0 / (1.0 - p)
-    keep = _draw_keep(rng, p, np.empty(n, dtype=bool) if keep is None else keep[:n])
-    trunk, *heads = ([keep[batch * lo:batch * hi].reshape(batch, hi - lo) * scale
-                      for lo, hi in group] for group in net.spans)
-    return {"trunk": trunk, "heads": heads}
+    n = batch * net.units
+    return _draw(net, rng, np.empty(n, dtype=bool) if keep is None else keep[:n], batch)
 
 
-def _hidden_forward(layers, a: np.ndarray, masks: Optional[list], akind: str):
-    """Pass `a` through hidden layers; returns the output and one cache entry
-    (input, activation before the dropout mask) per layer."""
+def _hidden_forward(layers, a: np.ndarray, keeps, akind: str, scale: float):
+    """Pass `a` through hidden layers, each masked by the next mask of the
+    iterator `keeps` (none once it is exhausted); returns the output and one
+    cache entry (input, activation before the mask, mask) per layer."""
     cache = []
-    for li, (w, b) in enumerate(layers):
+    for w, b in layers:
         h = _act(a @ w + b, akind)
-        cache.append((a, h))
-        a = h if masks is None else h * masks[li]
+        keep = next(keeps, None)
+        cache.append((a, h, keep))
+        a = _drop(h, keep, scale)
     return a, cache
 
 
-def _forward(net: MtShlNetwork, x: np.ndarray, masks: Optional[dict]):
-    """Full forward pass with caches for backprop.
-
-    Returns (top, trunk_cache, head_caches, z): the trunk's (masked) output,
-    the caches of :func:`_hidden_forward` (head_caches[m] is None for a fused
-    head, else head m's (output-layer input, cache)), and the (B, sum K)
-    logits, whose columns net.cols[m] are task m's.
-    """
-    akind = net.config.activation
-    top, trunk_cache = _hidden_forward(net.trunk, x, masks and masks["trunk"], akind)
-    parts = [] if net.block is None else [top @ net.block[0] + net.block[1]]
-    head_caches = []
-    for m, head in enumerate(net.heads):
-        if len(head) == 1:
-            head_caches.append(None)
-            continue
-        ha, cache = _hidden_forward(head[:-1], top, masks and masks["heads"][m], akind)
-        parts.append(ha @ head[-1][0] + head[-1][1])
-        head_caches.append((ha, cache))
-    return top, trunk_cache, head_caches, parts[0] if len(parts) == 1 else np.hstack(parts)
+def _forward(net: MtShlNetwork, x: np.ndarray, masks: Optional[list]):
+    """Full forward pass with caches for backprop: (caches, z), the
+    :func:`_hidden_forward` cache of the trunk and of each group (ending in its
+    output layer's (input, None, None)), and the (B, sum K) logits."""
+    akind, scale = net.config.activation, 1.0 / (1.0 - net.config.dropout)
+    keeps = iter(masks or ())  # in draw order: the trunk's layers, then each group's
+    top, trunk_cache = _hidden_forward(net.trunk, x, keeps, akind, scale)
+    caches, z = [trunk_cache], np.empty((len(x), net.groups[-1][1].stop))
+    for layers, cs in net.groups:
+        a, cache = _hidden_forward(layers[:-1], top, keeps, akind, scale)
+        _dense(a, layers[-1], z[:, cs])
+        caches.append([*cache, (a, None, None)])
+    return caches, z
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -319,53 +341,31 @@ def _predict_passes(net: MtShlNetwork, x: np.ndarray, rng: Optional[np.random.Ge
     the same float operations, in buffers reused across passes.
     """
     p = net.config.dropout
-    akind, rows = net.config.activation, x.shape[0]
-    scale = 1.0 / (1.0 - p)
-    # one pass's draw, and per group (trunk, then each head) each layer's view of it
+    akind, rows, scale = net.config.activation, x.shape[0], 1.0 / (1.0 - p)
     keep = np.empty(rows * net.units, dtype=bool) if rng is not None and p > 0.0 else None
-    keeps = [[None if keep is None else keep[rows * lo:rows * hi].reshape(rows, hi - lo)
-              for lo, hi in group] for group in net.spans]
 
-    def dense(a, layer, out):  # out = a @ w + b
-        np.matmul(a, layer[0], out=out)
-        out += layer[1]
-        return out
+    def hidden(a, layers, bufs, kept):
+        for layer, buf in zip(layers, bufs):
+            a = _drop(_act(_dense(a, layer, buf), akind), next(kept, None), scale, buf)
+        return a
 
-    def dropout(h, kept, out):  # out = h * (kept * scale), the sample_dropout_masks mask
-        if kept is None:
-            return h
-        np.multiply(h, kept, out=out)
-        out *= scale
-        return out
-
-    def buffers(layers):
-        return [np.empty((rows, w.shape[1])) for w, _ in layers]
-
-    trunk_bufs = buffers(net.trunk)
-    head_bufs = [buffers(head) if len(head) > 1 else None for head in net.heads]
-    block_buf = None if net.block is None else np.empty((rows, net.block[1].size))
+    trunk_bufs = [np.empty((rows, w.shape[1])) for w, _ in net.trunk]
+    group_bufs = [[np.empty((rows, w.shape[1])) for w, _ in layers[:-1]]
+                  for layers, _ in net.groups]
+    z = np.empty((rows, net.groups[-1][1].stop))
     # dropout never touches the inputs, so the first trunk layer's activation
     # is the same in every pass
-    first = _act(dense(x, net.trunk[0], np.empty_like(trunk_bufs[0])), akind) if net.trunk else x
+    first = _act(_dense(x, net.trunk[0], np.empty_like(trunk_bufs[0])), akind) if net.trunk else x
     outs = [np.empty((passes, rows, head_output_size(t)) if t.kind == "multiclass"
                      else (passes, rows)) for t in net.tasks]
     for t in range(passes):
-        if keep is not None:
-            _draw_keep(rng, p, keep)
-        top = dropout(first, keeps[0][0], trunk_bufs[0]) if net.trunk else x
-        for layer, kept, buf in zip(net.trunk[1:], keeps[0][1:], trunk_bufs[1:]):
-            top = dropout(_act(dense(top, layer, buf), akind), kept, buf)
-        zb = None if net.block is None else dense(top, net.block, block_buf)
-        for task, head, cs, bufs, kept_head, out in zip(net.tasks, net.heads, net.cols,
-                                                        head_bufs, keeps[1:], outs):
-            if bufs is None:  # fused: task's columns of the block's logits
-                z = zb[:, cs]
-            else:
-                a = top
-                for layer, kept, buf in zip(head[:-1], kept_head, bufs):
-                    a = dropout(_act(dense(a, layer, buf), akind), kept, buf)
-                z = dense(a, head[-1], bufs[-1])
-            out[t] = _activate_output(task, z)
+        kept = iter(() if keep is None else _draw(net, rng, keep, rows))
+        top = _drop(first, next(kept, None), scale, trunk_bufs[0]) if net.trunk else x
+        top = hidden(top, net.trunk[1:], trunk_bufs[1:], kept)
+        for (layers, cs), bufs in zip(net.groups, group_bufs):
+            _dense(hidden(top, layers[:-1], bufs, kept), layers[-1], z[:, cs])
+        for task, cs, out in zip(net.tasks, net.cols, outs):
+            out[t] = _activate_output(task, z[:, cs])
     return outs
 
 
@@ -399,7 +399,7 @@ def _encode_targets(net: MtShlNetwork, y: np.ndarray,
     binary and regression, 0 in undefined cells; weights the defined mask,
     doubled for regression. (activated logits - targets) * weights is then
     d(masked loss)/d(logits)."""
-    width = max(cs.stop for cs in net.cols)
+    width = net.groups[-1][1].stop
     targets, weights = np.zeros((len(defined), width)), np.empty((len(defined), width))
     for m, (task, cs) in enumerate(zip(net.tasks, net.cols)):
         sel = defined[:, m]
@@ -412,7 +412,7 @@ def _encode_targets(net: MtShlNetwork, y: np.ndarray,
 
 
 def mt_loss(net: MtShlNetwork, x: np.ndarray, y: np.ndarray, defined: np.ndarray,
-            masks: Optional[dict] = None) -> float:
+            masks: Optional[list] = None) -> float:
     """Masked multi-task loss: sum over defined cells of the per-task loss."""
     z = _forward(net, np.asarray(x, dtype=float), masks)[-1]
     total = 0.0
@@ -424,39 +424,40 @@ def mt_loss(net: MtShlNetwork, x: np.ndarray, y: np.ndarray, defined: np.ndarray
     return total
 
 
-def _hidden_backward(layers, cache: list, masks: Optional[list], da: np.ndarray,
-                     grads, akind: str) -> np.ndarray:
-    """Backpropagate `da`, the gradient at the hidden layers' (masked) output,
-    writing each layer's (W, b) gradient into the views `grads`; returns the
-    gradient at the first layer's input."""
-    for li in range(len(layers) - 1, -1, -1):
-        a_in, a = cache[li]
-        # the mask was applied after the activation; fold it into the derivative
-        dz = da * _dact(a, akind)
-        if masks is not None:
-            dz = dz * masks[li]
-        np.matmul(a_in.T, dz, out=grads[li][0])
-        dz.sum(axis=0, out=grads[li][1])
-        da = dz @ layers[li][0].T
-    return da
+def _backward(layers, cache: list, d: np.ndarray, grads, akind: str,
+              scale: float) -> np.ndarray:
+    """Backpropagate `d`, the gradient at the last layer's (masked) output,
+    through `layers` and their :func:`_forward` cache, writing each layer's
+    (W, b) gradient into the views `grads`; returns the gradient at the first
+    layer's input."""
+    for (w, _), (a_in, h, keep), (gw, gb) in zip(reversed(layers), reversed(cache),
+                                                 reversed(grads)):
+        if h is not None:  # hidden: fold the activation and the mask into d
+            d = d * _dact(h, akind)
+            _drop(d, keep, scale, out=d)
+        np.matmul(a_in.T, d, out=gw)
+        d.sum(axis=0, out=gb)
+        d = d @ w.T
+    return d
 
 
 def loss_and_grads(net: MtShlNetwork, x: np.ndarray, y: np.ndarray,
-                   defined: np.ndarray, masks: Optional[dict] = None,
+                   defined: np.ndarray, masks: Optional[list] = None,
                    grad: Optional[MtShlNetwork] = None,
                    encoded: Optional[tuple[np.ndarray, np.ndarray]] = None) -> np.ndarray:
     """Gradients of the masked loss, one flat array laid out like ``net.params``.
 
     Written into ``grad.params`` (every entry overwritten) when `grad` is
-    given, else into a fresh array. `encoded`, the :func:`_encode_targets` of
-    these rows, stands in for `y` and `defined` (which are then not read);
-    :func:`train` encodes its labels once per call that way. The loss itself
-    is :func:`mt_loss`; the name stays because the benchmark times the
-    ``model.grad`` stage and ``micro.grad_us`` under it.
+    given, else into a fresh array; the structural zeros get exactly 0.0.
+    `encoded`, the :func:`_encode_targets` of these rows, stands in for `y`
+    and `defined` (which are then not read); :func:`train` encodes its labels
+    once per call that way. The loss itself is :func:`mt_loss`; the name
+    stays because the benchmark times the ``model.grad`` stage and
+    ``micro.grad_us`` under it.
     """
-    akind = net.config.activation
+    akind, scale = net.config.activation, 1.0 / (1.0 - net.config.dropout)
     targets, weights = _encode_targets(net, y, defined) if encoded is None else encoded
-    top, trunk_cache, head_caches, dz = _forward(net, np.asarray(x, dtype=float), masks)
+    caches, dz = _forward(net, np.asarray(x, dtype=float), masks)
     if grad is None:
         grad = MtShlNetwork(np.zeros_like(net.params), net.tasks, net.config, net.feature_dim)
     # the logits become d(loss)/d(logits) in place; a regression output is its logit
@@ -466,22 +467,11 @@ def loss_and_grads(net: MtShlNetwork, x: np.ndarray, y: np.ndarray,
     dz -= targets
     dz *= weights
     d_top = None
-    if net.block is not None:
-        (w, _), (gw, gb) = net.block, grad.block
-        dzb = dz[:, :gb.size]
-        np.matmul(top.T, dzb, out=gw)
-        dzb.sum(axis=0, out=gb)
-        d_top = dzb @ w.T
-    for m, (head, cache) in enumerate(zip(net.heads, head_caches)):
-        if cache is None:  # fused
-            continue
-        (ha, hidden), dzm, (gw, gb) = cache, dz[:, net.cols[m]], grad.heads[m][-1]
-        np.matmul(ha.T, dzm, out=gw)
-        dzm.sum(axis=0, out=gb)
-        da = _hidden_backward(head[:-1], hidden, masks and masks["heads"][m],
-                              dzm @ head[-1][0].T, grad.heads[m], akind)
-        d_top = da if d_top is None else d_top + da
-    _hidden_backward(net.trunk, trunk_cache, masks and masks["trunk"], d_top, grad.trunk, akind)
+    for (layers, cs), (grads, _), cache in zip(net.groups, grad.groups, caches[1:]):
+        d = _backward(layers, cache, dz[:, cs], grads, akind, scale)
+        d_top = d if d_top is None else d_top + d
+    _backward(net.trunk, caches[0], d_top, grad.trunk, akind, scale)
+    grad.params[net.zeros] = 0.0
     return grad.params
 
 

@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import subprocess
@@ -270,6 +271,27 @@ class TestMain:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
         assert (outs[0] / "scatter_coord_v.csv").read_text().count("\n") == 2
         assert (outs[0] / "scatter_quadrant.csv").read_text().count("\n") == 61
+
+    # heads of depths 0, 1 and 2 (one group each); and a depth-2 group of two
+    # heads, whose later layers are block-diagonal, beside a depth-0 head
+    @pytest.mark.parametrize("coord_a,coord_v", [("4", "5,2"), ("4,3", "5,2")])
+    def test_mixed_head_depths_rerun_byte_identical(self, tmp_path, coord_a, coord_v):
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            cfg = small_config(tmp_path, out)
+            cfg.write_text(cfg.read_text() + f"net.head_layers.coord_a = {coord_a}\n"
+                           f"net.head_layers.coord_v = {coord_v}\n"
+                           "net.momentum = 0.9\nnet.activation = relu\n", encoding="utf-8")
+            assert main(["--config", str(cfg), "--quiet"]) == 0
+        for name in ("assignments.csv", "completed.arff"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+        rows = (outs[0] / "assignments.csv").read_text().splitlines()[1:]
+        data = (outs[0] / "completed.arff").read_text().split("@data\n")[1].splitlines()
+        assert rows and data
+        # every cell but the class labels (q_..) and the assignments' first four columns
+        cells = [c for line in rows for c in line.split(",")[4:]]
+        cells += [c for line in data for c in line.split(",")]
+        assert all(math.isfinite(float(c)) for c in cells if not c.startswith("q_"))
 
     def test_missing_config_file_exits_1(self, tmp_path):
         assert main(["--config", str(tmp_path / "absent.conf")]) == 1

@@ -21,12 +21,14 @@ THREE_TASKS = [
 ]
 
 
-# every task kind (THREE_TASKS), with and without head hidden layers
+# every task kind (THREE_TASKS), with and without head hidden layers; the
+# last two hold groups of equal-depth heads, so block-diagonal layers
 NET_SHAPES = [
     ((), {}),
     ((6,), {"flag": (3,), "value": (5, 2)}),
     ((6, 4), {}),
     ((6, 4), {"flag": (3,), "cat": (4,), "value": (5, 2)}),
+    ((6,), {"flag": (3, 2), "cat": (4,), "value": (5, 2)}),
 ]
 
 
@@ -34,6 +36,15 @@ def micro_net(seed=0, shared=(6, 4), heads=None, dropout=0.0, **kw):
     cfg = NetworkConfig(shared_layers=shared, head_layers=heads or {},
                         dropout=dropout, seed=seed, **kw)
     return init_network(cfg, 5, THREE_TASKS)
+
+
+def block_diag(blocks):
+    out = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)))
+    r = c = 0
+    for b in blocks:
+        out[r:r + b.shape[0], c:c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return out
 
 
 def random_batch(n, rng):
@@ -103,23 +114,41 @@ class TestParameterBuffer:
         assert (net.params != before).sum() == net.heads[1][-1][0].size
 
     @pytest.mark.parametrize("shared,heads", NET_SHAPES)
-    def test_layout_is_trunk_then_fused_block_then_hidden_heads(self, shared, heads):
+    def test_layout_is_trunk_then_groups_by_depth(self, shared, heads):
         net = micro_net(shared=shared, heads=heads)
-        fused = [head[-1] for head in net.heads if len(head) == 1]
-        hidden = [layer for head in net.heads if len(head) > 1 for layer in head]
-        if fused:  # their output layers side by side, in task order
-            assert np.array_equal(net.block[0], np.hstack([w for w, _ in fused]))
-            assert np.array_equal(net.block[1], np.concatenate([b for _, b in fused]))
-        else:
-            assert net.block is None
-        layers = [*net.trunk, *([net.block] if fused else []), *hidden]
-        assert np.array_equal(np.concatenate([a.ravel() for layer in layers for a in layer]),
-                              net.params)
+        # per group of equal-depth heads (ascending depth, task order): first
+        # layers side by side, later layers block-diagonal; `stored` is 1 where
+        # a head's entry lies and 0 at the structural zeros
+        layers = list(net.trunk)
+        stored = [(np.ones_like(w), np.ones_like(b)) for w, b in net.trunk]
+        cols, start = [None] * len(net.tasks), 0
+        for depth in sorted({len(head) for head in net.heads}):
+            members = [head for head in net.heads if len(head) == depth]
+            for i in range(depth):
+                join = np.hstack if i == 0 else block_diag
+                layers.append((join([head[i][0] for head in members]),
+                               np.concatenate([head[i][1] for head in members])))
+                stored.append((join([np.ones_like(head[i][0]) for head in members]),
+                               np.ones_like(layers[-1][1])))
+            for m, head in enumerate(net.heads):
+                if len(head) == depth:
+                    cols[m] = slice(start, start + head[-1][1].size)
+                    start = cols[m].stop
+        flat, ones = (np.concatenate([a.ravel() for layer in ls for a in layer])
+                      for ls in (layers, stored))
+        assert np.array_equal(flat, net.params)
+        assert np.array_equal(net.zeros, np.flatnonzero(ones == 0.0))
+        assert net.cols == tuple(cols)
+        group_layers = [layer for group, _ in net.groups for layer in group]
+        assert len(group_layers) == len(layers) - len(net.trunk)
+        for (w, b), (w_ref, b_ref) in zip(group_layers, layers[len(net.trunk):]):
+            assert np.array_equal(w, w_ref) and np.array_equal(b, b_ref)
 
     def test_fused_head_write_changes_only_its_columns(self):
-        net = micro_net()  # every head fused; cat's columns lie between flag's and value's
+        net = micro_net()  # every head in the depth-0 group; cat's columns between the others'
         w, b = net.heads[1][-1]
-        assert np.shares_memory(w, net.block[0]) and np.shares_memory(b, net.block[1])
+        (block, bias), = net.groups[0][0]  # the one group: depth 0
+        assert np.shares_memory(w, block) and np.shares_memory(b, bias)
         before = net.params.copy()
         others = [(v.copy(), c.copy()) for m in (0, 2) for v, c in net.heads[m]]
         w[...] = 7.0
@@ -272,10 +301,12 @@ class TestMtLoss:
         assert single == pytest.approx(only_cell, abs=1e-12)
 
 
-def finite_difference_check(net, x, y, mask, masks=None, eps=1e-5, tol=1e-4):
+def finite_difference_check(net, x, y, mask, masks=None, eps=1e-5, tol=1e-4, entries=None):
+    """Central differences of mt_loss against loss_and_grads at the flat
+    parameter indices `entries` (all by default)."""
     grads = loss_and_grads(net, x, y, mask, masks)
     p = net.params
-    for i in range(p.size):
+    for i in range(p.size) if entries is None else entries:
         orig = p[i]
         p[i] = orig + eps
         lp = mt_loss(net, x, y, mask, masks)
@@ -308,7 +339,7 @@ class TestGradients:
         x, y, mask = random_batch(5, rng)
         finite_difference_check(net, x, y, mask)
 
-    # all heads fused; and `flag` and `value` fused on both sides of a hidden `cat` head
+    # all heads in the depth-0 group; and `flag` and `value` in it around a depth-1 `cat` head
     @pytest.mark.parametrize("heads", [{}, {"cat": (3,)}])
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
     def test_finite_differences_under_sampled_dropout_masks(self, activation, heads):
@@ -319,8 +350,25 @@ class TestGradients:
             b[...] = rng.uniform(0.05, 0.1, b.size)
         x, y, mask = random_batch(7, rng)
         masks = sample_dropout_masks(net, len(x), rng)
-        assert masks["trunk"][0].min() == 0.0  # some units are dropped
+        assert not masks[0].all()  # some units are dropped
         finite_difference_check(net, x, y, mask, masks)
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize("shared,heads", NET_SHAPES)
+    def test_finite_differences_under_sampled_masks_on_every_shape(self, activation, shared,
+                                                                   heads):
+        rng = np.random.default_rng(16)
+        net = micro_net(seed=16, shared=shared, heads=heads, dropout=0.3, activation=activation)
+        # biases off zero: a relu unit fed only dropped units then sits off its kink
+        for _, b in (*net.trunk, *(layer for head in net.heads for layer in head)):
+            b[...] = rng.uniform(0.05, 0.1, b.size)
+        x, y, mask = random_batch(7, rng)
+        masks = sample_dropout_masks(net, len(x), rng)
+        assert len(masks) == len(net.spans)
+        assert all(not m.all() for m in masks)  # some units of every layer are dropped
+        # the structural zeros are TestStructuralZeros'
+        trainable = np.setdiff1d(np.arange(net.params.size), net.zeros)
+        finite_difference_check(net, x, y, mask, masks, entries=trainable)
 
     @pytest.mark.parametrize("shared", [(), (6, 4)])
     def test_gradient_buffer_is_overwritten(self, shared):
@@ -471,15 +519,30 @@ class TestDecoding:
         assert preds[0].decoded[0] == 1
 
 
+class TestStructuralZeros:
+    @pytest.mark.parametrize("shared,heads", NET_SHAPES)
+    def test_off_diagonal_entries_stay_exactly_zero(self, shared, heads):
+        rng = np.random.default_rng(70)
+        x, y, mask = random_batch(40, rng)
+        net = micro_net(seed=71, shared=shared, heads=heads, dropout=0.3, momentum=0.9,
+                        activation="relu", epochs=3, batch_size=8, learning_rate=0.01)
+        masks = sample_dropout_masks(net, len(x), rng)
+        grads = loss_and_grads(net, x, y, mask, masks)
+        assert (grads[net.zeros] == 0.0).all()
+        trained = train(net, x, y, mask)
+        assert (trained.params[trained.zeros] == 0.0).all()
+        assert not np.array_equal(trained.params, net.params)
+
+
 class TestDropoutDraw:
     @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
     def test_keep_rate_is_one_minus_p(self, p):
         net = micro_net(shared=(1001,), dropout=p)
         masks = sample_dropout_masks(net, 1001, np.random.default_rng(60))
-        mask = masks["trunk"][0]
+        assert len(masks) == 1  # the heads have no hidden layers
+        mask = masks[0]
         n = mask.size  # odd, so the last 64-bit word is half used
-        assert n >= 10**6 and masks["heads"] == [[], [], []]
-        assert set(np.unique(mask)) == {0.0, 1.0 / (1.0 - p)}
+        assert n >= 10**6 and mask.dtype == bool
         kept = np.count_nonzero(mask)
         assert abs(kept - n * (1 - p)) <= 5 * math.sqrt(n * p * (1 - p))
 
@@ -488,7 +551,7 @@ class TestDropoutDraw:
         net = micro_net(shared=(1000,), dropout=p)  # validate() accepts it
         # round(p * 2**32) is 2**32, which would wrap to a threshold of 0 in 32 bits
         masks = sample_dropout_masks(net, 1000, np.random.default_rng(61))
-        assert np.count_nonzero(masks["trunk"][0]) <= 2  # expected 10**6 / 2**32
+        assert np.count_nonzero(masks[0]) <= 2  # expected 10**6 / 2**32
 
     @pytest.mark.parametrize("shared,heads", NET_SHAPES)
     def test_masks_are_one_raw_draw_sliced_layer_major(self, shared, heads):
@@ -496,17 +559,21 @@ class TestDropoutDraw:
         net = micro_net(shared=shared, heads=heads, dropout=p)
         rng, ref_rng = np.random.default_rng(62), np.random.default_rng(62)
         masks = sample_dropout_masks(net, batch, rng)
-        layers = [*net.trunk, *(layer for head in net.heads for layer in head[:-1])]
-        n = batch * sum(w.shape[1] for w, _ in layers)
+        # trunk layers, then per group of equal-depth heads (ascending depth)
+        # each hidden layer, as wide as its heads' layers together
+        widths = list(shared)
+        hidden = [heads.get(t.name, ()) for t in THREE_TASKS]
+        for d in sorted({len(head) for head in hidden}):
+            members = [head for head in hidden if len(head) == d]
+            widths += [sum(head[i] for head in members) for i in range(d)]
+        n = batch * sum(widths)
         words = ref_rng.bit_generator.random_raw((n + 1) // 2).view(np.uint32)[:n]
         threshold = min(round(p * 2**32), 2**32 - 1)
-        got = [*masks["trunk"], *(m for head in masks["heads"] for m in head)]
-        assert len(got) == len(layers)
+        assert len(masks) == len(widths)
         start = 0
-        for (w, _), mask in zip(layers, got):
-            width = w.shape[1]
+        for width, mask in zip(widths, masks):
             ref = (words[start:start + batch * width].reshape(batch, width) >= threshold)
-            assert np.array_equal(mask, ref * (1.0 / (1.0 - p)))
+            assert mask.dtype == bool and np.array_equal(mask, ref)
             start += batch * width
         assert rng.random() == ref_rng.random()  # nothing else was drawn
 
