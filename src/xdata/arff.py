@@ -11,6 +11,15 @@ Whitespace outside quotes at the edges of a value is dropped. Lines split at
 the writer rejects text holding ``\n`` or ``\r``, which the dialect cannot
 escape. Date, relational and sparse-ARFF syntax are rejected as unsupported.
 
+Tokenizing: a data row that holds no quote is split at every comma with
+``str.split``; a row that holds one is matched by the one regular expression
+of the dialect, which keeps quoted commas in their cell and finds an
+unterminated quote. A numeric value is read by Python's ``float()``, so its
+grammar is ``float``'s (``1e3``, ``1_0``, Unicode digits); ``nan``, ``inf`` and
+values that overflow to infinity are rejected as non-finite. A numeric column
+whose cells all convert to finite floats as they stand is one ``map(float)``;
+any other column is decoded cell by cell, and that path alone raises errors.
+
 A relation holds one column per attribute, all of the same length:
 
 - numeric: a float64 array, NaN for missing;
@@ -131,8 +140,17 @@ def _unquote(match: re.Match) -> str:
     return _ESCAPE.sub(r"\1", match[0][1:-1])
 
 
+def _unquote_cell(text: str) -> str:
+    """An edge-stripped cell holding a quote, its quoted segments unescaped."""
+    if text[0] == text[-1] == "'" and text.count("'") == 2 and "\\" not in text:
+        return text[1:-1]  # one segment without escapes
+    return _SEGMENT.sub(_unquote, text)
+
+
 def _split(text: str, lineno: int) -> list[str]:
     """The raw comma-separated cells of `text`, quotes and whitespace kept."""
+    if "'" not in text:
+        return text.split(",")  # what _CELLS finds on a quote-free line
     cells = _CELLS.findall(text)
     if sum(map(len, cells)) + len(cells) - 1 != len(text):
         raise ArffError("unterminated quote", lineno)
@@ -144,7 +162,7 @@ def _decode(raw: Iterable[str]) -> tuple[list[str], np.ndarray]:
     segments unescaped, and the mask of missing (unquoted ``?``) cells."""
     stripped = list(map(str.strip, raw))
     missing = np.array([t == "?" for t in stripped], dtype=bool)
-    return [_SEGMENT.sub(_unquote, t) if "'" in t else t for t in stripped], missing
+    return [_unquote_cell(t) if "'" in t else t for t in stripped], missing
 
 
 def _parse_name_and_rest(text: str, lineno: int) -> tuple[str, str]:
@@ -189,8 +207,24 @@ def _parse_attribute(rest: str, lineno: int) -> AttributeDecl:
     raise ArffError(f"attribute {name!r}: unknown type {type_text!r}", lineno)
 
 
-def _column(attr: AttributeDecl, raw: Iterable[str], linenos: list[int]) -> Column:
+def _column(attr: AttributeDecl, raw: list[str], linenos: list[int]) -> Column:
     """Convert one attribute's raw cells (line `linenos[i]` holds cell i)."""
+    if attr.kind == NUMERIC:
+        # float() strips what str.strip() strips and rejects '?', quotes and
+        # empty cells, so a column it reads whole and finite needs no decoding;
+        # any other column is decoded, and only that path raises the errors
+        try:
+            column = np.array(list(map(float, raw)), dtype=np.float64)
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(column).all():
+                return column
+    return _decoded_column(attr, raw, linenos)
+
+
+def _decoded_column(attr: AttributeDecl, raw: list[str], linenos: list[int]) -> Column:
+    """`_column` cell by cell: decode every cell, then convert it."""
     values, missing = _decode(raw)
     if attr.kind == STRING:
         return [None if m else v for v, m in zip(values, missing.tolist())]
@@ -227,23 +261,22 @@ def _is_float(text: str) -> bool:
 
 def _parse_data(lines: list[str], first_lineno: int,
                 attributes: list[AttributeDecl]) -> list[Column]:
-    rows: list[list[str]] = []
+    n = len(attributes)
+    cells: list[str] = []  # row-major, n per row
     linenos: list[int] = []
     for lineno, raw in enumerate(lines, start=first_lineno):
         line = raw.strip()
-        if not line or line.startswith("%"):
+        if not line or line[0] == "%":
             continue
-        if line.startswith("{"):
+        if line[0] == "{":
             raise ArffError("sparse ARFF data rows are unsupported", lineno)
-        cells = _split(line, lineno)
-        if len(cells) != len(attributes):
-            raise ArffError(
-                f"row has {len(cells)} values but {len(attributes)} attributes are declared",
-                lineno)
-        rows.append(cells)
+        row = _split(line, lineno)
+        if len(row) != n:
+            raise ArffError(f"row has {len(row)} values but {n} attributes are declared",
+                            lineno)
+        cells += row
         linenos.append(lineno)
-    raw_columns = zip(*rows) if rows else [()] * len(attributes)
-    return [_column(a, raw, linenos) for a, raw in zip(attributes, raw_columns)]
+    return [_column(a, cells[j::n], linenos) for j, a in enumerate(attributes)]
 
 
 def parse_arff(source: Union[str, IO[str], Iterable[str]]) -> ArffRelation:
@@ -315,9 +348,7 @@ def _format(attr: AttributeDecl, column: Column) -> list[str]:
     if attr.kind == NOMINAL:
         labels = np.array([_quote(c) for c in attr.categories] + ["?"], dtype=object)
         return labels[column].tolist()
-    texts = np.array(list(map(repr, column.tolist())), dtype=object)
-    texts[np.isnan(column)] = "?"
-    return texts.tolist()
+    return ["?" if v != v else repr(v) for v in column.tolist()]  # v != v: NaN
 
 
 def write_arff(relation: ArffRelation) -> str:

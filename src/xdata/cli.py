@@ -16,8 +16,10 @@ from __future__ import annotations
 import argparse
 import csv
 import logging
+import math
 import re
 import sys
+import warnings
 from dataclasses import Field, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Any, NamedTuple, Optional, Union, get_args, get_origin, get_type_hints
@@ -278,7 +280,7 @@ def _report_lines(config: RunConfig, result: CdlcResult, final_metrics,
             if r.n_compared == 0:
                 lines.append(f"  {name}: 0 comparable cells ({r.n_skipped} skipped)")
             elif r.kind == REGRESSION:
-                cc = f"{r.cc:.4f}" if r.cc is not None else "n/a"
+                cc = "n/a" if r.cc is None or math.isnan(r.cc) else f"{r.cc:.4f}"
                 lines.append(f"  {name}: cc={cc} mae={r.mae:.4f} "
                              f"(n={r.n_compared}, skipped={r.n_skipped})")
             else:
@@ -370,13 +372,17 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
 
-    # library warnings ("head is frozen", "assigned no cells") obey --quiet too
+    # library warnings obey --quiet too: the logged ones ("head is frozen",
+    # "assigned no cells") and the issued ones ("zero-variance input")
     xdata_logger = logging.getLogger("xdata")
     level = xdata_logger.level
     if args.quiet:
         xdata_logger.setLevel(logging.ERROR)
     try:
-        run(config, quiet=args.quiet)
+        with warnings.catch_warnings():
+            if args.quiet:
+                warnings.filterwarnings("ignore", category=UserWarning, module=r"xdata\.")
+            run(config, quiet=args.quiet)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

@@ -6,8 +6,9 @@ from arff_columns import columns_equal, count_missing, from_rows, relation
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xdata.arff import (NOMINAL, NUMERIC, STRING, ArffError, AttributeDecl,
-                        parse_arff, write_arff)
+from xdata.arff import (_CELLS, _SEGMENT, NOMINAL, NUMERIC, STRING, ArffError,
+                        AttributeDecl, _column, _decoded_column, _split, _unquote,
+                        _unquote_cell, parse_arff, write_arff)
 
 DATA = Path(__file__).parent / "data" / "arff"
 
@@ -158,11 +159,47 @@ def test_fixture_roundtrip(path):
     assert count_missing(again) == count_missing(rel)
 
 
+# every malformed fixture's error, message and line, exactly
+MALFORMED = {
+    "arity.arff": ("line 4: row has 2 values but 1 attributes are declared", 4),
+    "bad_nominal.arff": ("line 4: attribute 'c': value 'z' not in declared categories", 4),
+    "bad_numeric.arff": ("line 4: attribute 'a': invalid numeric value 'abc'", 4),
+    "data_first.arff": ("line 1: @data before @relation", 1),
+    "date_attr.arff": ("line 2: attribute 'when': date attributes are unsupported", 2),
+    "sparse_row.arff": ("line 5: sparse ARFF data rows are unsupported", 5),
+    "unknown_decl.arff": ("line 3: unrecognized declaration: '@bogus thing'", 3),
+    "unterminated_quote.arff": ("line 4: unterminated quote", 4),
+}
+
+
 @pytest.mark.parametrize("path", sorted((DATA / "malformed").glob("*.arff")))
 def test_malformed_fixtures_error_with_line(path):
     with pytest.raises(ArffError) as exc:
         parse_arff(path.read_text(encoding="utf-8"))
-    assert exc.value.line is not None
+    assert (str(exc.value), exc.value.line) == MALFORMED[path.name]
+
+
+_HEADER = ("@relation t\n@attribute s string\n@attribute a numeric\n@attribute c {x,y}\n"
+           "@data\n'n',1,x\n")
+
+
+# each bad cell in a row without quotes and in a row with one
+@pytest.mark.parametrize("row,message", [
+    ("p,abc,x", "attribute 'a': invalid numeric value 'abc'"),
+    ("'q',abc,x", "attribute 'a': invalid numeric value 'abc'"),
+    ("p,,x", "attribute 'a': invalid numeric value ''"),
+    ("p,'?',x", "attribute 'a': invalid numeric value '?'"),
+    ("p,inf,x", "attribute 'a': non-finite value 'inf'"),
+    ("p,1e400,x", "attribute 'a': non-finite value '1e400'"),
+    ("'q', nan ,x", "attribute 'a': non-finite value 'nan'"),
+    ("'q',' inf',x", "attribute 'a': non-finite value ' inf'"),
+    ("p,1,z", "attribute 'c': value 'z' not in declared categories"),
+    ("'q',1,'z'", "attribute 'c': value 'z' not in declared categories"),
+])
+def test_bad_cell_errors_are_pinned(row, message):
+    with pytest.raises(ArffError) as exc:
+        parse_arff(_HEADER + "p,2,y\n" + row + "\n")
+    assert (str(exc.value), exc.value.line) == (f"line 8: {message}", 8)
 
 
 # ---------------------------------------------------------------------------
@@ -213,3 +250,70 @@ def test_roundtrip_property(rel):
     assert again.attributes == rel.attributes
     assert again.n_rows == rel.n_rows
     assert columns_equal(again.columns, rel.columns)
+
+
+# ---------------------------------------------------------------------------
+# differential properties: each fast path against the general one it skips
+
+# the characters other than ' ' that str.strip() removes and that may sit in a line
+_STRIPPED = "\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2000\u2028\u2029\u3000"
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet=" ,?%{0123456789" + _STRIPPED, max_size=30))
+def test_quote_free_split_is_the_tokenizer(line):
+    assert _split(line, 1) == _CELLS.findall(line)
+
+
+# edge cases of float() and of the dialect's missing and quoted cells
+_FIXED_CELLS = [" 1.5 ", "?", " ? ", "'1.5'", "'?'", "", "1_0", "nan", "inf", "1e400",
+                "\x0c1.5"]
+_numeric_cells = st.one_of(
+    st.sampled_from(_FIXED_CELLS),
+    st.floats(width=64).map(repr),
+    st.builds(lambda pad, v, end: pad + repr(v) + end,
+              st.text(alphabet=" " + _STRIPPED, max_size=2), st.floats(allow_nan=False),
+              st.text(alphabet=" " + _STRIPPED, max_size=2)),
+    st.text(alphabet="0123456789.eE+-_?' naif" + _STRIPPED, max_size=8),
+)
+
+
+def _outcome(convert, raw):
+    """The column `convert` makes of `raw` (on lines 3, 4, ...), or its error."""
+    try:
+        return convert(AttributeDecl("a", NUMERIC), raw, list(range(3, 3 + len(raw))))
+    except ArffError as exc:
+        return str(exc), exc.line
+
+
+def _same_outcome(a, b):
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and a.dtype == b.dtype and \
+            np.array_equal(a, b, equal_nan=True)
+    return a == b
+
+
+@pytest.mark.parametrize("cell", _FIXED_CELLS)
+def test_numeric_fast_path_matches_decoding_on_fixed_cells(cell):
+    for raw in ([cell], ["2.5", cell], [cell, "?"]):
+        fast, decoded = _outcome(_column, raw), _outcome(_decoded_column, raw)
+        assert _same_outcome(fast, decoded), (raw, fast, decoded)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_numeric_cells, max_size=6))
+def test_numeric_fast_path_matches_decoding(raw):
+    fast, decoded = _outcome(_column, raw), _outcome(_decoded_column, raw)
+    assert _same_outcome(fast, decoded), (raw, fast, decoded)
+
+
+_segment_text = st.text(alphabet="ab ,\\'", max_size=6).map(
+    lambda t: "'" + t.replace("\\", "\\\\").replace("'", "\\'") + "'")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(_segment_text, st.text(alphabet="ab \\", min_size=1, max_size=3)),
+                min_size=1, max_size=3).map("".join).filter(lambda t: "'" in t))
+def test_unquote_shortcut_matches_segment_substitution(cell):
+    cell = cell.strip()
+    assert _unquote_cell(cell) == _SEGMENT.sub(_unquote, cell)

@@ -50,6 +50,32 @@ def small_config(tmp_path: Path, out_dir: Path, seed=1) -> Path:
     return cfg
 
 
+def constant_target_config(tmp_path: Path) -> Path:
+    """One 40-row file whose regression target `y` is constant, so the
+    pseudo-labels of `y` have no defined correlation with the withheld ones."""
+    f1 = [math.sin(i) for i in range(40)]
+    rows = [f"{a!r},{math.cos(3 * i)!r},5.0,{'a' if a > 0 else 'b'}" for i, a in enumerate(f1)]
+    data = tmp_path / "probe.arff"
+    data.write_text("@relation probe\n@attribute f1 numeric\n@attribute f2 numeric\n"
+                    "@attribute y numeric\n@attribute c {a,b}\n@data\n"
+                    + "\n".join(rows) + "\n", encoding="utf-8")
+    cfg = tmp_path / "run.conf"
+    cfg.write_text(f"dataset.1.file = {data}\ndataset.1.num_targets = 2\n"
+                   f"output.dir = {tmp_path / 'out'}\ndrop.fraction = 0.5\nnet.epochs = 2\n",
+                   encoding="utf-8")
+    return cfg
+
+
+def run_entry(cfg: Path, *flags: str, **kwargs) -> subprocess.CompletedProcess:
+    """The CLI in a subprocess: pytest captures warnings and log records in
+    process, so only a subprocess shows what reaches stderr."""
+    src = str(Path(xdata.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", "from xdata.cli import entry; entry()",
+                           "--config", str(cfg), *flags], env=env, timeout=120, **kwargs)
+
+
 class TestParseConfig:
     def test_minimal_config_applies_defaults(self):
         cfg = parse_config("dataset.1.file = a.arff\n"
@@ -314,18 +340,25 @@ class TestMain:
         assert capsys.readouterr().err == ""
 
     def test_quiet_silences_library_warnings(self, tmp_path):
-        # a subprocess, because pytest's log capture hides Python's last-resort
-        # handler, which is what prints a library warning to stderr
         out = tmp_path / "out"
         cfg = small_config(tmp_path, out)
         cfg.write_text(cfg.read_text() + "cdlc.min_confidence.quadrant = 1\n",
                        encoding="utf-8")
-        src = str(Path(xdata.__file__).parents[1])
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        run = subprocess.run([sys.executable, "-c", "from xdata.cli import entry; entry()",
-                              "--config", str(cfg), "--quiet"],
-                             env=env, capture_output=True, text=True, timeout=120)
+        run = run_entry(cfg, "--quiet", capture_output=True, text=True)
         assert run.returncode == 0
         assert run.stderr == ""
         assert "status: stalled" in (out / "report.txt").read_text()
+
+    def test_quiet_silences_issued_warnings(self, tmp_path, capfd):
+        cfg = constant_target_config(tmp_path)
+        assert run_entry(cfg).returncode == 0
+        assert "UserWarning: pearson_cc: zero-variance input" in capfd.readouterr().err
+        assert run_entry(cfg, "--quiet").returncode == 0
+        assert capfd.readouterr().err == ""
+
+    def test_undefined_pseudo_label_correlation_reads_n_a(self, tmp_path):
+        cfg = constant_target_config(tmp_path)
+        assert main(["--config", str(cfg), "--quiet"]) == 0
+        report = (tmp_path / "out" / "report.txt").read_text()
+        assert "  y: cc=n/a mae=" in report
+        assert "nan" not in report.lower()
