@@ -17,8 +17,10 @@ of the dialect, which keeps quoted commas in their cell and finds an
 unterminated quote. A numeric value is read by Python's ``float()``, so its
 grammar is ``float``'s (``1e3``, ``1_0``, Unicode digits); ``nan``, ``inf`` and
 values that overflow to infinity are rejected as non-finite. A numeric column
-whose cells all convert to finite floats as they stand is one ``map(float)``;
-any other column is decoded cell by cell, and that path alone raises errors.
+whose cells are each a bare ``?`` or convert to a finite float as they stand is
+one ``map(float)``, ``?`` read as NaN; any other column (a quoted cell, a ``?``
+with whitespace beside it, a bad value) is decoded cell by cell, and that path
+alone raises errors.
 
 A relation holds one column per attribute, all of the same length:
 
@@ -50,6 +52,8 @@ _QUOTED = r"'(?:[^'\\]|\\['\\]|\\(?!['\\]))*'"
 _CELLS = re.compile(rf"(?:^|,)((?:[^',]+|{_QUOTED})*)")
 _SEGMENT = re.compile(_QUOTED)
 _ESCAPE = re.compile(r"\\(['\\])")
+# A missing numeric cell as float() reads it (cells with edge whitespace are decoded).
+_MISSING_AS_NAN = {"?": "nan"}
 # The writer quotes a value holding whitespace (an unquoted name ends at it),
 # the separator, the quote, or a comment or sparse-row marker.
 _UNSAFE = re.compile(r"[\s,'%{}]")
@@ -140,13 +144,6 @@ def _unquote(match: re.Match) -> str:
     return _ESCAPE.sub(r"\1", match[0][1:-1])
 
 
-def _unquote_cell(text: str) -> str:
-    """An edge-stripped cell holding a quote, its quoted segments unescaped."""
-    if text[0] == text[-1] == "'" and text.count("'") == 2 and "\\" not in text:
-        return text[1:-1]  # one segment without escapes
-    return _SEGMENT.sub(_unquote, text)
-
-
 def _split(text: str, lineno: int) -> list[str]:
     """The raw comma-separated cells of `text`, quotes and whitespace kept."""
     if "'" not in text:
@@ -162,7 +159,7 @@ def _decode(raw: Iterable[str]) -> tuple[list[str], np.ndarray]:
     segments unescaped, and the mask of missing (unquoted ``?``) cells."""
     stripped = list(map(str.strip, raw))
     missing = np.array([t == "?" for t in stripped], dtype=bool)
-    return [_unquote_cell(t) if "'" in t else t for t in stripped], missing
+    return [_SEGMENT.sub(_unquote, t) if "'" in t else t for t in stripped], missing
 
 
 def _parse_name_and_rest(text: str, lineno: int) -> tuple[str, str]:
@@ -210,15 +207,17 @@ def _parse_attribute(rest: str, lineno: int) -> AttributeDecl:
 def _column(attr: AttributeDecl, raw: list[str], linenos: list[int]) -> Column:
     """Convert one attribute's raw cells (line `linenos[i]` holds cell i)."""
     if attr.kind == NUMERIC:
-        # float() strips what str.strip() strips and rejects '?', quotes and
-        # empty cells, so a column it reads whole and finite needs no decoding;
-        # any other column is decoded, and only that path raises the errors
+        # float() strips what str.strip() strips and rejects quotes and empty
+        # cells, so with each bare '?' read as 'nan' a column whose only
+        # non-finite values are those cells needs no decoding; any other
+        # column is decoded, and only that path raises the errors
         try:
-            column = np.array(list(map(float, raw)), dtype=np.float64)
+            column = np.array(list(map(float, map(_MISSING_AS_NAN.get, raw, raw))),
+                              dtype=np.float64)
         except ValueError:
             pass
         else:
-            if np.isfinite(column).all():
+            if np.count_nonzero(~np.isfinite(column)) == raw.count("?"):
                 return column
     return _decoded_column(attr, raw, linenos)
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import csv
 import logging
-import math
 import re
 import sys
 import warnings
@@ -280,7 +279,7 @@ def _report_lines(config: RunConfig, result: CdlcResult, final_metrics,
             if r.n_compared == 0:
                 lines.append(f"  {name}: 0 comparable cells ({r.n_skipped} skipped)")
             elif r.kind == REGRESSION:
-                cc = "n/a" if r.cc is None or math.isnan(r.cc) else f"{r.cc:.4f}"
+                cc = f"{r.cc:.4f}" if r.cc is not None else "n/a"
                 lines.append(f"  {name}: cc={cc} mae={r.mae:.4f} "
                              f"(n={r.n_compared}, skipped={r.n_skipped})")
             else:

@@ -161,6 +161,8 @@ def pseudo_label_accuracy(assignments, withheld_truth: MultiTargetDataset,
         assigned = values[mine][comparable]
         if task.kind == REGRESSION:
             cc = pearson_cc(truth, assigned) if n >= 2 else None
+            if cc is not None and np.isnan(cc):
+                cc = None  # undefined, as in `evaluate`
             mae = float(np.abs(truth - assigned).mean())
             reports[task.name] = PseudoLabelReport(task.kind, n, skipped,
                                                    cc=cc, mae=mae)

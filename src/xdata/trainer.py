@@ -216,14 +216,16 @@ def write_assignments_csv(path, assignments: Assignments, ds: MultiTargetDataset
     """Columns: iteration,instance,dataset_origin,task,label,confidence.
     Labels are category text or inverse-standardized reals."""
     a = assignments
-    tasks = [ds.tasks[m] for m in a.task_index.tolist()]
-    labels = [repr(v) if t.classes is None else t.classes[int(v)]
-              for t, v in zip(tasks, a.original_values(standardizer).tolist())]
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["iteration", "instance", "dataset_origin", "task", "label", "confidence"])
-        w.writerows(zip(a.iteration.tolist(), a.instance.tolist(), ds.origin[a.instance].tolist(),
-                        [t.name for t in tasks], labels, map(repr, a.confidence.tolist())))
+        for it, i, origin, m, v, conf in zip(
+                a.iteration.tolist(), a.instance.tolist(), ds.origin[a.instance].tolist(),
+                a.task_index.tolist(), a.original_values(standardizer).tolist(),
+                a.confidence.tolist()):
+            task = ds.tasks[m]
+            label = task.classes[int(v)] if task.classes is not None else repr(v)
+            w.writerow([it, i, origin, task.name, label, repr(conf)])
 
 
 def write_iterations_csv(path, records: list[IterationRecord],

@@ -6,9 +6,8 @@ from arff_columns import columns_equal, count_missing, from_rows, relation
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xdata.arff import (_CELLS, _SEGMENT, NOMINAL, NUMERIC, STRING, ArffError,
-                        AttributeDecl, _column, _decoded_column, _split, _unquote,
-                        _unquote_cell, parse_arff, write_arff)
+from xdata.arff import (_CELLS, NOMINAL, NUMERIC, STRING, ArffError, AttributeDecl,
+                        _column, _decoded_column, _split, parse_arff, write_arff)
 
 DATA = Path(__file__).parent / "data" / "arff"
 
@@ -295,7 +294,7 @@ def _same_outcome(a, b):
 
 @pytest.mark.parametrize("cell", _FIXED_CELLS)
 def test_numeric_fast_path_matches_decoding_on_fixed_cells(cell):
-    for raw in ([cell], ["2.5", cell], [cell, "?"]):
+    for raw in ([cell], ["2.5", cell], [cell, "?"], ["?", "2.5", cell]):
         fast, decoded = _outcome(_column, raw), _outcome(_decoded_column, raw)
         assert _same_outcome(fast, decoded), (raw, fast, decoded)
 
@@ -306,14 +305,3 @@ def test_numeric_fast_path_matches_decoding(raw):
     fast, decoded = _outcome(_column, raw), _outcome(_decoded_column, raw)
     assert _same_outcome(fast, decoded), (raw, fast, decoded)
 
-
-_segment_text = st.text(alphabet="ab ,\\'", max_size=6).map(
-    lambda t: "'" + t.replace("\\", "\\\\").replace("'", "\\'") + "'")
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.one_of(_segment_text, st.text(alphabet="ab \\", min_size=1, max_size=3)),
-                min_size=1, max_size=3).map("".join).filter(lambda t: "'" in t))
-def test_unquote_shortcut_matches_segment_substitution(cell):
-    cell = cell.strip()
-    assert _unquote_cell(cell) == _SEGMENT.sub(_unquote, cell)

@@ -194,3 +194,14 @@ class TestPseudoLabelAccuracy:
         reports = pseudo_label_accuracy(self._assign([0, 1, 2]), truth)
         assert reports["t"].n_compared == 0
         assert reports["t"].n_skipped == 3
+
+    def test_constant_regression_truth_gives_undefined_cc(self):
+        from xdata.dataset import MultiTargetDataset, TaskSchema
+        from xdata.metrics import pseudo_label_accuracy
+        truth = MultiTargetDataset(np.zeros((3, 1)), np.full((3, 1), 5.0),
+                                   np.ones((3, 1), dtype=bool), [TaskSchema("y", "regression")],
+                                   np.zeros(3, dtype=int), ["f1"])
+        with pytest.warns(UserWarning, match="zero-variance"):
+            reports = pseudo_label_accuracy(self._assign([4.0, 5.0, 6.0]), truth)
+        assert reports["y"].cc is None  # None, not NaN: undefined, as in `evaluate`
+        assert reports["y"].mae == pytest.approx(2 / 3)
