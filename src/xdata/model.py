@@ -25,27 +25,38 @@ head's layers in task order, whatever the layout.
 Dropout is inverted, applied to hidden units of trunk and heads, never to
 inputs or outputs. One draw covers every hidden unit of a batch of B rows: the
 U hidden units (trunk layers, then each group's hidden layers;
-``MtShlNetwork.spans``) take B*U 32-bit words from one
-``rng.bit_generator.random_raw(ceil(B*U/2))`` call, viewed as uint32 (native
+``MtShlNetwork.spans``) take B*U 16-bit words from one
+``rng.bit_generator.random_raw(ceil(B*U/4))`` call, viewed as uint16 (native
 byte order), layer-major: layer j's bool keep mask is the next B*W_j words,
 reshaped (B, W_j); a group's layer is as wide as its heads' layers together.
-A unit is kept iff its word is >= t = min(round(p * 2**32), 2**32 - 1), so
-P(keep) is within 2**-33 of 1 - p; the clamp stops a p just below 1 from
-wrapping t to 0, which would keep every unit. p = 0 draws nothing. Training
-and prediction apply a mask as (h * keep) * scale with scale = 1/(1-p), which
-equals h * (keep * scale) as both factors are exact. Uncertainty is estimated
-by repeated stochastic forward passes: classification confidence is the
-negated Shannon entropy of the mean output distribution, regression
-confidence the negated sample variance of the outputs.
+The threshold t = min(round(p * 2**32), 2**32 - 1) splits into
+hi, lo = divmod(t, 2**16). A unit is kept iff its word is > hi; a unit whose
+word equals hi (a tie, about 1 in 65536) takes one more 16-bit word, all ties
+of the draw from one further random_raw call in flat layer-major order (none
+without a tie), and is kept iff that word is >= lo. So a unit is kept iff its
+32-bit (word, tie word) is >= t, and P(keep) = 1 - t/2**32 exactly, within
+2**-33 of 1 - p; the clamp stops a p just below 1 from wrapping t to 0, which
+would keep every unit. p = 0 draws nothing. Training and prediction apply a
+mask as (h * keep) * scale with scale = 1/(1-p), which equals h * (keep *
+scale) as both factors are exact; prediction's first trunk layer is the one
+exception (below). Uncertainty is estimated by repeated stochastic
+forward passes: classification confidence is the negated Shannon entropy of
+the mean output distribution, regression confidence the negated sample
+variance of the outputs.
 
 Prediction (:func:`forward`, :func:`mc_predict`) runs all passes of one call
 through one function, separate from the training forward, which keeps caches
 for backprop. It computes the first trunk layer's activation once per call
-(dropout never touches the inputs), makes each pass's draw into one reused
-bool buffer, works in place in per-layer buffers and writes into one
-preallocated (passes, B) or (passes, B, K) array per task. Its float
-operations are those of the training forward, so its outputs are
-byte-identical to stacking per-pass training outputs (the tests' reference).
+(dropout never touches the inputs) and, when the passes draw masks, scales it
+once: each pass then masks it with one multiply, as (h * scale) * keep equals
+(h * keep) * scale for keep in {0, 1}, signed zeros included. It makes each
+pass's draw into one reused bool buffer, works in place in per-layer buffers
+and writes into one preallocated (passes, B) or (passes, B, K) array per
+task. Training and prediction both write the (B, sum K) logits column-major,
+so that a task's softmax reduces over contiguous columns and both sum a row
+in the same order. Apart from that reordered mask, its float operations are
+those of the training forward, so its outputs are byte-identical to stacking
+per-pass training outputs (the tests' reference).
 
 All computation is float64 numpy, the output activations included (the
 max-shifted softmax and log-softmax and the sigmoid below); training is plain
@@ -247,15 +258,24 @@ def _drop(h: np.ndarray, keep: Optional[np.ndarray], scale: float, out=None) -> 
     return out
 
 
+def _words(rng: np.random.Generator, n: int) -> np.ndarray:
+    """The next n 16-bit words of `rng`: one random_raw call of ceil(n/4) 64-bit
+    words, viewed as uint16 (native byte order)."""
+    return rng.bit_generator.random_raw(-(-n // 4)).view(np.uint16)[:n]
+
+
 def _draw(net: MtShlNetwork, rng: np.random.Generator, keep: np.ndarray,
           rows: int) -> list[np.ndarray]:
     """One dropout draw (module docstring) of `rows` rows into the flat bool
-    buffer `keep`: word i of one random_raw call is kept iff >= the threshold.
+    buffer `keep`: unit i is kept iff (word i, its tie word) >= (hi, lo).
     Returns each hidden layer's (rows, W) view of it."""
-    words = rng.bit_generator.random_raw((keep.size + 1) // 2).view(np.uint32)
-    threshold = np.uint32(min(round(net.config.dropout * 2**32), 2**32 - 1))
-    np.greater_equal(words[:keep.size], threshold, out=keep)
-    return [keep[rows * lo:rows * hi].reshape(rows, hi - lo) for lo, hi in net.spans]
+    hi, lo = map(np.uint16, divmod(min(round(net.config.dropout * 2**32), 2**32 - 1), 2**16))
+    words = _words(rng, keep.size)
+    ties = np.flatnonzero(np.equal(words, hi, out=keep))
+    np.greater(words, hi, out=keep)
+    if ties.size:
+        keep[ties] = _words(rng, ties.size) >= lo
+    return [keep[rows * a:rows * b].reshape(rows, b - a) for a, b in net.spans]
 
 
 def sample_dropout_masks(net: MtShlNetwork, batch: int, rng: np.random.Generator,
@@ -290,12 +310,18 @@ def _forward(net: MtShlNetwork, x: np.ndarray, masks: Optional[list]):
     akind, scale = net.config.activation, 1.0 / (1.0 - net.config.dropout)
     keeps = iter(masks or ())  # in draw order: the trunk's layers, then each group's
     top, trunk_cache = _hidden_forward(net.trunk, x, keeps, akind, scale)
-    caches, z = [trunk_cache], np.empty((len(x), net.groups[-1][1].stop))
+    caches, z = [trunk_cache], _logits(net, len(x))
     for layers, cs in net.groups:
         a, cache = _hidden_forward(layers[:-1], top, keeps, akind, scale)
         _dense(a, layers[-1], z[:, cs])
         caches.append([*cache, (a, None, None)])
     return caches, z
+
+
+def _logits(net: MtShlNetwork, rows: int) -> np.ndarray:
+    """An empty (rows, sum K) logits array, column-major so that the row
+    reductions of a task's softmax run over contiguous columns."""
+    return np.empty((rows, net.groups[-1][1].stop), order="F")
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -334,11 +360,12 @@ def _as_rows(net: MtShlNetwork, x) -> np.ndarray:
 def _predict_passes(net: MtShlNetwork, x: np.ndarray, rng: Optional[np.random.Generator],
                     passes: int) -> list[np.ndarray]:
     """Activated outputs of `passes` forward passes of the batch `x`, one
-    (passes, B) or (passes, B, K) array per task.
+    (passes, B) or (passes, B, K) array per task, each pass's (B, K) block
+    column-major.
 
     Dropout-free when `rng` is None or p = 0, else every pass makes the draw
-    of :func:`sample_dropout_masks`. Computes what :func:`_forward` does with
-    the same float operations, in buffers reused across passes.
+    of :func:`sample_dropout_masks`. Computes what :func:`_forward` does,
+    to the bit, in buffers reused across passes.
     """
     p = net.config.dropout
     akind, rows, scale = net.config.activation, x.shape[0], 1.0 / (1.0 - p)
@@ -352,15 +379,20 @@ def _predict_passes(net: MtShlNetwork, x: np.ndarray, rng: Optional[np.random.Ge
     trunk_bufs = [np.empty((rows, w.shape[1])) for w, _ in net.trunk]
     group_bufs = [[np.empty((rows, w.shape[1])) for w, _ in layers[:-1]]
                   for layers, _ in net.groups]
-    z = np.empty((rows, net.groups[-1][1].stop))
+    z = _logits(net, rows)
     # dropout never touches the inputs, so the first trunk layer's activation
-    # is the same in every pass
+    # is the same in every pass, and with a draw it is scaled once here
     first = _act(_dense(x, net.trunk[0], np.empty_like(trunk_bufs[0])), akind) if net.trunk else x
-    outs = [np.empty((passes, rows, head_output_size(t)) if t.kind == "multiclass"
-                     else (passes, rows)) for t in net.tasks]
+    masked = bool(net.trunk) and keep is not None
+    if masked:
+        first *= scale
+    # a pass's (B, K) block column-major, as np.stack of the training outputs
+    # lays it out, so that the entropy of the mean sums over K in their order
+    outs = [np.empty((passes, head_output_size(t), rows)).transpose(0, 2, 1)
+            if t.kind == "multiclass" else np.empty((passes, rows)) for t in net.tasks]
     for t in range(passes):
         kept = iter(() if keep is None else _draw(net, rng, keep, rows))
-        top = _drop(first, next(kept, None), scale, trunk_bufs[0]) if net.trunk else x
+        top = np.multiply(first, next(kept), out=trunk_bufs[0]) if masked else first
         top = hidden(top, net.trunk[1:], trunk_bufs[1:], kept)
         for (layers, cs), bufs in zip(net.groups, group_bufs):
             _dense(hidden(top, layers[:-1], bufs, kept), layers[-1], z[:, cs])
@@ -457,14 +489,15 @@ def loss_and_grads(net: MtShlNetwork, x: np.ndarray, y: np.ndarray,
     """
     akind, scale = net.config.activation, 1.0 / (1.0 - net.config.dropout)
     targets, weights = _encode_targets(net, y, defined) if encoded is None else encoded
-    caches, dz = _forward(net, np.asarray(x, dtype=float), masks)
+    caches, z = _forward(net, np.asarray(x, dtype=float), masks)
     if grad is None:
         grad = MtShlNetwork(np.zeros_like(net.params), net.tasks, net.config, net.feature_dim)
-    # the logits become d(loss)/d(logits) in place; a regression output is its logit
+    # the logits are activated in place (a regression output is its logit);
+    # d(loss)/d(logits) is row-major, so each bias gradient sums its rows in order
     for task, cs in zip(net.tasks, net.cols):
         if task.kind != REGRESSION:
-            dz[:, cs] = _activate_output(task, dz[:, cs]).reshape(len(dz), -1)
-    dz -= targets
+            z[:, cs] = _activate_output(task, z[:, cs]).reshape(len(z), -1)
+    dz = np.subtract(z, targets, out=np.empty(z.shape))
     dz *= weights
     d_top = None
     for (layers, cs), (grads, _), cache in zip(net.groups, grad.groups, caches[1:]):

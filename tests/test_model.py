@@ -32,10 +32,10 @@ NET_SHAPES = [
 ]
 
 
-def micro_net(seed=0, shared=(6, 4), heads=None, dropout=0.0, **kw):
+def micro_net(seed=0, shared=(6, 4), heads=None, dropout=0.0, tasks=THREE_TASKS, **kw):
     cfg = NetworkConfig(shared_layers=shared, head_layers=heads or {},
                         dropout=dropout, seed=seed, **kw)
-    return init_network(cfg, 5, THREE_TASKS)
+    return init_network(cfg, 5, tasks)
 
 
 def block_diag(blocks):
@@ -553,9 +553,11 @@ class TestDropoutDraw:
         masks = sample_dropout_masks(net, 1000, np.random.default_rng(61))
         assert np.count_nonzero(masks[0]) <= 2  # expected 10**6 / 2**32
 
-    @pytest.mark.parametrize("shared,heads", NET_SHAPES)
-    def test_masks_are_one_raw_draw_sliced_layer_major(self, shared, heads):
-        p, batch = 0.3, 7
+    # the last case has 2**20 units, so ties (about 16) occur
+    @pytest.mark.parametrize("shared,heads,batch",
+                             [*((s, h, 7) for s, h in NET_SHAPES), ((1024,), {}, 1024)])
+    def test_masks_are_one_raw_draw_sliced_layer_major(self, shared, heads, batch):
+        p = 0.3
         net = micro_net(shared=shared, heads=heads, dropout=p)
         rng, ref_rng = np.random.default_rng(62), np.random.default_rng(62)
         masks = sample_dropout_masks(net, batch, rng)
@@ -567,12 +569,21 @@ class TestDropoutDraw:
             members = [head for head in hidden if len(head) == d]
             widths += [sum(head[i] for head in members) for i in range(d)]
         n = batch * sum(widths)
-        words = ref_rng.bit_generator.random_raw((n + 1) // 2).view(np.uint32)[:n]
+        words = ref_rng.bit_generator.random_raw((n + 3) // 4).view(np.uint16)[:n]
         threshold = min(round(p * 2**32), 2**32 - 1)
+        ties = np.flatnonzero(words == threshold >> 16)
+        # a tie's second word, one each in flat order, from one more call
+        low = np.zeros(n, dtype=np.int64)
+        if ties.size:
+            low[ties] = ref_rng.bit_generator.random_raw((ties.size + 3) // 4).view(
+                np.uint16)[:ties.size]
+        kept = words.astype(np.int64) * 2**16 + low >= threshold  # the 32-bit rule
+        if n >= 2**20:  # both outcomes of a tie occur
+            assert 0 < np.count_nonzero(kept[ties]) < ties.size
         assert len(masks) == len(widths)
         start = 0
         for width, mask in zip(widths, masks):
-            ref = (words[start:start + batch * width].reshape(batch, width) >= threshold)
+            ref = kept[start:start + batch * width].reshape(batch, width)
             assert mask.dtype == bool and np.array_equal(mask, ref)
             start += batch * width
         assert rng.random() == ref_rng.random()  # nothing else was drawn
@@ -611,6 +622,11 @@ def stacked_mc_predict(net, x, rng=None):
     return results
 
 
+# with a K = 10 multiclass task: from K = 8 on numpy sums a C-order row
+# pairwise, a column-major one sequentially, so the logits' layout shows
+WIDE_TASKS = [*THREE_TASKS, TaskSchema("wide", "multiclass", tuple("abcdefghij"))]
+
+
 class TestPredictionPath:
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
     @pytest.mark.parametrize("shared,heads", NET_SHAPES)
@@ -618,15 +634,16 @@ class TestPredictionPath:
         x = np.random.default_rng(40).normal(size=(300, 5))
         for dropout in (0.0, 0.3):
             net = micro_net(seed=41, shared=shared, heads=heads, dropout=dropout,
-                            activation=activation, mc_passes=6)
+                            activation=activation, mc_passes=6, tasks=WIDE_TASKS)
             for seed in (None, 42):
                 rng, ref_rng = (None, None) if seed is None else (
                     np.random.default_rng(seed), np.random.default_rng(seed))
                 got = mc_predict(net, x, rng)
                 for pred, (decoded, confidence) in zip(got, stacked_mc_predict(net, x, ref_rng)):
+                    # bytes, so that a signed zero differs too
                     assert pred.decoded.dtype == decoded.dtype
-                    assert np.array_equal(pred.decoded, decoded)
-                    assert np.array_equal(pred.confidence, confidence)
+                    assert pred.decoded.tobytes() == decoded.tobytes()
+                    assert pred.confidence.tobytes() == confidence.tobytes()
                 if seed is not None:  # the same number of words, drawn in the same order
                     assert rng.random() == ref_rng.random()
 
