@@ -350,9 +350,8 @@ def _format(attr: AttributeDecl, column: Column) -> list[str]:
     return ["?" if v != v else repr(v) for v in column.tolist()]  # v != v: NaN
 
 
-def write_arff(relation: ArffRelation) -> str:
-    """Serialize a relation so that :func:`parse_arff` round-trips it exactly."""
-    relation.validate()
+def format_header(relation: ArffRelation) -> str:
+    """The ARFF text of a valid relation up to and including its ``@data`` line."""
     out = [f"@relation {_quote(relation.relation_name)}"]
     for attr in relation.attributes:
         if attr.kind == NOMINAL:
@@ -361,6 +360,19 @@ def write_arff(relation: ArffRelation) -> str:
             spec = attr.kind
         out.append(f"@attribute {_quote(attr.name)} {spec}")
     out.append("@data")
-    cells = [_format(a, c) for a, c in zip(relation.attributes, relation.columns)]
-    out.extend(map(",".join, zip(*cells)))
     return "\n".join(out) + "\n"
+
+
+def format_rows(relation: ArffRelation, start: int, stop: int) -> str:
+    """The ARFF text of data rows `start` to `stop` (exclusive) of a valid
+    relation, each ending in a line break. Validation is the caller's, so that
+    the rows of one relation can be formatted in pieces."""
+    cells = [_format(a, c[start:stop]) for a, c in zip(relation.attributes, relation.columns)]
+    rows = "\n".join(map(",".join, zip(*cells)))
+    return rows + "\n" if rows else rows
+
+
+def write_arff(relation: ArffRelation) -> str:
+    """Serialize a relation so that :func:`parse_arff` round-trips it exactly."""
+    relation.validate()
+    return format_header(relation) + format_rows(relation, 0, relation.n_rows)

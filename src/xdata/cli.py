@@ -16,14 +16,16 @@ from __future__ import annotations
 import argparse
 import csv
 import logging
+import os
 import re
 import sys
 import warnings
+from contextlib import contextmanager
 from dataclasses import Field, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Any, NamedTuple, Optional, Union, get_args, get_origin, get_type_hints
 
-from .arff import ArffError, parse_arff, write_arff
+from .arff import ArffError, format_header, format_rows, parse_arff
 from .dataset import (REGRESSION, DatasetError, MultiTargetDataset, assemble,
                       assemble_eval, drop_labels, standardize, to_relation)
 from .metrics import MetricReport, evaluate, pseudo_label_accuracy
@@ -227,6 +229,132 @@ def _read_relation(path: str):
         raise ArffError(f"{path}: {exc}") from None
 
 
+def _can_fork() -> bool:
+    """A forked child can run beside this process: fork exists and a second
+    CPU is usable."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return hasattr(os, "fork") and (cpus or 1) >= 2
+
+
+@contextmanager
+def _in_child(stage: str, fn, *args):
+    """Run ``fn(*args)`` in a forked child while the caller works on; yields a
+    callable that waits for the child and returns what `fn` returned or raises
+    what it raised (pickled over a pipe). A child that ends without a result,
+    killed by a signal say, raises RuntimeError naming `stage`. Every child is
+    reaped: one still running when the block exits early is killed. Without
+    fork or a second usable CPU, the callable runs ``fn(*args)`` in this process.
+
+    `fn` must not call BLAS: the child holds only the forking thread, so the
+    BLAS thread pool it inherits is unusable.
+    """
+    if not _can_fork():
+        yield lambda: fn(*args)
+        return
+    import pickle
+    import signal
+
+    read_fd, write_fd = os.pipe()
+    with warnings.catch_warnings():
+        # Python 3.12+ warns that a process with threads (BLAS's) may deadlock
+        # in a forked child; the child here never calls into them
+        warnings.filterwarnings("ignore", r".*fork\(\) may lead to deadlocks",
+                                DeprecationWarning)
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            try:
+                outcome = (True, fn(*args))
+            except Exception as exc:  # noqa: BLE001 - re-raised by the parent
+                outcome = (False, exc)
+            with open(write_fd, "wb") as pipe:
+                pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    pipe = open(read_fd, "rb")
+    reaped = False
+
+    def result():
+        nonlocal reaped
+        with pipe:
+            data = pipe.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        reaped = True
+        if code != 0:
+            how = f"killed by signal {-code}" if code < 0 else f"exited with code {code}"
+            raise RuntimeError(f"{stage}: worker process {how} without a result")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        return value
+
+    try:
+        yield result
+    finally:
+        pipe.close()
+        if not reaped:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _read_each(paths: list[str]) -> list:
+    """For each file of `paths`, its relation or the exception reading it raised."""
+    out = []
+    for path in paths:
+        try:
+            out.append(_read_relation(path))
+        except Exception as exc:  # noqa: BLE001 - raised by `run` where it reads the file
+            out.append(exc)
+    return out
+
+
+def _read_relations(paths: list[str]) -> list:
+    """`_read_each` of `paths`, the files split into two groups of about equal
+    byte size: a forked child reads one group while this process reads the other."""
+    sizes = [os.path.getsize(p) if os.path.isfile(p) else 0 for p in paths]
+    groups: tuple[list[int], list[int]] = ([], [])
+    loads = [0, 0]
+    for i in sorted(range(len(paths)), key=lambda i: -sizes[i]):
+        g = int(loads[1] < loads[0])
+        groups[g].append(i)
+        loads[g] += sizes[i]
+    mine, theirs = sorted(groups[0]), sorted(groups[1])
+    if not theirs:
+        return _read_each(paths)
+    with _in_child("reading input files", _read_each, [paths[i] for i in theirs]) as child:
+        read = dict(zip(mine, _read_each([paths[i] for i in mine])))
+        read.update(zip(theirs, child()))
+    return [read[i] for i in range(len(paths))]
+
+
+def _raised(outcome):
+    """An outcome of `_read_each`: the relation, or raise the exception."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _write_arff_file(path: Path, relation) -> None:
+    """Write ``write_arff(relation)`` to `path`; a forked child formats the
+    second half of the data rows while this process formats the first."""
+    relation.validate()  # so that no invalid value reaches the child
+    n, half = relation.n_rows, relation.n_rows // 2
+    with _in_child(f"formatting {path.name}", format_rows, relation, half, n) as tail, \
+            open(path, "w", encoding="utf-8") as f:
+        f.write(format_header(relation))
+        f.write(format_rows(relation, 0, half))
+        f.write(tail())
+
+
 def _check_task_keys(config: RunConfig, ds: MultiTargetDataset) -> None:
     """Every task named in a per-task key must be an assembled task."""
     names = {t.name for t in ds.tasks}
@@ -293,7 +421,13 @@ def run(config: RunConfig, quiet: bool = False) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     _progress(quiet, f"reading {len(config.datasets)} input file(s)")
-    relations = [(_read_relation(path), nt) for path, nt in config.datasets]
+    # every file is read here; each error is raised where it was raised when
+    # the files were read one at a time (the test file's after drop_labels)
+    paths = [path for path, _ in config.datasets]
+    if config.test_file is not None:
+        paths.append(config.test_file)
+    read = _read_relations(paths)
+    relations = [(_raised(r), nt) for r, (_, nt) in zip(read, config.datasets)]
     ds = assemble(relations, config.ignore_first_attribute)
     _check_task_keys(config, ds)
     _progress(quiet, f"assembled {ds.n_instances} instances, {ds.n_features} features, "
@@ -307,8 +441,7 @@ def run(config: RunConfig, quiet: bool = False) -> None:
 
     eval_ds = None
     if config.test_file is not None:
-        eval_ds = assemble_eval(_read_relation(config.test_file), ds,
-                                config.ignore_first_attribute)
+        eval_ds = assemble_eval(_raised(read[-1]), ds, config.ignore_first_attribute)
         _progress(quiet, f"test set: {eval_ds.n_instances} instances")
 
     ds_std, standardizer = standardize(ds)
@@ -323,8 +456,7 @@ def run(config: RunConfig, quiet: bool = False) -> None:
     _progress(quiet, f"finished with status {result.status!r}")
 
     completed = apply_assignments(ds, result.assignments, standardizer)
-    (out_dir / "completed.arff").write_text(write_arff(to_relation(completed)),
-                                            encoding="utf-8")
+    _write_arff_file(out_dir / "completed.arff", to_relation(completed))
     write_assignments_csv(out_dir / "assignments.csv", result.assignments, ds, standardizer)
     write_iterations_csv(out_dir / "iterations.csv", result.records, ds)
 

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xdata.arff import (_CELLS, NOMINAL, NUMERIC, STRING, ArffError, AttributeDecl,
-                        _column, _decoded_column, _split, parse_arff, write_arff)
+                        _column, _decoded_column, _split, format_header, format_rows,
+                        parse_arff, write_arff)
 
 DATA = Path(__file__).parent / "data" / "arff"
 
@@ -96,6 +97,23 @@ def test_write_rejects_newline_in_names_and_categories():
                        ("t", AttributeDecl("c", NOMINAL, ("x", "y\nz")))]:
         with pytest.raises(ArffError, match="contains a line break"):
             write_arff(relation(name, [attr], []))
+
+
+_MIXED_ROWS = [
+    ["it's", 0, 1.5], [None, 1, None], ["a, b", None, -0.0], ["?", 2, 1e300],
+    ["plain", 0, 0.1], ["{x}", 1, float("nan")], ["", None, 2.0],
+]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, len(_MIXED_ROWS)])
+def test_header_and_row_ranges_are_write_arff(n):
+    attrs = [AttributeDecl("name s", STRING), AttributeDecl("c", NOMINAL, ("x", "y z", "?")),
+             AttributeDecl("v", NUMERIC)]
+    rel = relation("t t", attrs, _MIXED_ROWS[:n])
+    text = write_arff(rel)
+    for cut in range(n + 1):
+        assert format_header(rel) + format_rows(rel, 0, cut) + format_rows(rel, cut, n) == text
+    assert parse_arff(text).n_rows == n
 
 
 def test_write_roundtrips_float_bits():

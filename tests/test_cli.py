@@ -1,14 +1,17 @@
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import xdata
-from xdata.arff import write_arff
+import xdata.cli as cli
+from xdata.arff import NUMERIC, STRING, ArffError, ArffRelation, AttributeDecl, write_arff
 from xdata.cli import ConfigError, RunConfig, _format, _keys, main, parse_config
 from xdata.synthetic import make_corpus
 
@@ -362,3 +365,140 @@ class TestMain:
         report = (tmp_path / "out" / "report.txt").read_text()
         assert "  y: cc=n/a mae=" in report
         assert "nan" not in report.lower()
+
+
+@pytest.fixture
+def forking(monkeypatch):
+    """Fork as on a machine with two usable CPUs, whatever this one has."""
+    monkeypatch.setattr(cli, "_can_fork", lambda: True)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def die_in_child(monkeypatch, name):
+    """Replace ``cli.<name>`` by a function that kills a forked child
+    (SIGKILL, so it leaves no result) and runs the original in this process."""
+    original, parent = getattr(cli, name), os.getpid()
+
+    def dying(*args):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return original(*args)
+
+    monkeypatch.setattr(cli, name, dying)
+
+
+@pytest.mark.usefixtures("forking")
+class TestTwoProcesses:
+    """Inputs are read and completed.arff is formatted by this process and a
+    forked child; outputs and errors are those of one process doing it all."""
+
+    def test_child_result_and_in_process_fallback(self, monkeypatch):
+        with cli._in_child("probe", os.getpid) as result:
+            assert result() != os.getpid()
+        assert_no_child_left()
+        monkeypatch.setattr(cli, "_can_fork", lambda: False)
+        with cli._in_child("probe", os.getpid) as result:
+            assert result() == os.getpid()
+
+    def test_child_exception_is_raised_with_its_type_message_and_line(self):
+        def fail():
+            raise ArffError("bad cell", 7)
+
+        with pytest.raises(ArffError) as exc:
+            with cli._in_child("probe", fail) as result:
+                result()
+        assert (str(exc.value), exc.value.line) == ("line 7: bad cell", 7)
+        assert_no_child_left()
+
+    def test_child_is_reaped_when_the_parent_half_raises(self):
+        with pytest.raises(KeyError):
+            with cli._in_child("probe", signal.pause):
+                raise KeyError("parent half")
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("name,stage", [("_read_relation", "reading input files"),
+                                            ("format_rows", "formatting completed.arff")])
+    def test_child_killed_by_a_signal_is_a_runtime_failure(self, tmp_path, capsys,
+                                                           monkeypatch, name, stage):
+        cfg = small_config(tmp_path, tmp_path / "out")
+        die_in_child(monkeypatch, name)
+        assert main(["--config", str(cfg), "--quiet"]) == 3
+        assert capsys.readouterr().err == (f"runtime failure: {stage}: worker process "
+                                           f"killed by signal {int(signal.SIGKILL)} "
+                                           "without a result\n")
+        assert_no_child_left()
+
+    def test_outputs_do_not_depend_on_forking(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        cfg = small_config(tmp_path, out)
+        runs = []
+        for can_fork in (True, False):
+            monkeypatch.setattr(cli, "_can_fork", lambda: can_fork)
+            assert main(["--config", str(cfg), "--quiet"]) == 0
+            runs.append({p.name: p.read_bytes() for p in out.iterdir()})
+            for p in out.iterdir():
+                p.unlink()
+        assert runs[0] == runs[1]
+        assert_no_child_left()
+
+    # the larger file is read by this process, the smaller by the child
+    @pytest.mark.parametrize("pad", [1, 2])
+    def test_first_malformed_input_in_config_order_wins(self, tmp_path, capsys, pad):
+        files = []
+        for k in (1, 2):
+            path = tmp_path / f"bad{k}.arff"
+            path.write_text("@relation r\n@attribute x numeric\n@attribute y numeric\n"
+                            "@data\n1,2\n1,2,3\n" + "% pad\n" * 100 * (k == pad),
+                            encoding="utf-8")
+            files.append(path)
+        cfg = tmp_path / "c.conf"
+        cfg.write_text(f"dataset.1.file = {files[0]}\ndataset.1.num_targets = 1\n"
+                       f"dataset.2.file = {files[1]}\ndataset.2.num_targets = 1\n"
+                       f"output.dir = {tmp_path / 'out'}\n")
+        assert main(["--config", str(cfg), "--quiet"]) == 2
+        assert capsys.readouterr().err == (f"data error: {files[0]}: line 6: row has 3 "
+                                           "values but 2 attributes are declared\n")
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("unknown_key,code", [(False, 2), (True, 1)])
+    def test_test_file_error_surfaces_after_the_task_key_check(
+            self, tmp_path, capsys, unknown_key, code):
+        out = tmp_path / "out"
+        cfg = small_config(tmp_path, out)
+        test_file = tmp_path / "test.arff"
+        test_file.write_text(test_file.read_text(encoding="utf-8") + "1,2\n", encoding="utf-8")
+        extra = "net.head_layers.nosuchtask = 4\n" if unknown_key else ""
+        cfg.write_text(cfg.read_text() + extra, encoding="utf-8")
+        assert main(["--config", str(cfg), "--quiet"]) == code
+        err = capsys.readouterr().err
+        if unknown_key:
+            assert err.startswith("configuration error: unknown task 'nosuchtask'"), err
+        else:
+            assert err.startswith(f"data error: {test_file}: line "), err
+        assert not (out / "completed.arff").exists()
+        assert_no_child_left()
+
+    def test_missing_test_file_is_a_data_error_naming_it(self, tmp_path, capsys):
+        cfg = small_config(tmp_path, tmp_path / "out")
+        (tmp_path / "test.arff").unlink()
+        assert main(["--config", str(cfg), "--quiet"]) == 2
+        assert capsys.readouterr().err == \
+            f"data error: input file not found: {tmp_path / 'test.arff'}\n"
+        assert_no_child_left()
+
+    def test_invalid_value_in_second_half_raises_before_the_fork(self, tmp_path, monkeypatch):
+        rel = ArffRelation("t", [AttributeDecl("s", STRING), AttributeDecl("v", NUMERIC)],
+                           [["a", "b", "c", "d\ne"], np.array([1.0, 2.0, 3.0, 4.0])])
+
+        def no_fork():
+            raise AssertionError("forked before validating")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        path = tmp_path / "completed.arff"
+        with pytest.raises(ArffError, match="attribute 's', row 3: .* contains a line break"):
+            cli._write_arff_file(path, rel)
+        assert not path.exists()
