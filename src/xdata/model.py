@@ -36,23 +36,28 @@ of the draw from one further random_raw call in flat layer-major order (none
 without a tie), and is kept iff that word is >= lo. So a unit is kept iff its
 32-bit (word, tie word) is >= t, and P(keep) = 1 - t/2**32 exactly, within
 2**-33 of 1 - p; the clamp stops a p just below 1 from wrapping t to 0, which
-would keep every unit. p = 0 draws nothing. Training and prediction apply a
-mask as (h * keep) * scale with scale = 1/(1-p), which equals h * (keep *
-scale) as both factors are exact; prediction's first trunk layer is the one
+would keep every unit. p = 0 draws nothing. Consecutive draws can share one
+random_raw call that takes the same words as a call per draw (each draw's
+words, then its tie words, extended on demand; :func:`_draw`): training draws
+once per epoch for all of its minibatches, prediction once per pass. Prediction
+applies its bool mask as (h * keep) * scale with scale = 1/(1-p); training
+pre-scales each step's mask once to keep * scale, so that its forward and
+backward each take one float multiply, h * (keep * scale), which is equal as
+both factors are exact. Prediction's first trunk layer is the one
 exception (below). Uncertainty is estimated by repeated stochastic
 forward passes: classification confidence is the negated Shannon entropy of
 the mean output distribution, regression confidence the negated sample
 variance of the outputs.
 
 Prediction (:func:`forward`, :func:`mc_predict`) runs all passes of one call
-through one function, separate from the training forward, which keeps caches
-for backprop. It computes the first trunk layer's activation once per call
-(dropout never touches the inputs) and, when the passes draw masks, scales it
-once: each pass then masks it with one multiply, as (h * scale) * keep equals
-(h * keep) * scale for keep in {0, 1}, signed zeros included. It makes each
-pass's draw into one reused bool buffer, works in place in per-layer buffers
-and writes into one preallocated (passes, B) or (passes, B, K) array per
-task. Training and prediction both write the (B, sum K) logits column-major,
+through one function, separate from the training forward, which keeps each
+layer's activation for backprop. It computes the first trunk layer's
+activation once per call (dropout never touches the inputs) and, when the
+passes draw masks, scales it once: each pass then masks it with one
+multiply, as (h * scale) * keep equals (h * keep) * scale for keep in {0, 1},
+signed zeros included. It makes each pass's draw into one reused bool buffer,
+works in place in per-layer buffers and writes into one preallocated
+(passes, B) or (passes, B, K) array per task. Training and prediction both write the (B, sum K) logits column-major,
 so that a task's softmax reduces over contiguous columns and both sum a row
 in the same order. Apart from that reordered mask, its float operations are
 those of the training forward, so its outputs are byte-identical to stacking
@@ -64,7 +69,10 @@ minibatch SGD (optional momentum) and fully deterministic in (config, seed, data
 It encodes the labels once per :func:`train` call into a target and a weight
 matrix in the logits' column order and gathers them with the inputs once per
 epoch; each step's output gradient is then (activated logits - targets) *
-weights on its contiguous rows.
+weights on its contiguous rows. It allocates each step's arrays once per call
+(:class:`_Buffers`, for the full batch and for a ragged last one), so a step
+allocates nothing, and its backward pass stops at the first trunk layer's
+weight gradient.
 """
 
 from __future__ import annotations
@@ -148,9 +156,9 @@ def _layout(config: NetworkConfig, feature_dim: int, tasks: list[TaskSchema]):
 
 
 def _layer_views(flat: np.ndarray, trunk_shapes, group_shapes, n_tasks: int):
-    """(trunk, groups, heads, cols, zeros): the views into `flat` and the flat
-    indices of its structural zeros, for the :func:`_layout` shapes."""
-    offset, zeros, start = 0, [], 0
+    """(trunk, groups, heads, cols): the views into `flat` for the :func:`_layout`
+    shapes, and each task's slice of the logits' columns."""
+    offset, start = 0, 0
     heads, cols, groups = [[] for _ in range(n_tasks)], [None] * n_tasks, []
 
     def take(n_in, n_out):
@@ -164,12 +172,9 @@ def _layer_views(flat: np.ndarray, trunk_shapes, group_shapes, n_tasks: int):
     for members, layers in group_shapes:
         group = []
         for shape, blocks in layers:
-            base, structural = offset, np.ones(shape, dtype=bool)
             w, b = take(*shape)
             for m, (rows, cs) in zip(members, blocks):
                 heads[m].append((w[rows, cs], b[cs]))
-                structural[rows, cs] = False
-            zeros.append(base + np.flatnonzero(structural))
             group.append((w, b))
         for m, (_, cs) in zip(members, layers[-1][1]):
             cols[m] = slice(start + cs.start, start + cs.stop)
@@ -177,7 +182,7 @@ def _layer_views(flat: np.ndarray, trunk_shapes, group_shapes, n_tasks: int):
         start += b.size
     if offset != flat.size:
         raise ValueError(f"expected {offset} parameters, got {flat.size}")
-    return trunk, tuple(groups), tuple(map(tuple, heads)), tuple(cols), np.concatenate(zeros)
+    return trunk, tuple(groups), tuple(map(tuple, heads)), tuple(cols)
 
 
 @dataclass
@@ -196,16 +201,32 @@ class MtShlNetwork:
     # layers, then each group's); `units` in all
     spans: tuple[tuple[int, int], ...] = field(init=False, repr=False)
     units: int = field(init=False, repr=False)
+    shapes: tuple = field(init=False, repr=False)  # the _layout of the views
 
     def __post_init__(self):
-        self.trunk, self.groups, self.heads, self.cols, self.zeros = _layer_views(
-            self.params, *_layout(self.config, self.feature_dim, self.tasks), len(self.tasks))
+        self.shapes = _layout(self.config, self.feature_dim, self.tasks)
+        self.trunk, self.groups, self.heads, self.cols = _layer_views(
+            self.params, *self.shapes, len(self.tasks))
+        # the structural zeros are the entries outside every trunk layer and head
+        covered = np.zeros(self.params.size, dtype=bool)
+        trunk, _, heads, _ = _layer_views(covered, *self.shapes, len(self.tasks))
+        for w, b in (*trunk, *(layer for head in heads for layer in head)):
+            w[...] = b[...] = True
+        self.zeros = np.flatnonzero(~covered)
         hidden = (*self.trunk, *(layer for layers, _ in self.groups for layer in layers[:-1]))
         ends = list(accumulate((w.shape[1] for w, _ in hidden), initial=0))
         self.spans, self.units = tuple(zip(ends, ends[1:])), ends[-1]
 
+    def like(self, params: np.ndarray) -> "MtShlNetwork":
+        """A network of this one's layout over `params`: its zeros, cols and
+        spans are shared, only the views are sliced anew."""
+        net = object.__new__(MtShlNetwork)
+        net.__dict__.update(self.__dict__, params=params, tasks=list(self.tasks))
+        net.trunk, net.groups, net.heads, _ = _layer_views(params, *self.shapes, len(self.tasks))
+        return net
+
     def copy(self) -> "MtShlNetwork":
-        return MtShlNetwork(self.params.copy(), list(self.tasks), self.config, self.feature_dim)
+        return self.like(self.params.copy())
 
 
 def init_network(config: NetworkConfig, feature_dim: int,
@@ -237,11 +258,6 @@ def _act(z: np.ndarray, kind: str) -> np.ndarray:
     return np.tanh(z, out=z) if kind == "tanh" else np.maximum(z, 0.0, out=z)
 
 
-def _dact(a: np.ndarray, kind: str) -> np.ndarray:
-    """Activation derivative from the activation itself (a > 0 iff z > 0 for relu)."""
-    return 1.0 - a * a if kind == "tanh" else a > 0
-
-
 def _dense(a: np.ndarray, layer: Layer, out: np.ndarray) -> np.ndarray:
     """out = a @ w + b, in place."""
     np.matmul(a, layer[0], out=out)
@@ -264,58 +280,141 @@ def _words(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.bit_generator.random_raw(-(-n // 4)).view(np.uint16)[:n]
 
 
-def _draw(net: MtShlNetwork, rng: np.random.Generator, keep: np.ndarray,
-          rows: int) -> list[np.ndarray]:
-    """One dropout draw (module docstring) of `rows` rows into the flat bool
-    buffer `keep`: unit i is kept iff (word i, its tie word) >= (hi, lo).
-    Returns each hidden layer's (rows, W) view of it."""
-    hi, lo = map(np.uint16, divmod(min(round(net.config.dropout * 2**32), 2**32 - 1), 2**16))
-    words = _words(rng, keep.size)
-    ties = np.flatnonzero(np.equal(words, hi, out=keep))
-    np.greater(words, hi, out=keep)
-    if ties.size:
-        keep[ties] = _words(rng, ties.size) >= lo
-    return [keep[rows * a:rows * b].reshape(rows, b - a) for a, b in net.spans]
+def _padded(n: int) -> int:
+    """The 16-bit words in the 64-bit words that a draw of n units takes."""
+    return 4 * -(-n // 4)
 
 
-def sample_dropout_masks(net: MtShlNetwork, batch: int, rng: np.random.Generator,
-                         keep: Optional[np.ndarray] = None) -> Optional[list[np.ndarray]]:
+def _threshold(p: float) -> tuple[np.uint16, np.uint16]:
+    """(hi, lo) of the dropout threshold t = min(round(p * 2**32), 2**32 - 1)."""
+    return tuple(map(np.uint16, divmod(min(round(p * 2**32), 2**32 - 1), 2**16)))
+
+
+def _draw(rng: np.random.Generator, sizes, hi, lo, keep=None) -> tuple[np.ndarray, list]:
+    """Consecutive dropout draws (module docstring) of sizes[0], sizes[1], ...
+    units from one random_raw call, taking the words that one call per draw
+    would: each draw's ceil(n/4) 64-bit words, then, if it has ties, ceil(ties/4)
+    words for its tie words. The call covers the draws without their tie words
+    and is extended on demand, never past the last draw's tie words.
+
+    Returns (keep, starts): the bool keep mask of draw i is
+    keep[starts[i]:starts[i] + sizes[i]]. `keep`, a bool buffer of at least
+    sum(_padded(n)) entries, holds it instead of a fresh array (unless
+    earlier draws' tie words move the last ones past its end).
+    """
+    words = _words(rng, sum(map(_padded, sizes)))
+    scan = np.empty(words.size, dtype=bool) if keep is None else keep[:words.size]
+    ties = np.flatnonzero(np.equal(words, hi, out=scan)).tolist()
+    starts = list(accumulate(map(_padded, sizes[:-1]), initial=0))
+    extra, at, tie_words = words[:0], [], []  # words drawn past the call's; tie fix-ups
+
+    def read(a, b):  # words a..b of the draws' stream
+        return np.concatenate((words[a:b], extra[max(a - words.size, 0):max(b - words.size, 0)]))
+
+    def cover(end):  # extend the stream to `end` words, finding their ties
+        nonlocal extra
+        if end > words.size + extra.size:
+            more = _words(rng, end - words.size - extra.size)
+            ties.extend((words.size + extra.size + np.flatnonzero(more == hi)).tolist())
+            extra = np.concatenate((extra, more))
+
+    if ties:  # walk the draws: a draw's tie words move the later draws on
+        starts, pos, k = [], 0, 0
+        for n in sizes:
+            cover(pos + _padded(n))
+            while k < len(ties) and ties[k] < pos:  # in padding or tie words
+                k += 1
+            j = k
+            while j < len(ties) and ties[j] < pos + n:
+                j += 1
+            starts.append(pos)
+            pos += _padded(n)
+            if j > k:
+                cover(pos + _padded(j - k))
+                at += ties[k:j]
+                tie_words.append(read(pos, pos + j - k))
+                pos, k = pos + _padded(j - k), j
+    end, keep = starts[-1] + sizes[-1], scan
+    if end > words.size:  # tie words moved the last draws past the call's words
+        keep = np.empty(end, dtype=bool)
+        np.greater(read(words.size, end), hi, out=keep[words.size:])
+    np.greater(words, hi, out=keep[:words.size])
+    if at:  # else every tie lay in padding or in tie words
+        keep[at] = np.concatenate(tie_words) >= lo
+    return keep, starts
+
+
+def _layer_masks(keep: np.ndarray, start: int, rows: int, spans) -> list[np.ndarray]:
+    """Each hidden layer's (rows, W) view of the draw at keep[start:]."""
+    return [keep[start + rows * a:start + rows * b].reshape(rows, b - a) for a, b in spans]
+
+
+def sample_dropout_masks(net: MtShlNetwork, batch: int,
+                         rng: np.random.Generator) -> Optional[list[np.ndarray]]:
     """The bool keep masks of one dropout draw for a batch, one (batch, W) per
-    hidden layer (trunk layers, then each group's), or None if p = 0. `keep`,
-    a bool buffer of at least batch * net.units entries, holds the draw (a
-    prefix of it) instead of a fresh array."""
+    hidden layer (trunk layers, then each group's), or None if p = 0."""
     if net.config.dropout == 0.0:
         return None
-    n = batch * net.units
-    return _draw(net, rng, np.empty(n, dtype=bool) if keep is None else keep[:n], batch)
+    keep, _ = _draw(rng, [batch * net.units], *_threshold(net.config.dropout))
+    return _layer_masks(keep, 0, batch, net.spans)
 
 
-def _hidden_forward(layers, a: np.ndarray, keeps, akind: str, scale: float):
-    """Pass `a` through hidden layers, each masked by the next mask of the
-    iterator `keeps` (none once it is exhausted); returns the output and one
-    cache entry (input, activation before the mask, mask) per layer."""
-    cache = []
-    for w, b in layers:
-        h = _act(a @ w + b, akind)
-        keep = next(keeps, None)
-        cache.append((a, h, keep))
-        a = _drop(h, keep, scale)
-    return a, cache
+def _scaled(net: MtShlNetwork, masks: Optional[list]) -> Optional[list]:
+    """`masks` in the training form keep * scale, scale = 1/(1-p): bool masks
+    are converted, float ones are taken to be in that form already."""
+    if not masks or masks[0].dtype != bool:
+        return masks
+    scale = 1.0 / (1.0 - net.config.dropout)
+    return [np.multiply(keep, scale) for keep in masks]
 
 
-def _forward(net: MtShlNetwork, x: np.ndarray, masks: Optional[list]):
-    """Full forward pass with caches for backprop: (caches, z), the
-    :func:`_hidden_forward` cache of the trunk and of each group (ending in its
-    output layer's (input, None, None)), and the (B, sum K) logits."""
-    akind, scale = net.config.activation, 1.0 / (1.0 - net.config.dropout)
-    keeps = iter(masks or ())  # in draw order: the trunk's layers, then each group's
-    top, trunk_cache = _hidden_forward(net.trunk, x, keeps, akind, scale)
-    caches, z = [trunk_cache], _logits(net, len(x))
-    for layers, cs in net.groups:
-        a, cache = _hidden_forward(layers[:-1], top, keeps, akind, scale)
-        _dense(a, layers[-1], z[:, cs])
-        caches.append([*cache, (a, None, None)])
-    return caches, z
+class _Buffers:
+    """The arrays of one training step of `rows` rows, so that a step
+    allocates none: per hidden layer (trunk layers, then each group's) its
+    activation `h`, masked output `a`, gradient `d` at its masked output and
+    derivative scratch `t`; the (rows, sum K) logits `z` (column-major) and
+    their gradient `dz` (row-major), each also sliced per group and per task;
+    and `top`, a later group's share of the trunk output's gradient."""
+
+    def __init__(self, net: MtShlNetwork, rows: int):
+        widths = [b - a for a, b in net.spans]
+        tanh = net.config.activation == "tanh"
+        self.h = [np.empty((rows, w)) for w in widths]
+        self.a = [np.empty((rows, w)) for w in widths]
+        self.d = [np.empty((rows, w)) for w in widths]
+        self.t = [np.empty((rows, w), dtype=float if tanh else bool) for w in widths]
+        self.z = _logits(net, rows)
+        self.dz = np.empty(self.z.shape)
+        self.z_groups = [self.z[:, cs] for _, cs in net.groups]
+        self.dz_groups = [self.dz[:, cs] for _, cs in net.groups]
+        self.z_tasks = [self.z[:, cs] for cs in net.cols]
+        self.top = (np.empty((rows, net.trunk[-1][0].shape[1]))
+                    if net.trunk and len(net.groups) > 1 else None)
+
+
+def _hidden_forward(layers, a: np.ndarray, j: int, masks, buf: _Buffers, akind: str):
+    """Pass `a` through hidden layers j, j+1, ... (`layers`) into `buf`, each
+    masked by its mask if `masks` is not None; returns the last output."""
+    for layer in layers:
+        h = _act(_dense(a, layer, buf.h[j]), akind)
+        a = h if masks is None else np.multiply(h, masks[j], out=buf.a[j])
+        j += 1
+    return a
+
+
+def _forward(net: MtShlNetwork, x: np.ndarray, masks: Optional[list],
+             buf: Optional[_Buffers] = None):
+    """The training forward of the batch `x` into `buf` (fresh buffers if None)
+    under `masks` (bool or pre-scaled, :func:`_scaled`): (buf, z), z the
+    (B, sum K) logits, ``buf.z``."""
+    akind, masks = net.config.activation, _scaled(net, masks)
+    buf = _Buffers(net, len(x)) if buf is None else buf
+    top = _hidden_forward(net.trunk, x, 0, masks, buf, akind)
+    j = len(net.trunk)
+    for (layers, _), z in zip(net.groups, buf.z_groups):
+        _dense(_hidden_forward(layers[:-1], top, j, masks, buf, akind), layers[-1], z)
+        j += len(layers) - 1
+    return buf, buf.z
 
 
 def _logits(net: MtShlNetwork, rows: int) -> np.ndarray:
@@ -325,8 +424,11 @@ def _logits(net: MtShlNetwork, rows: int) -> np.ndarray:
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    """The softmax of each row of `z`, in place."""
+    z -= z.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
@@ -335,13 +437,18 @@ def _log_softmax(z: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-z)), in place."""
     # exp(-z) overflows to inf for very negative z, and the result is then exactly 0
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-z))
+        np.exp(np.negative(z, out=z), out=z)
+        z += 1.0
+        return np.divide(1.0, z, out=z)
 
 
 def _activate_output(task: TaskSchema, z: np.ndarray) -> np.ndarray:
-    """Logits -> probabilities (classification) or identity (regression)."""
+    """Logits -> probabilities (classification) or identity (regression), in
+    place in the (B, K) logits `z`: the (B, K) distribution for multiclass,
+    else z's (B,) column."""
     if task.kind == "multiclass":
         return _softmax(z)
     if task.kind == "binary":
@@ -369,7 +476,8 @@ def _predict_passes(net: MtShlNetwork, x: np.ndarray, rng: Optional[np.random.Ge
     """
     p = net.config.dropout
     akind, rows, scale = net.config.activation, x.shape[0], 1.0 / (1.0 - p)
-    keep = np.empty(rows * net.units, dtype=bool) if rng is not None and p > 0.0 else None
+    keep = np.empty(_padded(rows * net.units), dtype=bool) if rng is not None and p > 0.0 else None
+    hi, lo = _threshold(p)
 
     def hidden(a, layers, bufs, kept):
         for layer, buf in zip(layers, bufs):
@@ -391,7 +499,8 @@ def _predict_passes(net: MtShlNetwork, x: np.ndarray, rng: Optional[np.random.Ge
     outs = [np.empty((passes, head_output_size(t), rows)).transpose(0, 2, 1)
             if t.kind == "multiclass" else np.empty((passes, rows)) for t in net.tasks]
     for t in range(passes):
-        kept = iter(() if keep is None else _draw(net, rng, keep, rows))
+        kept = iter(() if keep is None else _layer_masks(
+            _draw(rng, [rows * net.units], hi, lo, keep)[0], 0, rows, net.spans))
         top = np.multiply(first, next(kept), out=trunk_bufs[0]) if masked else first
         top = hidden(top, net.trunk[1:], trunk_bufs[1:], kept)
         for (layers, cs), bufs in zip(net.groups, group_bufs):
@@ -456,54 +565,76 @@ def mt_loss(net: MtShlNetwork, x: np.ndarray, y: np.ndarray, defined: np.ndarray
     return total
 
 
-def _backward(layers, cache: list, d: np.ndarray, grads, akind: str,
-              scale: float) -> np.ndarray:
-    """Backpropagate `d`, the gradient at the last layer's (masked) output,
-    through `layers` and their :func:`_forward` cache, writing each layer's
-    (W, b) gradient into the views `grads`; returns the gradient at the first
-    layer's input."""
-    for (w, _), (a_in, h, keep), (gw, gb) in zip(reversed(layers), reversed(cache),
-                                                 reversed(grads)):
-        if h is not None:  # hidden: fold the activation and the mask into d
-            d = d * _dact(h, akind)
-            _drop(d, keep, scale, out=d)
-        np.matmul(a_in.T, d, out=gw)
-        d.sum(axis=0, out=gb)
-        d = d @ w.T
+def _hidden_backward(layers, grads, a: np.ndarray, j: int, masks, buf: _Buffers,
+                     akind: str) -> np.ndarray:
+    """Backpropagate through hidden layers j, j+1, ... (`layers`, the first
+    reading `a`), ``buf.d`` of the last holding the gradient at its masked
+    output: writes each layer's (W, b) gradient into the views `grads` and
+    returns the gradient at the first layer's pre-activation."""
+    outs = buf.h if masks is None else buf.a
+    for i in range(len(layers) - 1, -1, -1):
+        d, h, t = buf.d[j + i], buf.h[j + i], buf.t[j + i]
+        if akind == "tanh":  # the derivative from the activation itself
+            np.subtract(1.0, np.multiply(h, h, out=t), out=t)
+        else:  # a > 0 iff z > 0
+            np.greater(h, 0, out=t)
+        d *= t
+        if masks is not None:
+            d *= masks[j + i]
+        np.matmul((outs[j + i - 1] if i else a).T, d, out=grads[i][0])
+        d.sum(axis=0, out=grads[i][1])
+        if i:
+            np.matmul(d, layers[i][0].T, out=buf.d[j + i - 1])
     return d
 
 
 def loss_and_grads(net: MtShlNetwork, x: np.ndarray, y: np.ndarray,
                    defined: np.ndarray, masks: Optional[list] = None,
                    grad: Optional[MtShlNetwork] = None,
-                   encoded: Optional[tuple[np.ndarray, np.ndarray]] = None) -> np.ndarray:
+                   encoded: Optional[tuple[np.ndarray, np.ndarray]] = None,
+                   buf: Optional[_Buffers] = None) -> np.ndarray:
     """Gradients of the masked loss, one flat array laid out like ``net.params``.
 
     Written into ``grad.params`` (every entry overwritten) when `grad` is
     given, else into a fresh array; the structural zeros get exactly 0.0.
-    `encoded`, the :func:`_encode_targets` of these rows, stands in for `y`
-    and `defined` (which are then not read); :func:`train` encodes its labels
-    once per call that way. The loss itself is :func:`mt_loss`; the name
-    stays because the benchmark times the ``model.grad`` stage and
-    ``micro.grad_us`` under it.
+    `masks` are bool (:func:`sample_dropout_masks`) or pre-scaled
+    (:func:`_scaled`). `encoded`, the :func:`_encode_targets` of these rows,
+    stands in for `y` and `defined` (which are then not read), and `buf`,
+    :class:`_Buffers` of len(x) rows, holds the step's arrays; :func:`train`
+    encodes its labels and allocates its buffers once per call that way. The
+    loss itself is :func:`mt_loss`; the name stays because the benchmark times
+    the ``model.grad`` stage and ``micro.grad_us`` under it.
     """
-    akind, scale = net.config.activation, 1.0 / (1.0 - net.config.dropout)
+    akind, masks = net.config.activation, _scaled(net, masks)
     targets, weights = _encode_targets(net, y, defined) if encoded is None else encoded
-    caches, z = _forward(net, np.asarray(x, dtype=float), masks)
+    x = np.asarray(x, dtype=float)
+    buf, z = _forward(net, x, masks, buf)
     if grad is None:
-        grad = MtShlNetwork(np.zeros_like(net.params), net.tasks, net.config, net.feature_dim)
+        grad = net.like(np.zeros_like(net.params))
     # the logits are activated in place (a regression output is its logit);
     # d(loss)/d(logits) is row-major, so each bias gradient sums its rows in order
-    for task, cs in zip(net.tasks, net.cols):
-        if task.kind != REGRESSION:
-            z[:, cs] = _activate_output(task, z[:, cs]).reshape(len(z), -1)
-    dz = np.subtract(z, targets, out=np.empty(z.shape))
-    dz *= weights
-    d_top = None
-    for (layers, cs), (grads, _), cache in zip(net.groups, grad.groups, caches[1:]):
-        d = _backward(layers, cache, dz[:, cs], grads, akind, scale)
-        d_top = d if d_top is None else d_top + d
-    _backward(net.trunk, caches[0], d_top, grad.trunk, akind, scale)
+    for task, z_task in zip(net.tasks, buf.z_tasks):
+        _activate_output(task, z_task)
+    np.subtract(z, targets, out=buf.dz)
+    buf.dz *= weights
+    n_trunk, outs = len(net.trunk), buf.h if masks is None else buf.a
+    top, j = outs[n_trunk - 1] if n_trunk else x, n_trunk
+    for k, ((layers, _), (grads, _), d) in enumerate(zip(net.groups, grad.groups,
+                                                         buf.dz_groups)):
+        hidden = len(layers) - 1
+        np.matmul((outs[j + hidden - 1] if hidden else top).T, d, out=grads[-1][0])
+        d.sum(axis=0, out=grads[-1][1])
+        if hidden:
+            np.matmul(d, layers[-1][0].T, out=buf.d[j + hidden - 1])
+            d = _hidden_backward(layers[:-1], grads[:-1], top, j, masks, buf, akind)
+        if n_trunk:  # the trunk output's gradient: each group's share, in group order
+            if k == 0:
+                np.matmul(d, layers[0][0].T, out=buf.d[n_trunk - 1])
+            else:
+                buf.d[n_trunk - 1] += np.matmul(d, layers[0][0].T, out=buf.top)
+        j += hidden
+    if n_trunk:  # stops at the first layer's weight gradient: x needs none
+        _hidden_backward(net.trunk, grad.trunk, x, 0, masks, buf, akind)
     grad.params[net.zeros] = 0.0
     return grad.params
 
@@ -533,9 +664,15 @@ def train(net: MtShlNetwork, x: np.ndarray, y: np.ndarray,
 
     out = net.copy()
     # allocated once per call: loss_and_grads and the update write into them
-    grad = MtShlNetwork(np.zeros_like(out.params), out.tasks, cfg, out.feature_dim)
+    grad = out.like(np.zeros_like(out.params))
     velocity, step = np.zeros_like(out.params), np.empty_like(out.params)
-    keep = np.empty(cfg.batch_size * out.units, dtype=bool)  # each step's dropout draw
+    starts = range(0, n, cfg.batch_size)
+    rows = [min(cfg.batch_size, n - start) for start in starts]
+    bufs = {b: _Buffers(out, b) for b in set(rows)}  # the full batch and a ragged last one
+    sizes = [b * out.units for b in rows]  # the units of each minibatch's dropout draw
+    (hi, lo), scale = _threshold(cfg.dropout), 1.0 / (1.0 - cfg.dropout)
+    # an epoch's draw, and a step's mask pre-scaled (keep * scale)
+    keep, scaled = np.empty(sum(map(_padded, sizes)), dtype=bool), np.empty(max(sizes))
     targets, weights = _encode_targets(out, y, defined)
     rng = np.random.default_rng(cfg.seed)
     # overflow is expected while diverging; the per-epoch check below reports it
@@ -544,12 +681,15 @@ def train(net: MtShlNetwork, x: np.ndarray, y: np.ndarray,
             # one gather per epoch; the minibatches are contiguous slices of it
             order = rng.permutation(n)
             xs, ts, ws = x[order], targets[order], weights[order]
-            for start in range(0, n, cfg.batch_size):
-                rows = slice(start, start + cfg.batch_size)
-                masks = sample_dropout_masks(out, len(xs[rows]), rng, keep)
+            # one dropout draw for all of the epoch's minibatches
+            drawn, at = _draw(rng, sizes, hi, lo, keep) if cfg.dropout > 0.0 else (None, starts)
+            for start, b, a, units in zip(starts, rows, at, sizes):
+                batch = slice(start, start + b)
+                masks = None if drawn is None else _layer_masks(
+                    np.multiply(drawn[a:a + units], scale, out=scaled[:units]), 0, b, out.spans)
                 velocity *= cfg.momentum
-                velocity += loss_and_grads(out, xs[rows], None, None, masks, grad=grad,
-                                           encoded=(ts[rows], ws[rows]))
+                velocity += loss_and_grads(out, xs[batch], None, None, masks, grad=grad,
+                                           encoded=(ts[batch], ws[batch]), buf=bufs[b])
                 out.params -= np.multiply(cfg.learning_rate, velocity, out=step)
             if not np.isfinite(out.params).all():
                 raise FloatingPointError(f"epoch {epoch}: non-finite network parameters")

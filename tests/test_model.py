@@ -10,9 +10,9 @@ import pytest
 
 import xdata
 from xdata.dataset import TaskSchema
-from xdata.model import (MtShlNetwork, NetworkConfig, _activate_output, _forward, forward,
-                         init_network, loss_and_grads, mc_predict, mt_loss,
-                         sample_dropout_masks, shannon_entropy, train)
+from xdata.model import (MtShlNetwork, NetworkConfig, _activate_output, _draw, _forward,
+                         _layer_masks, _threshold, forward, init_network, loss_and_grads,
+                         mc_predict, mt_loss, sample_dropout_masks, shannon_entropy, train)
 
 THREE_TASKS = [
     TaskSchema("flag", "binary", ("no", "yes")),
@@ -384,6 +384,42 @@ class TestGradients:
         assert np.array_equal(out, loss_and_grads(net, x, y, mask, masks))
 
 
+def draw_ties(rng, net, rows):
+    """The ties of consecutive :func:`sample_dropout_masks` draws of `rows`
+    rows each, replayed by independent random_raw calls on a copy of `rng`
+    (which is not advanced)."""
+    peek = np.random.Generator(type(rng.bit_generator)())
+    peek.bit_generator.state = rng.bit_generator.state
+    hi = min(round(net.config.dropout * 2**32), 2**32 - 1) >> 16
+    ties = []
+    for b in rows:
+        n = b * net.units
+        words = peek.bit_generator.random_raw((n + 3) // 4).view(np.uint16)[:n]
+        ties.append(int(np.count_nonzero(words == hi)))
+        peek.bit_generator.random_raw((ties[-1] + 3) // 4)  # the draw's tie words
+    return ties
+
+
+def per_step_train(net, x, y, mask):
+    """Reference for train: per epoch a seeded shuffle, then per minibatch of
+    its order one sample_dropout_masks draw, one loss_and_grads call on the
+    raw labels and the heavy-ball update. Returns the trained network and
+    the number of ties its draws met."""
+    cfg = net.config
+    ref, v, ties = net.copy(), np.zeros_like(net.params), 0
+    rng = np.random.default_rng(cfg.seed)
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(x))
+        for start in range(0, len(x), cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            if cfg.dropout:
+                ties += draw_ties(rng, ref, [len(idx)])[0]
+            masks = sample_dropout_masks(ref, len(idx), rng)
+            v = cfg.momentum * v + loss_and_grads(ref, x[idx], y[idx], mask[idx], masks)
+            ref.params[...] = ref.params - cfg.learning_rate * v
+    return ref, ties
+
+
 class TestTrain:
     def test_loss_decreases_on_separable_data(self):
         rng = np.random.default_rng(20)
@@ -444,6 +480,27 @@ class TestTrain:
                 v = momentum * v + loss_and_grads(oracle, x[idx], y[idx], mask[idx], masks)
                 oracle.params[...] = oracle.params - lr * v
         assert np.array_equal(train(net, x, y, mask).params, oracle.params)
+
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize("shared,heads", NET_SHAPES)
+    def test_train_equals_per_step_reference(self, shared, heads, activation, momentum):
+        rng = np.random.default_rng(32)
+        x, y, mask = random_batch(45, rng)  # minibatches of 16, 16 and a ragged 13
+        net = micro_net(seed=33, shared=shared, heads=heads, dropout=0.3, activation=activation,
+                        epochs=3, batch_size=16, learning_rate=0.01, momentum=momentum)
+        ref, _ = per_step_train(net, x, y, mask)
+        # bytes, so that a signed zero differs too
+        assert train(net, x, y, mask).params.tobytes() == ref.params.tobytes()
+
+    def test_train_equals_per_step_reference_through_ties(self):
+        rng = np.random.default_rng(34)
+        x, y, mask = random_batch(1000, rng)  # 160 units a row, about 2.4 ties an epoch
+        net = micro_net(seed=35, shared=(128,), heads={"cat": (32,)}, dropout=0.3, epochs=2,
+                        batch_size=64, learning_rate=0.002)
+        ref, ties = per_step_train(net, x, y, mask)
+        assert ties > 0  # so an epoch's draw holds tie words between its minibatches'
+        assert train(net, x, y, mask).params.tobytes() == ref.params.tobytes()
 
     def test_diverging_training_stops_at_the_epoch(self):
         rng = np.random.default_rng(30)
@@ -587,6 +644,58 @@ class TestDropoutDraw:
             assert mask.dtype == bool and np.array_equal(mask, ref)
             start += batch * width
         assert rng.random() == ref_rng.random()  # nothing else was drawn
+
+
+    def test_epoch_draw_equals_consecutive_draws(self):
+        net = micro_net(shared=(64, 32), heads={"cat": (16,)}, dropout=0.3)  # 112 units a row
+        rows = [150, 151, 149, 120]
+
+        def ties_in_middle_and_last(seed):
+            ties = draw_ties(np.random.default_rng(seed), net, rows)
+            return any(ties[1:-1]) and ties[-1] > 0
+
+        # a tie in a middle draw moves the later draws past the words of the one
+        # call, and one in the last draw takes tie words beyond them: both extend it
+        seed = next(s for s in range(1000) if ties_in_middle_and_last(s))
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        keep, starts = _draw(rng, [b * net.units for b in rows], *_threshold(0.3))
+        for b, start in zip(rows, starts):
+            ref = sample_dropout_masks(net, b, ref_rng)
+            masks = _layer_masks(keep, start, b, net.spans)
+            assert len(masks) == len(ref) == 3
+            for mask, ref_mask in zip(masks, ref):
+                assert mask.dtype == bool and np.array_equal(mask, ref_mask)
+        assert rng.random() == ref_rng.random()  # nothing else was drawn
+
+
+    def test_epoch_draw_extends_past_a_tie_in_drawn_on_words(self):
+        # a scripted 16-bit stream: three draws of 2 rows x 3 units (8 words
+        # each with padding); `T` is a tie (hi), `K` kept (> hi, and >= lo as a
+        # tie word), `D` dropped (< hi, and < lo as a tie word)
+        T, K, D = (np.uint16(v) for v in (19660, 65535, 0))  # hi, lo = 19660, 52429 at p = 0.3
+        assert _threshold(0.3) == (T, 52429)
+        stream = [T, K, D, K, D, K, D, D,  # draw 0; its tie word follows
+                  K, D, D, D,
+                  D, K, D, K, D, K, T, D,  # draw 1; a tie in its padding is none
+                  K, D, K, D,  # the one call ends here, draw 2 runs on ...
+                  D, T, D, D,  # ... into words drawn on demand, with a tie
+                  K, D, D, D,  # draw 2's tie word, drawn on demand too
+                  D, D, D, D]  # never drawn
+
+        class Scripted:  # random_raw hands out the stream 4 words at a time
+            pos = 0
+
+            def random_raw(self, n):
+                self.pos += 4 * n
+                return np.array(stream[self.pos - 4 * n:self.pos], np.uint16).view(np.uint64)
+
+        rng = type("Rng", (), {"bit_generator": Scripted()})()
+        keep, starts = _draw(rng, [6, 6, 6], *_threshold(0.3))
+        assert starts == [0, 12, 20]
+        kept = [[1, 1, 0, 1, 0, 1], [0, 1, 0, 1, 0, 1], [1, 0, 1, 0, 0, 1]]
+        for start, ref in zip(starts, kept):
+            assert keep[start:start + 6].tolist() == [bool(k) for k in ref]
+        assert rng.bit_generator.pos == 32  # not the last four words
 
 
 def training_outputs(net, x, masks):
