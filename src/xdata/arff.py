@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import IO, Iterable, Optional, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
@@ -278,16 +278,15 @@ def _parse_data(lines: list[str], first_lineno: int,
     return [_column(a, cells[j::n], linenos) for j, a in enumerate(attributes)]
 
 
-def parse_arff(source: Union[str, IO[str], Iterable[str]]) -> ArffRelation:
-    """Parse an ARFF document into an :class:`ArffRelation`.
+def parse_arff(text: str) -> ArffRelation:
+    """Parse the ARFF document `text` into an :class:`ArffRelation`.
 
-    `source` may be a string, an open text file, or an iterable of lines.
+    Pass a file's decoded bytes with their line ends as they are: a text-mode
+    read turns a lone ``\\r`` into a line break, which hides its error.
     Raises :class:`ArffError` with a line number on any malformed input.
     """
-    if hasattr(source, "read"):
-        source = source.read()
     # every line is stripped before use, which drops the \r of a \r\n ending
-    lines = source.split("\n") if isinstance(source, str) else list(source)
+    lines = text.split("\n")
     for lineno, line in enumerate(lines, start=1):
         if "\r" in line and _LONE_CR.search(line):
             raise ArffError("\\r not followed by \\n (only \\n and \\r\\n end a line)", lineno)

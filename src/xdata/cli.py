@@ -58,6 +58,8 @@ class RunConfig:
                 raise ValueError(f"dataset.{i}.num_targets must be >= 0")
         if self.drop_fraction is not None and not 0.0 <= self.drop_fraction <= 1.0:
             raise ValueError("drop.fraction must be in [0, 1]")
+        if self.drop_seed < 0:
+            raise ValueError("drop.seed must be >= 0")
         self.cdlc.validate()
 
     def to_config_text(self) -> str:
@@ -499,7 +501,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             config.cdlc.network.seed = args.seed
         if args.out_dir is not None:
             config.output_dir = args.out_dir
-    except ConfigError as exc:
+        config.validate()  # the overrides too
+    except ValueError as exc:  # a ConfigError, or a range check of validate()
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
 

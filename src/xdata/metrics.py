@@ -116,10 +116,11 @@ def evaluate(net: MtShlNetwork, eval_set: MultiTargetDataset,
                              cc=cc)
         else:
             y_true = y_true.astype(int)
-            k = task.num_classes
-            recalls = per_class_recalls(y_true, y_pred, k)
+            recalls = per_class_recalls(y_true, y_pred, task.num_classes)
             named = {task.classes[c]: r for c, r in recalls.items()}
-            tm = TaskMetrics(task.kind, n, uar=uar(y_true, y_pred, k), recalls=named)
+            # uar() of these labels, from the recalls at hand
+            tm = TaskMetrics(task.kind, n, uar=float(np.mean(list(recalls.values()))),
+                             recalls=named)
         tm.true, tm.predicted = y_true, y_pred
         report.tasks[task.name] = tm
     return report

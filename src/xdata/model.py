@@ -23,9 +23,9 @@ operation. Initial weights are drawn per layer in the order trunk, then each
 head's layers in task order, whatever the layout.
 
 Dropout is inverted, applied to hidden units of trunk and heads, never to
-inputs or outputs. One draw covers every hidden unit of a batch of B rows: the
-U hidden units (trunk layers, then each group's hidden layers;
-``MtShlNetwork.spans``) take B*U 16-bit words from one
+inputs or outputs. One draw (:func:`_draw`) covers every hidden unit of a
+batch of B rows: the U hidden units (trunk layers, then each group's hidden
+layers; ``MtShlNetwork.spans``) take B*U 16-bit words from one
 ``rng.bit_generator.random_raw(ceil(B*U/4))`` call, viewed as uint16 (native
 byte order), layer-major: layer j's bool keep mask is the next B*W_j words,
 reshaped (B, W_j); a group's layer is as wide as its heads' layers together.
@@ -35,15 +35,15 @@ word equals hi (a tie, about 1 in 65536) takes one more 16-bit word, all ties
 of the draw from one further random_raw call in flat layer-major order (none
 without a tie), and is kept iff that word is >= lo. So a unit is kept iff its
 32-bit (word, tie word) is >= t, and P(keep) = 1 - t/2**32 exactly, within
-2**-33 of 1 - p; the clamp stops a p just below 1 from wrapping t to 0, which
-would keep every unit. p = 0 draws nothing. Consecutive draws can share one
-random_raw call that takes the same words as a call per draw (each draw's
-words, then its tie words, extended on demand; :func:`_draw`): training draws
-once per epoch for all of its minibatches, prediction once per pass. Prediction
-applies its bool mask as (h * keep) * scale with scale = 1/(1-p); training
-pre-scales each step's mask once to keep * scale, so that its forward and
-backward each take one float multiply, h * (keep * scale), which is equal as
-both factors are exact. Prediction's first trunk layer is the one
+2**-33 of 1 - p, independently of every other unit; the clamp stops a p just
+below 1 from wrapping t to 0, which would keep every unit. p = 0 draws
+nothing. Prediction makes one draw per pass. Training makes one draw of the
+N*U units of an epoch's N rows after its shuffle, and the minibatch of rows
+s..s+B of that order takes the units s*U..(s+B)*U as its own draw of B rows.
+Prediction applies its bool mask as (h * keep) * scale with scale = 1/(1-p);
+training pre-scales each step's mask once to keep * scale, so that its forward
+and backward each take one float multiply, h * (keep * scale), which is equal
+as both factors are exact. Prediction's first trunk layer is the one
 exception (below). Uncertainty is estimated by repeated stochastic
 forward passes: classification confidence is the negated Shannon entropy of
 the mean output distribution, regression confidence the negated sample
@@ -57,11 +57,12 @@ passes draw masks, scales it once: each pass then masks it with one
 multiply, as (h * scale) * keep equals (h * keep) * scale for keep in {0, 1},
 signed zeros included. It makes each pass's draw into one reused bool buffer,
 works in place in per-layer buffers and writes into one preallocated
-(passes, B) or (passes, B, K) array per task. Training and prediction both write the (B, sum K) logits column-major,
-so that a task's softmax reduces over contiguous columns and both sum a row
-in the same order. Apart from that reordered mask, its float operations are
-those of the training forward, so its outputs are byte-identical to stacking
-per-pass training outputs (the tests' reference).
+(passes, B) or (passes, B, K) array per task. Training and prediction both
+write the (B, sum K) logits column-major, so that a task's softmax reduces
+over contiguous columns and both sum a row in the same order. Apart from that
+reordered mask, its float operations are those of the training forward, so
+its outputs are byte-identical to stacking per-pass training outputs (the
+tests' reference).
 
 All computation is float64 numpy, the output activations included (the
 max-shifted softmax and log-softmax and the sigmoid below); training is plain
@@ -123,6 +124,8 @@ class NetworkConfig:
             raise ValueError("net.mc_passes must be >= 1")
         if self.dropout > 0 and self.mc_passes < 2:
             raise ValueError("net.mc_passes must be >= 2 when net.dropout > 0")
+        if self.seed < 0:
+            raise ValueError("net.seed must be >= 0")
 
 
 Layer = tuple[np.ndarray, np.ndarray]  # (weights in_dim x out_dim, bias out_dim)
@@ -280,73 +283,27 @@ def _words(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.bit_generator.random_raw(-(-n // 4)).view(np.uint16)[:n]
 
 
-def _padded(n: int) -> int:
-    """The 16-bit words in the 64-bit words that a draw of n units takes."""
-    return 4 * -(-n // 4)
-
-
 def _threshold(p: float) -> tuple[np.uint16, np.uint16]:
     """(hi, lo) of the dropout threshold t = min(round(p * 2**32), 2**32 - 1)."""
     return tuple(map(np.uint16, divmod(min(round(p * 2**32), 2**32 - 1), 2**16)))
 
 
-def _draw(rng: np.random.Generator, sizes, hi, lo, keep=None) -> tuple[np.ndarray, list]:
-    """Consecutive dropout draws (module docstring) of sizes[0], sizes[1], ...
-    units from one random_raw call, taking the words that one call per draw
-    would: each draw's ceil(n/4) 64-bit words, then, if it has ties, ceil(ties/4)
-    words for its tie words. The call covers the draws without their tie words
-    and is extended on demand, never past the last draw's tie words.
-
-    Returns (keep, starts): the bool keep mask of draw i is
-    keep[starts[i]:starts[i] + sizes[i]]. `keep`, a bool buffer of at least
-    sum(_padded(n)) entries, holds it instead of a fresh array (unless
-    earlier draws' tie words move the last ones past its end).
-    """
-    words = _words(rng, sum(map(_padded, sizes)))
-    scan = np.empty(words.size, dtype=bool) if keep is None else keep[:words.size]
-    ties = np.flatnonzero(np.equal(words, hi, out=scan)).tolist()
-    starts = list(accumulate(map(_padded, sizes[:-1]), initial=0))
-    extra, at, tie_words = words[:0], [], []  # words drawn past the call's; tie fix-ups
-
-    def read(a, b):  # words a..b of the draws' stream
-        return np.concatenate((words[a:b], extra[max(a - words.size, 0):max(b - words.size, 0)]))
-
-    def cover(end):  # extend the stream to `end` words, finding their ties
-        nonlocal extra
-        if end > words.size + extra.size:
-            more = _words(rng, end - words.size - extra.size)
-            ties.extend((words.size + extra.size + np.flatnonzero(more == hi)).tolist())
-            extra = np.concatenate((extra, more))
-
-    if ties:  # walk the draws: a draw's tie words move the later draws on
-        starts, pos, k = [], 0, 0
-        for n in sizes:
-            cover(pos + _padded(n))
-            while k < len(ties) and ties[k] < pos:  # in padding or tie words
-                k += 1
-            j = k
-            while j < len(ties) and ties[j] < pos + n:
-                j += 1
-            starts.append(pos)
-            pos += _padded(n)
-            if j > k:
-                cover(pos + _padded(j - k))
-                at += ties[k:j]
-                tie_words.append(read(pos, pos + j - k))
-                pos, k = pos + _padded(j - k), j
-    end, keep = starts[-1] + sizes[-1], scan
-    if end > words.size:  # tie words moved the last draws past the call's words
-        keep = np.empty(end, dtype=bool)
-        np.greater(read(words.size, end), hi, out=keep[words.size:])
-    np.greater(words, hi, out=keep[:words.size])
-    if at:  # else every tie lay in padding or in tie words
-        keep[at] = np.concatenate(tie_words) >= lo
-    return keep, starts
+def _draw(rng: np.random.Generator, n: int, hi, lo, keep=None) -> np.ndarray:
+    """One dropout draw (module docstring) of n units into the bool buffer
+    keep[:n] (a fresh array if `keep` is None), which it returns: unit i is
+    kept iff (word i, its tie word) >= (hi, lo)."""
+    words = _words(rng, n)
+    keep = np.empty(n, dtype=bool) if keep is None else keep[:n]
+    ties = np.flatnonzero(np.equal(words, hi, out=keep))
+    np.greater(words, hi, out=keep)
+    if ties.size:
+        keep[ties] = _words(rng, ties.size) >= lo
+    return keep
 
 
-def _layer_masks(keep: np.ndarray, start: int, rows: int, spans) -> list[np.ndarray]:
-    """Each hidden layer's (rows, W) view of the draw at keep[start:]."""
-    return [keep[start + rows * a:start + rows * b].reshape(rows, b - a) for a, b in spans]
+def _layer_masks(keep: np.ndarray, rows: int, spans) -> list[np.ndarray]:
+    """Each hidden layer's (rows, W) view of the draw `keep`, layer-major."""
+    return [keep[rows * a:rows * b].reshape(rows, b - a) for a, b in spans]
 
 
 def sample_dropout_masks(net: MtShlNetwork, batch: int,
@@ -355,8 +312,8 @@ def sample_dropout_masks(net: MtShlNetwork, batch: int,
     hidden layer (trunk layers, then each group's), or None if p = 0."""
     if net.config.dropout == 0.0:
         return None
-    keep, _ = _draw(rng, [batch * net.units], *_threshold(net.config.dropout))
-    return _layer_masks(keep, 0, batch, net.spans)
+    keep = _draw(rng, batch * net.units, *_threshold(net.config.dropout))
+    return _layer_masks(keep, batch, net.spans)
 
 
 def _scaled(net: MtShlNetwork, masks: Optional[list]) -> Optional[list]:
@@ -476,7 +433,7 @@ def _predict_passes(net: MtShlNetwork, x: np.ndarray, rng: Optional[np.random.Ge
     """
     p = net.config.dropout
     akind, rows, scale = net.config.activation, x.shape[0], 1.0 / (1.0 - p)
-    keep = np.empty(_padded(rows * net.units), dtype=bool) if rng is not None and p > 0.0 else None
+    keep = np.empty(rows * net.units, dtype=bool) if rng is not None and p > 0.0 else None
     hi, lo = _threshold(p)
 
     def hidden(a, layers, bufs, kept):
@@ -500,7 +457,7 @@ def _predict_passes(net: MtShlNetwork, x: np.ndarray, rng: Optional[np.random.Ge
             if t.kind == "multiclass" else np.empty((passes, rows)) for t in net.tasks]
     for t in range(passes):
         kept = iter(() if keep is None else _layer_masks(
-            _draw(rng, [rows * net.units], hi, lo, keep)[0], 0, rows, net.spans))
+            _draw(rng, keep.size, hi, lo, keep), rows, net.spans))
         top = np.multiply(first, next(kept), out=trunk_bufs[0]) if masked else first
         top = hidden(top, net.trunk[1:], trunk_bufs[1:], kept)
         for (layers, cs), bufs in zip(net.groups, group_bufs):
@@ -669,10 +626,9 @@ def train(net: MtShlNetwork, x: np.ndarray, y: np.ndarray,
     starts = range(0, n, cfg.batch_size)
     rows = [min(cfg.batch_size, n - start) for start in starts]
     bufs = {b: _Buffers(out, b) for b in set(rows)}  # the full batch and a ragged last one
-    sizes = [b * out.units for b in rows]  # the units of each minibatch's dropout draw
-    (hi, lo), scale = _threshold(cfg.dropout), 1.0 / (1.0 - cfg.dropout)
+    units, (hi, lo), scale = out.units, _threshold(cfg.dropout), 1.0 / (1.0 - cfg.dropout)
     # an epoch's draw, and a step's mask pre-scaled (keep * scale)
-    keep, scaled = np.empty(sum(map(_padded, sizes)), dtype=bool), np.empty(max(sizes))
+    keep, scaled = np.empty(n * units, dtype=bool), np.empty(rows[0] * units)
     targets, weights = _encode_targets(out, y, defined)
     rng = np.random.default_rng(cfg.seed)
     # overflow is expected while diverging; the per-epoch check below reports it
@@ -681,12 +637,13 @@ def train(net: MtShlNetwork, x: np.ndarray, y: np.ndarray,
             # one gather per epoch; the minibatches are contiguous slices of it
             order = rng.permutation(n)
             xs, ts, ws = x[order], targets[order], weights[order]
-            # one dropout draw for all of the epoch's minibatches
-            drawn, at = _draw(rng, sizes, hi, lo, keep) if cfg.dropout > 0.0 else (None, starts)
-            for start, b, a, units in zip(starts, rows, at, sizes):
+            if cfg.dropout > 0.0:  # one draw for the epoch; a minibatch takes its rows' units
+                _draw(rng, n * units, hi, lo, keep)
+            for start, b in zip(starts, rows):
                 batch = slice(start, start + b)
-                masks = None if drawn is None else _layer_masks(
-                    np.multiply(drawn[a:a + units], scale, out=scaled[:units]), 0, b, out.spans)
+                masks = None if cfg.dropout == 0.0 else _layer_masks(np.multiply(
+                    keep[start * units:(start + b) * units], scale, out=scaled[:b * units]),
+                    b, out.spans)
                 velocity *= cfg.momentum
                 velocity += loss_and_grads(out, xs[batch], None, None, masks, grad=grad,
                                            encoded=(ts[batch], ws[batch]), buf=bufs[b])

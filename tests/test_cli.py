@@ -211,6 +211,31 @@ class TestMain:
         assert capsys.readouterr().err == f"configuration error: {message}\n"
         assert not out.exists()
 
+    # a negative seed would reach np.random.default_rng and fail at run time
+    @pytest.mark.parametrize("edit,flags,message", [
+        (("drop.seed = 3", "drop.seed = -1"), (), "drop.seed must be >= 0"),
+        (("net.seed = 1", "net.seed = -3"), (), "net.seed must be >= 0"),
+        (None, ("--seed", "-5"), "net.seed must be >= 0"),
+    ])
+    def test_negative_seed_exits_1_naming_the_key(self, tmp_path, capsys, edit, flags,
+                                                  message):
+        out = tmp_path / "out"
+        cfg = small_config(tmp_path, out)
+        if edit is not None:
+            cfg.write_text(cfg.read_text().replace(*edit), encoding="utf-8")
+        assert main(["--config", str(cfg), "--quiet", *flags]) == 1
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not out.exists()
+
+    def test_seed_zero_runs(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = small_config(tmp_path, out, seed=5)
+        cfg.write_text(cfg.read_text().replace("drop.seed = 3", "drop.seed = 0"),
+                       encoding="utf-8")
+        assert main(["--config", str(cfg), "--quiet", "--seed", "0"]) == 0
+        report = (out / "report.txt").read_text()
+        assert "drop.seed = 0" in report and "net.seed = 0" in report
+
     def test_arff_error_names_the_file_among_several(self, tmp_path, capsys):
         cfg = small_config(tmp_path, tmp_path / "out")
         bad = tmp_path / "file3.arff"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xdata.metrics import pearson_cc, uar
+from xdata.metrics import pearson_cc, per_class_recalls, uar
 
 
 def brute_force_uar(t, p, k):
@@ -149,6 +149,18 @@ class TestEvaluate:
         ev.labels[:, 0] = preds[0].decoded  # truth := predictions
         report = evaluate(net, ev)
         assert report.tasks["cls"].uar == 1.0
+
+    def test_uar_is_uar_of_the_true_and_predicted_labels(self):
+        from xdata.metrics import evaluate
+        tasks, net = self._setup()
+        ev = self._eval_set(tasks, n=200, seed=3)
+        ev.defined[::3, 0] = False
+        tm = evaluate(net, ev).tasks["cls"]
+        assert tm.n == int(ev.defined[:, 0].sum())
+        assert 0.0 < tm.uar < 1.0
+        assert tm.uar == uar(tm.true, tm.predicted, 4)
+        assert tm.recalls == {tasks[0].classes[c]: r for c, r
+                              in per_class_recalls(tm.true, tm.predicted, 4).items()}
 
     def test_schema_mismatch_errors(self):
         from xdata.dataset import TaskSchema

@@ -10,9 +10,9 @@ import pytest
 
 import xdata
 from xdata.dataset import TaskSchema
-from xdata.model import (MtShlNetwork, NetworkConfig, _activate_output, _draw, _forward,
-                         _layer_masks, _threshold, forward, init_network, loss_and_grads,
-                         mc_predict, mt_loss, sample_dropout_masks, shannon_entropy, train)
+from xdata.model import (MtShlNetwork, NetworkConfig, _activate_output, _forward, forward,
+                         init_network, loss_and_grads, mc_predict, mt_loss,
+                         sample_dropout_masks, shannon_entropy, train)
 
 THREE_TASKS = [
     TaskSchema("flag", "binary", ("no", "yes")),
@@ -22,9 +22,11 @@ THREE_TASKS = [
 
 
 # every task kind (THREE_TASKS), with and without head hidden layers; the
-# last two hold groups of equal-depth heads, so block-diagonal layers
+# second has an odd number of hidden units (7), the last two hold groups of
+# equal-depth heads, so block-diagonal layers
 NET_SHAPES = [
     ((), {}),
+    ((5,), {"cat": (2,)}),
     ((6,), {"flag": (3,), "value": (5, 2)}),
     ((6, 4), {}),
     ((6, 4), {"flag": (3,), "cat": (4,), "value": (5, 2)}),
@@ -384,38 +386,58 @@ class TestGradients:
         assert np.array_equal(out, loss_and_grads(net, x, y, mask, masks))
 
 
-def draw_ties(rng, net, rows):
-    """The ties of consecutive :func:`sample_dropout_masks` draws of `rows`
-    rows each, replayed by independent random_raw calls on a copy of `rng`
-    (which is not advanced)."""
-    peek = np.random.Generator(type(rng.bit_generator)())
-    peek.bit_generator.state = rng.bit_generator.state
-    hi = min(round(net.config.dropout * 2**32), 2**32 - 1) >> 16
-    ties = []
-    for b in rows:
-        n = b * net.units
-        words = peek.bit_generator.random_raw((n + 3) // 4).view(np.uint16)[:n]
-        ties.append(int(np.count_nonzero(words == hi)))
-        peek.bit_generator.random_raw((ties[-1] + 3) // 4)  # the draw's tie words
-    return ties
+def raw_draw(rng, n, p):
+    """Reference for one dropout draw of n units, from random_raw directly:
+    the words from one call of ceil(n/4) 64-bit words, a tie's second word
+    (one each in flat order) from one more call, none without a tie, and a
+    unit kept iff its 32-bit (word, tie word) is >= the threshold. Returns the
+    flat bool keep mask and the positions of the ties."""
+    words = rng.bit_generator.random_raw((n + 3) // 4).view(np.uint16)[:n]
+    threshold = min(round(p * 2**32), 2**32 - 1)
+    ties = np.flatnonzero(words == threshold >> 16)
+    low = np.zeros(n, dtype=np.int64)
+    if ties.size:
+        low[ties] = rng.bit_generator.random_raw((ties.size + 3) // 4).view(
+            np.uint16)[:ties.size]
+    return words.astype(np.int64) * 2**16 + low >= threshold, ties
+
+
+def layer_major(kept, rows, widths):
+    """The (rows, W) mask of each hidden layer, in turn from the flat `kept`."""
+    ends = np.cumsum([0, *widths]) * rows
+    return [kept[a:b].reshape(rows, w) for a, b, w in zip(ends, ends[1:], widths)]
+
+
+def epoch_masks(rng, net, n):
+    """Reference for the dropout masks of one epoch of train on n rows: one
+    :func:`raw_draw` of every row's units, the minibatch at rows s..s+b of the
+    epoch's order taking the U units of each of its rows, s*U..(s+b)*U, layer
+    by layer. Returns each minibatch's masks and the minibatch of each tie."""
+    widths = [w.shape[1] for w, _ in net.trunk]
+    widths += [w.shape[1] for layers, _ in net.groups for w, _ in layers[:-1]]
+    units, size = sum(widths), net.config.batch_size
+    kept, ties = raw_draw(rng, n * units, net.config.dropout)
+    masks = [layer_major(kept[s * units:(s + b) * units], b, widths)
+             for s, b in ((s, min(size, n - s)) for s in range(0, n, size))]
+    return masks, (ties // (size * units)).tolist()
 
 
 def per_step_train(net, x, y, mask):
-    """Reference for train: per epoch a seeded shuffle, then per minibatch of
-    its order one sample_dropout_masks draw, one loss_and_grads call on the
-    raw labels and the heavy-ball update. Returns the trained network and
-    the number of ties its draws met."""
+    """Reference for train: per epoch a seeded shuffle and, with dropout, its
+    :func:`epoch_masks`, then per minibatch of its order one loss_and_grads
+    call on the raw labels under its masks and the heavy-ball update. Returns
+    the trained network and the minibatch index of every tie its draws met."""
     cfg = net.config
-    ref, v, ties = net.copy(), np.zeros_like(net.params), 0
+    ref, v, ties = net.copy(), np.zeros_like(net.params), []
     rng = np.random.default_rng(cfg.seed)
     for _ in range(cfg.epochs):
         order = rng.permutation(len(x))
-        for start in range(0, len(x), cfg.batch_size):
+        masks, at = epoch_masks(rng, ref, len(x)) if cfg.dropout else (None, [])
+        ties += at
+        for i, start in enumerate(range(0, len(x), cfg.batch_size)):
             idx = order[start:start + cfg.batch_size]
-            if cfg.dropout:
-                ties += draw_ties(rng, ref, [len(idx)])[0]
-            masks = sample_dropout_masks(ref, len(idx), rng)
-            v = cfg.momentum * v + loss_and_grads(ref, x[idx], y[idx], mask[idx], masks)
+            step = None if masks is None else masks[i]
+            v = cfg.momentum * v + loss_and_grads(ref, x[idx], y[idx], mask[idx], step)
             ref.params[...] = ref.params - cfg.learning_rate * v
     return ref, ties
 
@@ -469,26 +491,28 @@ class TestTrain:
         net = micro_net(seed=29, epochs=3, dropout=dropout, batch_size=batch,
                         learning_rate=lr, momentum=momentum)
         # per epoch a seeded shuffle, then minibatches of 8, 8 and 4 rows in its
-        # order, each drawing its dropout masks after the shuffle
+        # order, each under its share of the epoch's dropout draw
         oracle, v = net.copy(), np.zeros_like(net.params)
         step_rng = np.random.default_rng(net.config.seed)
         for _ in range(3):
             order = step_rng.permutation(len(x))
-            for start in range(0, len(x), batch):
+            masks = epoch_masks(step_rng, oracle, len(x))[0] if dropout else [None] * 3
+            for start, step in zip(range(0, len(x), batch), masks):
                 idx = order[start:start + batch]
-                masks = sample_dropout_masks(oracle, len(idx), step_rng)
-                v = momentum * v + loss_and_grads(oracle, x[idx], y[idx], mask[idx], masks)
+                v = momentum * v + loss_and_grads(oracle, x[idx], y[idx], mask[idx], step)
                 oracle.params[...] = oracle.params - lr * v
-        assert np.array_equal(train(net, x, y, mask).params, oracle.params)
+        assert train(net, x, y, mask).params.tobytes() == oracle.params.tobytes()
 
     @pytest.mark.parametrize("momentum", [0.0, 0.9])
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
     @pytest.mark.parametrize("shared,heads", NET_SHAPES)
     def test_train_equals_per_step_reference(self, shared, heads, activation, momentum):
         rng = np.random.default_rng(32)
-        x, y, mask = random_batch(45, rng)  # minibatches of 16, 16 and a ragged 13
+        # minibatches of 13, 13, 13 and a ragged 6: with an odd number of units
+        # a row, a minibatch's share of the epoch's draw starts mid 64-bit word
+        x, y, mask = random_batch(45, rng)
         net = micro_net(seed=33, shared=shared, heads=heads, dropout=0.3, activation=activation,
-                        epochs=3, batch_size=16, learning_rate=0.01, momentum=momentum)
+                        epochs=3, batch_size=13, learning_rate=0.01, momentum=momentum)
         ref, _ = per_step_train(net, x, y, mask)
         # bytes, so that a signed zero differs too
         assert train(net, x, y, mask).params.tobytes() == ref.params.tobytes()
@@ -499,7 +523,21 @@ class TestTrain:
         net = micro_net(seed=35, shared=(128,), heads={"cat": (32,)}, dropout=0.3, epochs=2,
                         batch_size=64, learning_rate=0.002)
         ref, ties = per_step_train(net, x, y, mask)
-        assert ties > 0  # so an epoch's draw holds tie words between its minibatches'
+        assert ties
+        assert train(net, x, y, mask).params.tobytes() == ref.params.tobytes()
+
+    def test_train_equals_per_step_reference_with_a_tie_in_the_last_minibatch(self):
+        rng = np.random.default_rng(38)
+        x, y, mask = random_batch(1000, rng)  # 16 minibatches, the last of 40 rows
+        # the first seed whose draws put a tie among the last minibatch's units;
+        # its tie word comes after all of the epoch's words
+        for seed in range(100):
+            net = micro_net(seed=seed, shared=(128,), heads={"cat": (32,)}, dropout=0.3,
+                            epochs=2, batch_size=64, learning_rate=0.002)
+            ref, ties = per_step_train(net, x, y, mask)
+            if 15 in ties:
+                break
+        assert 15 in ties
         assert train(net, x, y, mask).params.tobytes() == ref.params.tobytes()
 
     def test_diverging_training_stops_at_the_epoch(self):
@@ -625,77 +663,13 @@ class TestDropoutDraw:
         for d in sorted({len(head) for head in hidden}):
             members = [head for head in hidden if len(head) == d]
             widths += [sum(head[i] for head in members) for i in range(d)]
-        n = batch * sum(widths)
-        words = ref_rng.bit_generator.random_raw((n + 3) // 4).view(np.uint16)[:n]
-        threshold = min(round(p * 2**32), 2**32 - 1)
-        ties = np.flatnonzero(words == threshold >> 16)
-        # a tie's second word, one each in flat order, from one more call
-        low = np.zeros(n, dtype=np.int64)
-        if ties.size:
-            low[ties] = ref_rng.bit_generator.random_raw((ties.size + 3) // 4).view(
-                np.uint16)[:ties.size]
-        kept = words.astype(np.int64) * 2**16 + low >= threshold  # the 32-bit rule
-        if n >= 2**20:  # both outcomes of a tie occur
+        kept, ties = raw_draw(ref_rng, batch * sum(widths), p)
+        if batch >= 1024:  # both outcomes of a tie occur
             assert 0 < np.count_nonzero(kept[ties]) < ties.size
         assert len(masks) == len(widths)
-        start = 0
-        for width, mask in zip(widths, masks):
-            ref = kept[start:start + batch * width].reshape(batch, width)
+        for mask, ref in zip(masks, layer_major(kept, batch, widths)):
             assert mask.dtype == bool and np.array_equal(mask, ref)
-            start += batch * width
         assert rng.random() == ref_rng.random()  # nothing else was drawn
-
-
-    def test_epoch_draw_equals_consecutive_draws(self):
-        net = micro_net(shared=(64, 32), heads={"cat": (16,)}, dropout=0.3)  # 112 units a row
-        rows = [150, 151, 149, 120]
-
-        def ties_in_middle_and_last(seed):
-            ties = draw_ties(np.random.default_rng(seed), net, rows)
-            return any(ties[1:-1]) and ties[-1] > 0
-
-        # a tie in a middle draw moves the later draws past the words of the one
-        # call, and one in the last draw takes tie words beyond them: both extend it
-        seed = next(s for s in range(1000) if ties_in_middle_and_last(s))
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        keep, starts = _draw(rng, [b * net.units for b in rows], *_threshold(0.3))
-        for b, start in zip(rows, starts):
-            ref = sample_dropout_masks(net, b, ref_rng)
-            masks = _layer_masks(keep, start, b, net.spans)
-            assert len(masks) == len(ref) == 3
-            for mask, ref_mask in zip(masks, ref):
-                assert mask.dtype == bool and np.array_equal(mask, ref_mask)
-        assert rng.random() == ref_rng.random()  # nothing else was drawn
-
-
-    def test_epoch_draw_extends_past_a_tie_in_drawn_on_words(self):
-        # a scripted 16-bit stream: three draws of 2 rows x 3 units (8 words
-        # each with padding); `T` is a tie (hi), `K` kept (> hi, and >= lo as a
-        # tie word), `D` dropped (< hi, and < lo as a tie word)
-        T, K, D = (np.uint16(v) for v in (19660, 65535, 0))  # hi, lo = 19660, 52429 at p = 0.3
-        assert _threshold(0.3) == (T, 52429)
-        stream = [T, K, D, K, D, K, D, D,  # draw 0; its tie word follows
-                  K, D, D, D,
-                  D, K, D, K, D, K, T, D,  # draw 1; a tie in its padding is none
-                  K, D, K, D,  # the one call ends here, draw 2 runs on ...
-                  D, T, D, D,  # ... into words drawn on demand, with a tie
-                  K, D, D, D,  # draw 2's tie word, drawn on demand too
-                  D, D, D, D]  # never drawn
-
-        class Scripted:  # random_raw hands out the stream 4 words at a time
-            pos = 0
-
-            def random_raw(self, n):
-                self.pos += 4 * n
-                return np.array(stream[self.pos - 4 * n:self.pos], np.uint16).view(np.uint64)
-
-        rng = type("Rng", (), {"bit_generator": Scripted()})()
-        keep, starts = _draw(rng, [6, 6, 6], *_threshold(0.3))
-        assert starts == [0, 12, 20]
-        kept = [[1, 1, 0, 1, 0, 1], [0, 1, 0, 1, 0, 1], [1, 0, 1, 0, 0, 1]]
-        for start, ref in zip(starts, kept):
-            assert keep[start:start + 6].tolist() == [bool(k) for k in ref]
-        assert rng.bit_generator.pos == 32  # not the last four words
 
 
 def training_outputs(net, x, masks):
