@@ -29,6 +29,7 @@ from .arff import ArffError, format_header, format_rows, parse_arff
 from .dataset import (REGRESSION, DatasetError, MultiTargetDataset, assemble,
                       assemble_eval, drop_labels, standardize, to_relation)
 from .metrics import MetricReport, evaluate, pseudo_label_accuracy
+from .model import one_blas_thread, usable_cpus
 from .trainer import (CdlcConfig, CdlcResult, apply_assignments, run_cdlc,
                       write_assignments_csv, write_iterations_csv)
 
@@ -141,8 +142,9 @@ _COMMENT_RE = re.compile(r"(?:^|\s)#")
 _DATASET_RE = re.compile(r"^dataset\.(\d+)\.(file|num_targets)$")
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and fully validate a run configuration."""
+def parse_config(text: str, overrides: Optional[dict[str, str]] = None) -> RunConfig:
+    """Parse and fully validate a run configuration, each key of `overrides`
+    taking its value there instead of the text's."""
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _COMMENT_RE.split(raw, 1)[0].strip()
@@ -154,6 +156,7 @@ def parse_config(text: str) -> RunConfig:
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         values[key] = value
+    values.update(overrides or {})
 
     config = RunConfig()
     keys = {k.key: k for k in _keys(config)}
@@ -234,8 +237,7 @@ def _read_relation(path: str):
 def _can_fork() -> bool:
     """A forked child can run beside this process: fork exists and a second
     CPU is usable."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return hasattr(os, "fork") and (cpus or 1) >= 2
+    return hasattr(os, "fork") and usable_cpus() >= 2
 
 
 @contextmanager
@@ -418,6 +420,9 @@ def _report_lines(config: RunConfig, result: CdlcResult, final_metrics,
     return lines
 
 
+# BLAS held at one thread for the whole run: a second BLAS thread spins on the
+# second CPU between GEMMs, where the MC passes run their second worker
+@one_blas_thread()
 def run(config: RunConfig, quiet: bool = False) -> None:
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -496,13 +501,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         path = Path(args.config)
         if not path.is_file():
             raise ConfigError(f"config file not found: {args.config}")
-        config = parse_config(_utf8_text(args.config, path.read_bytes(), ConfigError))
-        if args.seed is not None:
-            config.cdlc.network.seed = args.seed
-        if args.out_dir is not None:
-            config.output_dir = args.out_dir
-        config.validate()  # the overrides too
-    except ValueError as exc:  # a ConfigError, or a range check of validate()
+        flags = {"net.seed": args.seed, "output.dir": args.out_dir}
+        config = parse_config(_utf8_text(args.config, path.read_bytes(), ConfigError),
+                              {k: str(v) for k, v in flags.items() if v is not None})
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
 

@@ -55,14 +55,19 @@ layer's activation for backprop. It computes the first trunk layer's
 activation once per call (dropout never touches the inputs) and, when the
 passes draw masks, scales it once: each pass then masks it with one
 multiply, as (h * scale) * keep equals (h * keep) * scale for keep in {0, 1},
-signed zeros included. It makes each pass's draw into one reused bool buffer,
-works in place in per-layer buffers and writes into one preallocated
-(passes, B) or (passes, B, K) array per task. Training and prediction both
-write the (B, sum K) logits column-major, so that a task's softmax reduces
-over contiguous columns and both sum a row in the same order. Apart from that
-reordered mask, its float operations are those of the training forward, so
-its outputs are byte-identical to stacking per-pass training outputs (the
-tests' reference).
+signed zeros included. The passes run on one or two worker threads, two
+where a second CPU is usable and BLAS is held at one thread (the CLI holds it
+there; :func:`one_blas_thread`). A worker takes the next pass and makes its
+draw under one lock, so that pass t makes the t-th draw whatever the thread
+and the outputs do not depend on the number of workers. It makes each draw
+into its own reused bool buffer, computes the pass in row blocks of at most
+4096 rows, in place in per-layer buffers of its own, and writes into one
+preallocated (passes, B) or (passes, B, K) array per task. Training and
+prediction both write the (B, sum K) logits column-major, so that a task's
+softmax reduces over contiguous columns and both sum a row in the same
+order. Apart from that reordered mask, its float operations are those of the
+training forward, so its outputs are byte-identical to stacking per-pass
+training outputs (the tests' reference).
 
 All computation is float64 numpy, the output activations included (the
 max-shifted softmax and log-softmax and the sigmoid below); training is plain
@@ -78,8 +83,12 @@ weight gradient.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
+import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Optional
@@ -421,6 +430,80 @@ def _as_rows(net: MtShlNetwork, x) -> np.ndarray:
     return x
 
 
+# ---------------------------------------------------------------------------
+# threads: BLAS's and the MC passes'
+
+
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return cpus or 1
+
+
+@functools.cache
+def _blas_threads():
+    """(get, set) of the loaded OpenBLAS's thread count through ctypes, the
+    library found by its /proc/self/maps entry; None where none resolves."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="replace") as maps:
+            paths = sorted({line.split(None, 5)[5].strip() for line in maps
+                            if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        # numpy >= 2 wheels, the numpy 1.24 wheels, then a plain build
+        for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "64_"),
+                               ("openblas_", "")):
+            get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = (), ctypes.c_int
+                set_.argtypes, set_.restype = (ctypes.c_int,), None
+                return get, set_
+    return None
+
+
+@contextmanager
+def one_blas_thread():
+    """Hold BLAS at one thread inside the block, then restore its previous count;
+    yields that count, or None, doing nothing, where BLAS control does not resolve."""
+    control = _blas_threads()
+    if control is None:
+        yield None
+        return
+    get, set_ = control
+    before = get()
+    set_(1)
+    try:
+        yield before
+    finally:
+        set_(before)
+
+
+def _mc_workers() -> int:
+    """Threads for the MC passes of one call: 2 when a second CPU is usable and
+    BLAS is observed at one thread, else 1 (a second BLAS thread spins on that
+    CPU between the passes' GEMMs)."""
+    control = _blas_threads()
+    return 2 if usable_cpus() >= 2 and control is not None and control[0]() == 1 else 1
+
+
+_BLOCK = 4096  # most rows of a pass computed at once
+
+
+def _blocks(rows: int) -> list[tuple[int, int]]:
+    """`rows` split into ceil(rows / _BLOCK) contiguous (start, stop) blocks of
+    near-equal size, so that no block is a single row unless `rows` is."""
+    n = -(-rows // _BLOCK)
+    return [(rows * i // n, rows * (i + 1) // n) for i in range(n)]
+
+
 def _predict_passes(net: MtShlNetwork, x: np.ndarray, rng: Optional[np.random.Generator],
                     passes: int) -> list[np.ndarray]:
     """Activated outputs of `passes` forward passes of the batch `x`, one
@@ -429,41 +512,89 @@ def _predict_passes(net: MtShlNetwork, x: np.ndarray, rng: Optional[np.random.Ge
 
     Dropout-free when `rng` is None or p = 0, else every pass makes the draw
     of :func:`sample_dropout_masks`. Computes what :func:`_forward` does,
-    to the bit, in buffers reused across passes.
+    to the bit, in buffers reused across passes. The :func:`_mc_workers`
+    workers are the caller's thread and one more thread each (module
+    docstring). They run under the caller's numpy error state, which a new
+    thread does not inherit; the first exception one raises stops the others
+    at their next pass and is raised here once all have ended. Workers call
+    only private helpers, none that perfbench/traced.py wraps: its span stack
+    is not thread-safe.
     """
     p = net.config.dropout
     akind, rows, scale = net.config.activation, x.shape[0], 1.0 / (1.0 - p)
-    keep = np.empty(rows * net.units, dtype=bool) if rng is not None and p > 0.0 else None
+    drawn = rng is not None and p > 0.0
     hi, lo = _threshold(p)
-
-    def hidden(a, layers, bufs, kept):
-        for layer, buf in zip(layers, bufs):
-            a = _drop(_act(_dense(a, layer, buf), akind), next(kept, None), scale, buf)
-        return a
-
-    trunk_bufs = [np.empty((rows, w.shape[1])) for w, _ in net.trunk]
-    group_bufs = [[np.empty((rows, w.shape[1])) for w, _ in layers[:-1]]
-                  for layers, _ in net.groups]
-    z = _logits(net, rows)
+    blocks = _blocks(rows)
+    size = max((b - a for a, b in blocks), default=0)
+    widths, logits = [b - a for a, b in net.spans], net.groups[-1][1].stop
     # dropout never touches the inputs, so the first trunk layer's activation
     # is the same in every pass, and with a draw it is scaled once here
-    first = _act(_dense(x, net.trunk[0], np.empty_like(trunk_bufs[0])), akind) if net.trunk else x
-    masked = bool(net.trunk) and keep is not None
+    first = _act(_dense(x, net.trunk[0], np.empty((rows, widths[0]))), akind) if net.trunk else x
+    masked = bool(net.trunk) and drawn
     if masked:
         first *= scale
     # a pass's (B, K) block column-major, as np.stack of the training outputs
     # lays it out, so that the entropy of the mean sums over K in their order
     outs = [np.empty((passes, head_output_size(t), rows)).transpose(0, 2, 1)
             if t.kind == "multiclass" else np.empty((passes, rows)) for t in net.tasks]
-    for t in range(passes):
-        kept = iter(() if keep is None else _layer_masks(
-            _draw(rng, keep.size, hi, lo, keep), rows, net.spans))
-        top = np.multiply(first, next(kept), out=trunk_bufs[0]) if masked else first
-        top = hidden(top, net.trunk[1:], trunk_bufs[1:], kept)
-        for (layers, cs), bufs in zip(net.groups, group_bufs):
-            _dense(hidden(top, layers[:-1], bufs, kept), layers[-1], z[:, cs])
+
+    def worker_state():
+        """A worker's keep buffer (None without a draw) and, per row block, its
+        rows, layer masks, per-layer buffers and column-major logits; a block's
+        buffers are contiguous views of storage for the largest block."""
+        keep = np.empty(rows * net.units, dtype=bool) if drawn else None
+        masks = _layer_masks(keep, rows, net.spans) if drawn else [None] * len(widths)
+        flats, zflat = [np.empty(size * w) for w in widths], np.empty(size * logits)
+        state = []
+        for r0, r1 in blocks:
+            b = r1 - r0
+            bufs = [f[:b * w].reshape(b, w) for f, w in zip(flats, widths)]
+            z = zflat[:b * logits].reshape((b, logits), order="F")
+            state.append((r0, r1, [m if m is None else m[r0:r1] for m in masks], bufs, z))
+        return keep, state
+
+    def hidden(a, layers, j, masks, bufs):
+        for layer in layers:
+            a = _drop(_act(_dense(a, layer, bufs[j]), akind), masks[j], scale, bufs[j])
+            j += 1
+        return a
+
+    def one_pass(t, r0, r1, masks, bufs, z):
+        top = np.multiply(first[r0:r1], masks[0], out=bufs[0]) if masked else first[r0:r1]
+        top = hidden(top, net.trunk[1:], 1, masks, bufs)
+        j = len(net.trunk)
+        for layers, cs in net.groups:
+            _dense(hidden(top, layers[:-1], j, masks, bufs), layers[-1], z[:, cs])
+            j += len(layers) - 1
         for task, cs, out in zip(net.tasks, net.cols, outs):
-            out[t] = _activate_output(task, z[:, cs])
+            out[t, r0:r1] = _activate_output(task, z[:, cs])
+
+    lock, order, errors, err = threading.Lock(), iter(range(passes)), [], np.geterr()
+
+    def work(keep, state):
+        try:
+            with np.errstate(**err):  # a new thread starts at numpy's defaults
+                while not errors:
+                    with lock:
+                        t = next(order, None)
+                        if t is None:
+                            return
+                        if drawn:
+                            _draw(rng, keep.size, hi, lo, keep)
+                    for block in state:
+                        one_pass(t, *block)
+        except BaseException as exc:  # noqa: BLE001 - raised by the caller
+            errors.append(exc)
+
+    states = [worker_state() for _ in range(min(_mc_workers(), passes))]
+    threads = [threading.Thread(target=work, args=state, daemon=True) for state in states[1:]]
+    for thread in threads:
+        thread.start()
+    work(*states[0])
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
     return outs
 
 

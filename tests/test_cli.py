@@ -11,6 +11,7 @@ import pytest
 
 import xdata
 import xdata.cli as cli
+import xdata.model as model
 from xdata.arff import NUMERIC, STRING, ArffError, ArffRelation, AttributeDecl, write_arff
 from xdata.cli import ConfigError, RunConfig, _format, _keys, main, parse_config
 from xdata.synthetic import make_corpus
@@ -360,6 +361,36 @@ class TestMain:
                      "--out-dir", str(out_b)]) == 0
         assert (out_a / "assignments.csv").read_bytes() == \
             (out_b / "assignments.csv").read_bytes()
+
+    def test_out_dir_flag_stands_in_for_a_missing_output_dir(self, tmp_path, monkeypatch):
+        cfg = small_config(tmp_path, tmp_path / "unused")
+        cfg.write_text(re.sub(r"output\.dir = .*\n", "", cfg.read_text()), encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert main(["--config", str(cfg), "--quiet", "--out-dir", "o"]) == 0
+        assert (tmp_path / "o" / "completed.arff").is_file()
+        assert "  output.dir = o\n" in (tmp_path / "o" / "report.txt").read_text()
+        assert not (tmp_path / "unused").exists()
+
+    def test_overrides_replace_the_config_text(self):
+        cfg = parse_config("dataset.1.file = a\nnet.seed = 4\n",
+                           {"output.dir": "o", "net.seed": "9"})
+        assert (cfg.output_dir, cfg.cdlc.network.seed) == ("o", 9)
+
+    def test_outputs_do_not_depend_on_blas_control(self, tmp_path, monkeypatch):
+        # without BLAS control the run neither pins BLAS nor splits the MC passes
+        out = tmp_path / "out"
+        cfg = small_config(tmp_path, out)
+        control = model._blas_threads()
+        prior = control and control[0]()
+        runs = []
+        for resolved in (control, None):
+            monkeypatch.setattr(model, "_blas_threads", lambda: resolved)
+            assert main(["--config", str(cfg), "--quiet"]) == 0
+            runs.append({p.name: p.read_bytes() for p in out.iterdir()})
+            for p in out.iterdir():
+                p.unlink()
+        assert runs[0] == runs[1]
+        assert (control and control[0]()) == prior  # restored after the run
 
     def test_quiet_suppresses_progress(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import xdata
+import xdata.model as model
 from xdata.dataset import TaskSchema
 from xdata.model import (MtShlNetwork, NetworkConfig, _activate_output, _forward, forward,
                          init_network, loss_and_grads, mc_predict, mt_loss,
@@ -772,3 +774,88 @@ class TestPredictionPath:
         mc_predict(net, x)
         assert np.array_equal(net.params, params)
         assert np.array_equal(x, features)
+
+
+def pass_outputs(net, x, seed, workers, monkeypatch):
+    """The bytes of `_predict_passes` on `workers` workers, and the next
+    uniform of its generator."""
+    monkeypatch.setattr(model, "_mc_workers", lambda: workers)
+    rng = np.random.default_rng(seed)
+    outs = model._predict_passes(net, x, rng, net.config.mc_passes)
+    return [out.tobytes() for out in outs], rng.random()
+
+
+class TestTwoWorkers:
+    """The MC passes of one call split over two threads give the bytes, and
+    leave the generator in the state, of one thread running them all."""
+
+    @pytest.mark.parametrize("rows", [0, 1, 4097])  # 4097: two row blocks
+    @pytest.mark.parametrize("shared,heads", NET_SHAPES)
+    def test_equal_to_one_worker_and_stacked_reference(self, monkeypatch, shared, heads,
+                                                       rows):
+        net = micro_net(seed=51, shared=shared, heads=heads, dropout=0.3, activation="relu",
+                        mc_passes=5, tasks=WIDE_TASKS)
+        x = np.random.default_rng(52).normal(size=(rows, 5))
+        assert (pass_outputs(net, x, 53, 2, monkeypatch)
+                == pass_outputs(net, x, 53, 1, monkeypatch))
+        rng, ref_rng = np.random.default_rng(53), np.random.default_rng(53)
+        for pred, (decoded, confidence) in zip(mc_predict(net, x, rng),
+                                               stacked_mc_predict(net, x, ref_rng)):
+            assert pred.decoded.tobytes() == decoded.tobytes()
+            assert pred.confidence.tobytes() == confidence.tobytes()
+        assert rng.random() == ref_rng.random()
+
+    def test_worker_exception_is_raised_after_the_workers_end(self, monkeypatch):
+        net = micro_net(shared=(6,), heads={"cat": (3,)}, dropout=0.3, mc_passes=8)
+        calls, original = [], model._activate_output
+
+        def failing(task, z):
+            calls.append(threading.get_ident())
+            if len(calls) == 7:
+                raise KeyError("pass failed")
+            return original(task, z)
+
+        monkeypatch.setattr(model, "_mc_workers", lambda: 2)
+        monkeypatch.setattr(model, "_activate_output", failing)
+        threads = threading.active_count()
+        with pytest.raises(KeyError, match="pass failed"):
+            mc_predict(net, np.random.default_rng(54).normal(size=(40, 5)),
+                       np.random.default_rng(55))
+        assert threading.active_count() == threads
+        assert len(calls) < 8 * len(net.tasks)  # the passes stopped
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_workers_run_under_the_callers_error_state(self, monkeypatch, workers):
+        # the first trunk layer, computed by the caller, stays finite; the
+        # second overflows in a worker's matmul
+        net = micro_net(shared=(6, 4), dropout=0.3, mc_passes=4, activation="relu")
+        net.params *= 1e200
+        monkeypatch.setattr(model, "_mc_workers", lambda: workers)
+        x = np.random.default_rng(56).normal(size=(20, 5))
+        with np.errstate(all="raise"):
+            with pytest.raises(FloatingPointError, match="overflow encountered in matmul"):
+                mc_predict(net, x, np.random.default_rng(57))
+
+    def test_one_worker_without_blas_control_or_a_second_cpu(self, monkeypatch):
+        with model.one_blas_thread() as before:
+            expected = 2 if before is not None and model.usable_cpus() >= 2 else 1
+            assert model._mc_workers() == expected
+            monkeypatch.setattr(model, "usable_cpus", lambda: 1)
+            assert model._mc_workers() == 1
+            monkeypatch.undo()
+            monkeypatch.setattr(model, "_blas_threads", lambda: None)
+            assert model._mc_workers() == 1
+
+    def test_blas_helper_restores_the_prior_count(self):
+        control = model._blas_threads()
+        if control is None:
+            pytest.skip("no OpenBLAS thread control resolves in this process")
+        get, set_ = control
+        prior = get()
+        try:
+            set_(2)
+            with model.one_blas_thread() as before:
+                assert (before, get()) == (2, 1)
+            assert get() == 2
+        finally:
+            set_(prior)
