@@ -11,16 +11,19 @@ Whitespace outside quotes at the edges of a value is dropped. Lines split at
 the writer rejects text holding ``\n`` or ``\r``, which the dialect cannot
 escape. Date, relational and sparse-ARFF syntax are rejected as unsupported.
 
-Tokenizing: a data row that holds no quote is split at every comma with
-``str.split``; a row that holds one is matched by the one regular expression
-of the dialect, which keeps quoted commas in their cell and finds an
-unterminated quote. A numeric value is read by Python's ``float()``, so its
-grammar is ``float``'s (``1e3``, ``1_0``, Unicode digits); ``nan``, ``inf`` and
-values that overflow to infinity are rejected as non-finite. A numeric column
-whose cells are each a bare ``?`` or convert to a finite float as they stand is
-one ``map(float)``, ``?`` read as NaN; any other column (a quoted cell, a ``?``
-with whitespace beside it, a bad value) is decoded cell by cell, and that path
-alone raises errors.
+Tokenizing: a data row is split at every comma with ``str.split`` when that
+is provably what the dialect's one regular expression finds: the row holds no
+quote, or it holds no backslash, an even number of quotes and no comma
+between a pair of them. Any other row is matched by that expression, which
+keeps quoted commas in their cell and finds an unterminated quote. A cell that
+is exactly one quoted segment without a backslash is read as its inside; any
+other quoted cell is unescaped segment by segment. A numeric value is read by
+Python's ``float()``, so its grammar is ``float``'s (``1e3``, ``1_0``, Unicode
+digits); ``nan``, ``inf`` and values that overflow to infinity are rejected as
+non-finite. A numeric column whose cells are each a bare ``?`` or convert to a
+finite float as they stand is one ``map(float)``, ``?`` read as NaN; any other
+column (a quoted cell, a ``?`` with whitespace beside it, a bad value) is
+decoded cell by cell, and that path alone raises errors.
 
 A relation holds one column per attribute, all of the same length:
 
@@ -146,8 +149,12 @@ def _unquote(match: re.Match) -> str:
 
 def _split(text: str, lineno: int) -> list[str]:
     """The raw comma-separated cells of `text`, quotes and whitespace kept."""
-    if "'" not in text:
-        return text.split(",")  # what _CELLS finds on a quote-free line
+    # without a backslash, an even number of quotes pairs up into segments
+    # that all close; if none of them (the odd pieces between quotes) holds a
+    # comma, every comma separates cells, which is what _CELLS finds
+    if "'" not in text or ("\\" not in text and not text.count("'") % 2
+                           and not any("," in s for s in text.split("'")[1::2])):
+        return text.split(",")
     cells = _CELLS.findall(text)
     if sum(map(len, cells)) + len(cells) - 1 != len(text):
         raise ArffError("unterminated quote", lineno)
@@ -159,7 +166,10 @@ def _decode(raw: Iterable[str]) -> tuple[list[str], np.ndarray]:
     segments unescaped, and the mask of missing (unquoted ``?``) cells."""
     stripped = list(map(str.strip, raw))
     missing = np.array([t == "?" for t in stripped], dtype=bool)
-    return [_SEGMENT.sub(_unquote, t) if "'" in t else t for t in stripped], missing
+    # a cell that is one quoted segment without an escape is its inside
+    return [t if "'" not in t
+            else t[1:-1] if t[0] == t[-1] == "'" and t.count("'") == 2 and "\\" not in t
+            else _SEGMENT.sub(_unquote, t) for t in stripped], missing
 
 
 def _parse_name_and_rest(text: str, lineno: int) -> tuple[str, str]:

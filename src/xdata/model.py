@@ -18,9 +18,11 @@ stored (``zeros`` holds their flat indices) and stay exactly 0.0, because
 :func:`loss_and_grads` zeroes their gradient. ``trunk`` and ``groups`` are
 views into ``params``; ``heads[m]`` is task m's layers as views into its
 group's (write through them, ``w[...] = ...``) and ``cols[m]`` its slice of
-the logits' columns. Gradients share the layout, so an SGD step is one vector
-operation. Initial weights are drawn per layer in the order trunk, then each
-head's layers in task order, whatever the layout.
+the logits' columns. As a layer's bias follows its weights, ``stacked`` views
+each trunk and group layer as one (in_dim + 1, out_dim) array [W; b].
+Gradients share the layout, so an SGD step is one vector operation. Initial
+weights are drawn per layer in the order trunk, then each head's layers in
+task order, whatever the layout.
 
 Dropout is inverted, applied to hidden units of trunk and heads, never to
 inputs or outputs. One draw (:func:`_draw`) covers every hidden unit of a
@@ -65,8 +67,8 @@ into its own reused bool buffer, computes the pass in row blocks of at most
 preallocated (passes, B) or (passes, B, K) array per task. Training and
 prediction both write the (B, sum K) logits column-major, so that a task's
 softmax reduces over contiguous columns and both sum a row in the same
-order. Apart from that reordered mask, its float operations are those of the
-training forward, so its outputs are byte-identical to stacking per-pass
+order. Apart from that reordered mask, its float operations are those of
+:func:`_forward`, so its outputs are byte-identical to stacking per-pass
 training outputs (the tests' reference).
 
 All computation is float64 numpy, the output activations included (the
@@ -74,11 +76,26 @@ max-shifted softmax and log-softmax and the sigmoid below); training is plain
 minibatch SGD (optional momentum) and fully deterministic in (config, seed, data).
 It encodes the labels once per :func:`train` call into a target and a weight
 matrix in the logits' column order and gathers them with the inputs once per
-epoch; each step's output gradient is then (activated logits - targets) *
-weights on its contiguous rows. It allocates each step's arrays once per call
-(:class:`_Buffers`, for the full batch and for a ragged last one), so a step
-allocates nothing, and its backward pass stops at the first trunk layer's
-weight gradient.
+epoch, the inputs into an array whose last column is 1.0; each step's output
+gradient is then (activated logits - targets) * weights on its contiguous
+rows. Each hidden layer writes its masked output into an array that also ends
+in a ones column, so a training step computes every layer, forward and
+backward, as one GEMM over the layer's [W; b]: z = [a, 1] @ [W; b], and
+[a, 1].T @ d into the gradient's [gW; gb] view, whose ones row, the bias
+gradient, sums d's rows in order as a row sum did. Prediction, and the
+training forward without a ones column (:func:`_forward`, the tests'
+reference for it), compute a @ W then + b: a prediction pass would have to
+write each masked layer into a strided ones-column array, which costs more
+than the bias add. The two forms agree to the bit on the layer shapes of the
+perfbench workloads at up to 64 rows, not on every shape (an output width of
+1 or 4 often differs in the last bit). A :func:`train` call allocates each
+step's arrays (:class:`_Buffers`, for the full batch and for a ragged last
+one) and binds each step's views (its rows of the gather, its units of the
+draw, its buffers, every layer's [W; b], W.T and [gW; gb]) once, so a step
+allocates nothing; its backward pass stops at the first trunk layer's
+gradient. Without momentum the update is params -= lr * grad, with no
+velocity, and the structural zeros' gradient is zeroed only in a layout that
+has them.
 """
 
 from __future__ import annotations
@@ -167,18 +184,28 @@ def _layout(config: NetworkConfig, feature_dim: int, tasks: list[TaskSchema]):
     return list(zip(sizes, sizes[1:])), groups
 
 
+def _param_count(trunk_shapes, group_shapes) -> int:
+    """The size of ``params`` for the :func:`_layout` shapes."""
+    shapes = [*trunk_shapes, *(shape for _, layers in group_shapes for shape, _ in layers)]
+    return sum((n_in + 1) * n_out for n_in, n_out in shapes)
+
+
 def _layer_views(flat: np.ndarray, trunk_shapes, group_shapes, n_tasks: int):
-    """(trunk, groups, heads, cols): the views into `flat` for the :func:`_layout`
-    shapes, and each task's slice of the logits' columns."""
+    """(trunk, groups, heads, cols, stacked): the views into `flat` for the
+    :func:`_layout` shapes, each task's slice of the logits' columns, and the
+    [W; b] of each trunk layer, then each group's, as one (n_in + 1, n_out) view."""
+    expected = _param_count(trunk_shapes, group_shapes)
+    if expected != flat.size:
+        raise ValueError(f"expected {expected} parameters, got {flat.size}")
     offset, start = 0, 0
-    heads, cols, groups = [[] for _ in range(n_tasks)], [None] * n_tasks, []
+    heads, cols, groups, stacked = [[] for _ in range(n_tasks)], [None] * n_tasks, [], []
 
     def take(n_in, n_out):
         nonlocal offset
-        end = offset + n_in * n_out
-        layer = flat[offset:end].reshape(n_in, n_out), flat[end:end + n_out]
-        offset = end + n_out
-        return layer
+        end = offset + (n_in + 1) * n_out
+        stacked.append(flat[offset:end].reshape(n_in + 1, n_out))
+        offset = end
+        return stacked[-1][:-1], stacked[-1][-1]
 
     trunk = tuple(take(*shape) for shape in trunk_shapes)
     for members, layers in group_shapes:
@@ -192,9 +219,7 @@ def _layer_views(flat: np.ndarray, trunk_shapes, group_shapes, n_tasks: int):
             cols[m] = slice(start + cs.start, start + cs.stop)
         groups.append((tuple(group), slice(start, start + b.size)))
         start += b.size
-    if offset != flat.size:
-        raise ValueError(f"expected {offset} parameters, got {flat.size}")
-    return trunk, tuple(groups), tuple(map(tuple, heads)), tuple(cols)
+    return trunk, tuple(groups), tuple(map(tuple, heads)), tuple(cols), tuple(stacked)
 
 
 @dataclass
@@ -208,6 +233,8 @@ class MtShlNetwork:
     groups: tuple[tuple[tuple[Layer, ...], slice], ...] = field(init=False, repr=False)
     heads: tuple[tuple[Layer, ...], ...] = field(init=False, repr=False)  # last: output
     cols: tuple[slice, ...] = field(init=False, repr=False)  # per task, of the logits
+    # [W; b] of each trunk layer, then each group's: views into params
+    stacked: tuple[np.ndarray, ...] = field(init=False, repr=False)
     zeros: np.ndarray = field(init=False, repr=False)  # indices of structural zeros
     # (lo, hi) hidden-unit span of each hidden layer in a dropout draw (trunk
     # layers, then each group's); `units` in all
@@ -217,11 +244,11 @@ class MtShlNetwork:
 
     def __post_init__(self):
         self.shapes = _layout(self.config, self.feature_dim, self.tasks)
-        self.trunk, self.groups, self.heads, self.cols = _layer_views(
+        self.trunk, self.groups, self.heads, self.cols, self.stacked = _layer_views(
             self.params, *self.shapes, len(self.tasks))
         # the structural zeros are the entries outside every trunk layer and head
         covered = np.zeros(self.params.size, dtype=bool)
-        trunk, _, heads, _ = _layer_views(covered, *self.shapes, len(self.tasks))
+        trunk, _, heads, _, _ = _layer_views(covered, *self.shapes, len(self.tasks))
         for w, b in (*trunk, *(layer for head in heads for layer in head)):
             w[...] = b[...] = True
         self.zeros = np.flatnonzero(~covered)
@@ -234,7 +261,8 @@ class MtShlNetwork:
         spans are shared, only the views are sliced anew."""
         net = object.__new__(MtShlNetwork)
         net.__dict__.update(self.__dict__, params=params, tasks=list(self.tasks))
-        net.trunk, net.groups, net.heads, _ = _layer_views(params, *self.shapes, len(self.tasks))
+        net.trunk, net.groups, net.heads, _, net.stacked = _layer_views(
+            params, *self.shapes, len(self.tasks))
         return net
 
     def copy(self) -> "MtShlNetwork":
@@ -249,9 +277,7 @@ def init_network(config: NetworkConfig, feature_dim: int,
         raise ValueError("at least one task required")
     if feature_dim < 1:
         raise ValueError("feature_dim must be >= 1")
-    trunk, groups = _layout(config, feature_dim, tasks)
-    shapes = [*trunk, *(shape for _, layers in groups for shape, _ in layers)]
-    net = MtShlNetwork(np.zeros(sum((n_in + 1) * n_out for n_in, n_out in shapes)),
+    net = MtShlNetwork(np.zeros(_param_count(*_layout(config, feature_dim, tasks))),
                        list(tasks), config, feature_dim)
     rng = np.random.default_rng(config.seed)
     # drawn per layer in the order trunk, then each head's layers, whatever the layout
@@ -270,11 +296,15 @@ def _act(z: np.ndarray, kind: str) -> np.ndarray:
     return np.tanh(z, out=z) if kind == "tanh" else np.maximum(z, 0.0, out=z)
 
 
-def _dense(a: np.ndarray, layer: Layer, out: np.ndarray) -> np.ndarray:
-    """out = a @ w + b, in place."""
-    np.matmul(a, layer[0], out=out)
-    out += layer[1]
-    return out
+def _dense(a: np.ndarray, op, out: np.ndarray) -> np.ndarray:
+    """out = a @ W + b, in place: a @ W then + b for the pair `op` = (W, b),
+    one GEMM [a, 1] @ [W; b] for `op` = [W; b] (``a`` then ends in a ones
+    column)."""
+    if type(op) is tuple:
+        np.matmul(a, op[0], out=out)
+        out += op[1]
+        return out
+    return np.matmul(a, op, out=out)
 
 
 def _drop(h: np.ndarray, keep: Optional[np.ndarray], scale: float, out=None) -> np.ndarray:
@@ -334,52 +364,82 @@ def _scaled(net: MtShlNetwork, masks: Optional[list]) -> Optional[list]:
     return [np.multiply(keep, scale) for keep in masks]
 
 
+def _with_ones(rows: int, width: int) -> np.ndarray:
+    """An empty (rows, width + 1) array whose last column is 1.0: a layer's
+    input, written into the first `width` columns, that its gradient GEMM
+    reads as [a, 1]."""
+    a = np.empty((rows, width + 1))
+    a[:, -1] = 1.0
+    return a
+
+
 class _Buffers:
     """The arrays of one training step of `rows` rows, so that a step
-    allocates none: per hidden layer (trunk layers, then each group's) its
-    activation `h`, masked output `a`, gradient `d` at its masked output and
-    derivative scratch `t`; the (rows, sum K) logits `z` (column-major) and
-    their gradient `dz` (row-major), each also sliced per group and per task;
-    and `top`, a later group's share of the trunk output's gradient."""
+    allocates none, and the step's views, bound once. Per hidden layer (trunk
+    layers, then each group's): its activation `h`, its masked output `a`
+    (the first columns of `a1`, which ends in a ones column), the gradient `d`
+    at its masked output, derivative scratch `t` and a pre-scaled mask
+    (`masks`, views of the flat `mask` that :func:`train` fills). The
+    (rows, sum K) logits `z` (column-major) and their gradient `dz`
+    (row-major); `z_tasks`, each task with its view of the logits; `top`, a
+    later group's share of the trunk output's gradient. `grad` is where the
+    gradient goes (a fresh one if None). `stacks`, per stack of layers (the
+    trunk, then each group): its layers as (W, b) pairs, as [W; b] views,
+    their W.T and their [gW; gb] views of `grad`; `groups`, per group, its
+    logits' and their gradient's views and the index of its first hidden
+    layer."""
 
-    def __init__(self, net: MtShlNetwork, rows: int):
+    def __init__(self, net: MtShlNetwork, rows: int, grad: Optional[MtShlNetwork] = None):
         widths = [b - a for a, b in net.spans]
         tanh = net.config.activation == "tanh"
         self.h = [np.empty((rows, w)) for w in widths]
-        self.a = [np.empty((rows, w)) for w in widths]
+        self.a1 = [_with_ones(rows, w) for w in widths]
+        self.a = [a[:, :-1] for a in self.a1]
         self.d = [np.empty((rows, w)) for w in widths]
         self.t = [np.empty((rows, w), dtype=float if tanh else bool) for w in widths]
+        self.mask = np.empty(rows * net.units)
+        self.masks = _layer_masks(self.mask, rows, net.spans)
         self.z = _logits(net, rows)
         self.dz = np.empty(self.z.shape)
-        self.z_groups = [self.z[:, cs] for _, cs in net.groups]
-        self.dz_groups = [self.dz[:, cs] for _, cs in net.groups]
-        self.z_tasks = [self.z[:, cs] for cs in net.cols]
+        self.z_tasks = [(task, self.z[:, cs]) for task, cs in zip(net.tasks, net.cols)]
         self.top = (np.empty((rows, net.trunk[-1][0].shape[1]))
                     if net.trunk and len(net.groups) > 1 else None)
+        self.grad = net.like(np.zeros_like(net.params)) if grad is None else grad
+        wbs, grads = iter(net.stacked), iter(self.grad.stacked)
+        self.stacks = [(layers, [next(wbs) for _ in layers], [w.T for w, _ in layers],
+                        [next(grads) for _ in layers])
+                       for layers in (net.trunk, *(layers for layers, _ in net.groups))]
+        firsts = accumulate((len(layers) - 1 for layers, _ in net.groups), initial=len(net.trunk))
+        self.groups = [(self.z[:, cs], self.dz[:, cs], j) for (_, cs), j in zip(net.groups, firsts)]
 
 
-def _hidden_forward(layers, a: np.ndarray, j: int, masks, buf: _Buffers, akind: str):
-    """Pass `a` through hidden layers j, j+1, ... (`layers`) into `buf`, each
-    masked by its mask if `masks` is not None; returns the last output."""
-    for layer in layers:
-        h = _act(_dense(a, layer, buf.h[j]), akind)
-        a = h if masks is None else np.multiply(h, masks[j], out=buf.a[j])
+def _hidden_forward(ops, a: np.ndarray, j: int, masks, buf: _Buffers, akind: str, read):
+    """Pass `a` through hidden layers j, j+1, ... (their operands `ops`,
+    :func:`_dense`) into `buf`, each masked by its mask if `masks` is not
+    None; returns the last output as the next layer reads it, ``read[j]``."""
+    for op in ops:
+        h = _act(_dense(a, op, buf.a[j] if masks is None else buf.h[j]), akind)
+        if masks is not None:
+            np.multiply(h, masks[j], out=buf.a[j])
+        a = read[j]
         j += 1
     return a
 
 
 def _forward(net: MtShlNetwork, x: np.ndarray, masks: Optional[list],
-             buf: Optional[_Buffers] = None):
+             buf: Optional[_Buffers] = None, ones: bool = False):
     """The training forward of the batch `x` into `buf` (fresh buffers if None)
     under `masks` (bool or pre-scaled, :func:`_scaled`): (buf, z), z the
-    (B, sum K) logits, ``buf.z``."""
+    (B, sum K) logits, ``buf.z``. Each layer is a @ W then + b, as prediction
+    computes it, or, with `ones` (`x` then ends in a ones column), one GEMM
+    [a, 1] @ [W; b]."""
     akind, masks = net.config.activation, _scaled(net, masks)
     buf = _Buffers(net, len(x)) if buf is None else buf
-    top = _hidden_forward(net.trunk, x, 0, masks, buf, akind)
-    j = len(net.trunk)
-    for (layers, _), z in zip(net.groups, buf.z_groups):
-        _dense(_hidden_forward(layers[:-1], top, j, masks, buf, akind), layers[-1], z)
-        j += len(layers) - 1
+    k, read = (1, buf.a1) if ones else (0, buf.a)
+    top = _hidden_forward(buf.stacks[0][k], x, 0, masks, buf, akind, read)
+    for stack, (z, _, j) in zip(buf.stacks[1:], buf.groups):
+        ops = stack[k]
+        _dense(_hidden_forward(ops[:-1], top, j, masks, buf, akind, read), ops[-1], z)
     return buf, buf.z
 
 
@@ -511,14 +571,14 @@ def _predict_passes(net: MtShlNetwork, x: np.ndarray, rng: Optional[np.random.Ge
     column-major.
 
     Dropout-free when `rng` is None or p = 0, else every pass makes the draw
-    of :func:`sample_dropout_masks`. Computes what :func:`_forward` does,
-    to the bit, in buffers reused across passes. The :func:`_mc_workers`
-    workers are the caller's thread and one more thread each (module
-    docstring). They run under the caller's numpy error state, which a new
-    thread does not inherit; the first exception one raises stops the others
-    at their next pass and is raised here once all have ended. Workers call
-    only private helpers, none that perfbench/traced.py wraps: its span stack
-    is not thread-safe.
+    of :func:`sample_dropout_masks`. Computes what :func:`_forward` does
+    (a @ W, then + b), to the bit, in buffers reused across passes. The
+    :func:`_mc_workers` workers are the caller's thread and one more thread
+    each (module docstring). They run under the caller's numpy error state,
+    which a new thread does not inherit; the first exception one raises stops
+    the others at their next pass and is raised here once all have ended.
+    Workers call only private helpers, none that perfbench/traced.py wraps:
+    its span stack is not thread-safe.
     """
     p = net.config.dropout
     akind, rows, scale = net.config.activation, x.shape[0], 1.0 / (1.0 - p)
@@ -653,15 +713,16 @@ def mt_loss(net: MtShlNetwork, x: np.ndarray, y: np.ndarray, defined: np.ndarray
     return total
 
 
-def _hidden_backward(layers, grads, a: np.ndarray, j: int, masks, buf: _Buffers,
+def _hidden_backward(wt, grads, n: int, a1: np.ndarray, j: int, masks, buf: _Buffers,
                      akind: str) -> np.ndarray:
-    """Backpropagate through hidden layers j, j+1, ... (`layers`, the first
-    reading `a`), ``buf.d`` of the last holding the gradient at its masked
-    output: writes each layer's (W, b) gradient into the views `grads` and
-    returns the gradient at the first layer's pre-activation."""
-    outs = buf.h if masks is None else buf.a
-    for i in range(len(layers) - 1, -1, -1):
-        d, h, t = buf.d[j + i], buf.h[j + i], buf.t[j + i]
+    """Backpropagate through the n hidden layers j, ..., j+n-1 of a stack, the
+    first reading `a1` (with its ones column), ``buf.d`` of the last holding
+    the gradient at its masked output: writes each layer's [gW; gb] into
+    `grads` with one GEMM and returns the gradient at the first layer's
+    pre-activation. `wt` and `grads` are the stack's (:class:`_Buffers`)."""
+    hs = buf.a if masks is None else buf.h
+    for i in range(n - 1, -1, -1):
+        d, h, t = buf.d[j + i], hs[j + i], buf.t[j + i]
         if akind == "tanh":  # the derivative from the activation itself
             np.subtract(1.0, np.multiply(h, h, out=t), out=t)
         else:  # a > 0 iff z > 0
@@ -669,10 +730,9 @@ def _hidden_backward(layers, grads, a: np.ndarray, j: int, masks, buf: _Buffers,
         d *= t
         if masks is not None:
             d *= masks[j + i]
-        np.matmul((outs[j + i - 1] if i else a).T, d, out=grads[i][0])
-        d.sum(axis=0, out=grads[i][1])
+        np.matmul((buf.a1[j + i - 1] if i else a1).T, d, out=grads[i])
         if i:
-            np.matmul(d, layers[i][0].T, out=buf.d[j + i - 1])
+            np.matmul(d, wt[i], out=buf.d[j + i - 1])
     return d
 
 
@@ -687,44 +747,48 @@ def loss_and_grads(net: MtShlNetwork, x: np.ndarray, y: np.ndarray,
     given, else into a fresh array; the structural zeros get exactly 0.0.
     `masks` are bool (:func:`sample_dropout_masks`) or pre-scaled
     (:func:`_scaled`). `encoded`, the :func:`_encode_targets` of these rows,
-    stands in for `y` and `defined` (which are then not read), and `buf`,
-    :class:`_Buffers` of len(x) rows, holds the step's arrays; :func:`train`
-    encodes its labels and allocates its buffers once per call that way. The
-    loss itself is :func:`mt_loss`; the name stays because the benchmark times
-    the ``model.grad`` stage and ``micro.grad_us`` under it.
+    stands in for `y` and `defined` (which are then not read). `buf`,
+    :class:`_Buffers` of len(x) rows built for `net` and `grad`, holds the
+    step's arrays and views, and `x` then carries a trailing ones column;
+    :func:`train` encodes its labels, builds its buffers and gathers its
+    inputs that way once per call. The loss itself is :func:`mt_loss`; the
+    name stays because the benchmark times the ``model.grad`` stage and
+    ``micro.grad_us`` under it.
     """
     akind, masks = net.config.activation, _scaled(net, masks)
     targets, weights = _encode_targets(net, y, defined) if encoded is None else encoded
-    x = np.asarray(x, dtype=float)
-    buf, z = _forward(net, x, masks, buf)
-    if grad is None:
-        grad = net.like(np.zeros_like(net.params))
-    # the logits are activated in place (a regression output is its logit);
-    # d(loss)/d(logits) is row-major, so each bias gradient sums its rows in order
-    for task, z_task in zip(net.tasks, buf.z_tasks):
+    if buf is None:
+        x = np.asarray(x, dtype=float)
+        x1 = _with_ones(*x.shape)
+        x1[:, :-1] = x
+        buf = _Buffers(net, len(x), grad)
+    else:
+        x1 = x
+    buf, z = _forward(net, x1, masks, buf, ones=True)
+    # the logits are activated in place (a regression output is its logit)
+    for task, z_task in buf.z_tasks:
         _activate_output(task, z_task)
     np.subtract(z, targets, out=buf.dz)
     buf.dz *= weights
-    n_trunk, outs = len(net.trunk), buf.h if masks is None else buf.a
-    top, j = outs[n_trunk - 1] if n_trunk else x, n_trunk
-    for k, ((layers, _), (grads, _), d) in enumerate(zip(net.groups, grad.groups,
-                                                         buf.dz_groups)):
-        hidden = len(layers) - 1
-        np.matmul((outs[j + hidden - 1] if hidden else top).T, d, out=grads[-1][0])
-        d.sum(axis=0, out=grads[-1][1])
+    n_trunk = len(net.trunk)
+    top = buf.a1[n_trunk - 1] if n_trunk else x1
+    for k, ((_, _, wt, grads), (_, d, j)) in enumerate(zip(buf.stacks[1:], buf.groups)):
+        hidden = len(wt) - 1
+        np.matmul((buf.a1[j + hidden - 1] if hidden else top).T, d, out=grads[-1])
         if hidden:
-            np.matmul(d, layers[-1][0].T, out=buf.d[j + hidden - 1])
-            d = _hidden_backward(layers[:-1], grads[:-1], top, j, masks, buf, akind)
+            np.matmul(d, wt[-1], out=buf.d[j + hidden - 1])
+            d = _hidden_backward(wt, grads, hidden, top, j, masks, buf, akind)
         if n_trunk:  # the trunk output's gradient: each group's share, in group order
             if k == 0:
-                np.matmul(d, layers[0][0].T, out=buf.d[n_trunk - 1])
+                np.matmul(d, wt[0], out=buf.d[n_trunk - 1])
             else:
-                buf.d[n_trunk - 1] += np.matmul(d, layers[0][0].T, out=buf.top)
-        j += hidden
-    if n_trunk:  # stops at the first layer's weight gradient: x needs none
-        _hidden_backward(net.trunk, grad.trunk, x, 0, masks, buf, akind)
-    grad.params[net.zeros] = 0.0
-    return grad.params
+                buf.d[n_trunk - 1] += np.matmul(d, wt[0], out=buf.top)
+    if n_trunk:  # stops at the first layer's gradient: x needs none
+        _, _, wt, grads = buf.stacks[0]
+        _hidden_backward(wt, grads, n_trunk, x1, 0, masks, buf, akind)
+    if net.zeros.size:
+        buf.grad.params[net.zeros] = 0.0
+    return buf.grad.params
 
 
 # ---------------------------------------------------------------------------
@@ -753,32 +817,46 @@ def train(net: MtShlNetwork, x: np.ndarray, y: np.ndarray,
     out = net.copy()
     # allocated once per call: loss_and_grads and the update write into them
     grad = out.like(np.zeros_like(out.params))
-    velocity, step = np.zeros_like(out.params), np.empty_like(out.params)
-    starts = range(0, n, cfg.batch_size)
-    rows = [min(cfg.batch_size, n - start) for start in starts]
-    bufs = {b: _Buffers(out, b) for b in set(rows)}  # the full batch and a ragged last one
+    velocity = np.zeros_like(out.params) if cfg.momentum else None
+    update = np.empty_like(out.params)
     units, (hi, lo), scale = out.units, _threshold(cfg.dropout), 1.0 / (1.0 - cfg.dropout)
-    # an epoch's draw, and a step's mask pre-scaled (keep * scale)
-    keep, scaled = np.empty(n * units, dtype=bool), np.empty(rows[0] * units)
+    drawn = cfg.dropout > 0.0
     targets, weights = _encode_targets(out, y, defined)
+    # an epoch's gather (inputs with a ones column, targets, weights) and draw
+    xs, ts, ws = _with_ones(*x.shape), np.empty_like(targets), np.empty_like(weights)
+    keep = np.empty(n * units, dtype=bool)
+    # per minibatch, bound once: its rows of the gather, its units of the draw
+    # (None without dropout), its buffers (the full batch's, or a ragged last one's)
+    bufs, steps = {}, []
+    for start in range(0, n, cfg.batch_size):
+        b = min(cfg.batch_size, n - start)
+        if b not in bufs:
+            bufs[b] = _Buffers(out, b, grad)
+        rows = slice(start, start + b)
+        steps.append((xs[rows], (ts[rows], ws[rows]),
+                      keep[start * units:(start + b) * units] if drawn else None, bufs[b]))
     rng = np.random.default_rng(cfg.seed)
     # overflow is expected while diverging; the per-epoch check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
             # one gather per epoch; the minibatches are contiguous slices of it
             order = rng.permutation(n)
-            xs, ts, ws = x[order], targets[order], weights[order]
-            if cfg.dropout > 0.0:  # one draw for the epoch; a minibatch takes its rows' units
+            np.take(x, order, axis=0, out=xs[:, :-1], mode="clip")
+            np.take(targets, order, axis=0, out=ts, mode="clip")
+            np.take(weights, order, axis=0, out=ws, mode="clip")
+            if drawn:  # one draw for the epoch; a minibatch takes its rows' units
                 _draw(rng, n * units, hi, lo, keep)
-            for start, b in zip(starts, rows):
-                batch = slice(start, start + b)
-                masks = None if cfg.dropout == 0.0 else _layer_masks(np.multiply(
-                    keep[start * units:(start + b) * units], scale, out=scaled[:b * units]),
-                    b, out.spans)
-                velocity *= cfg.momentum
-                velocity += loss_and_grads(out, xs[batch], None, None, masks, grad=grad,
-                                           encoded=(ts[batch], ws[batch]), buf=bufs[b])
-                out.params -= np.multiply(cfg.learning_rate, velocity, out=step)
+            for x1, encoded, step_keep, buf in steps:
+                masks = None
+                if step_keep is not None:
+                    np.multiply(step_keep, scale, out=buf.mask)
+                    masks = buf.masks
+                g = loss_and_grads(out, x1, None, None, masks, grad=grad, encoded=encoded,
+                                   buf=buf)
+                if velocity is not None:
+                    velocity *= cfg.momentum
+                    g = np.add(velocity, g, out=velocity)
+                out.params -= np.multiply(cfg.learning_rate, g, out=update)
             if not np.isfinite(out.params).all():
                 raise FloatingPointError(f"epoch {epoch}: non-finite network parameters")
     return out

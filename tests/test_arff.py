@@ -6,9 +6,9 @@ from arff_columns import columns_equal, count_missing, from_rows, relation
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xdata.arff import (_CELLS, NOMINAL, NUMERIC, STRING, ArffError, AttributeDecl,
-                        _column, _decoded_column, _split, format_header, format_rows,
-                        parse_arff, write_arff)
+from xdata.arff import (_CELLS, _SEGMENT, NOMINAL, NUMERIC, STRING, ArffError, AttributeDecl,
+                        _column, _decode, _decoded_column, _split, _unquote, format_header,
+                        format_rows, parse_arff, write_arff)
 
 DATA = Path(__file__).parent / "data" / "arff"
 
@@ -276,10 +276,32 @@ def test_roundtrip_property(rel):
 _STRIPPED = "\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2000\u2028\u2029\u3000"
 
 
-@settings(max_examples=500, deadline=None)
-@given(st.text(alphabet=" ,?%{0123456789" + _STRIPPED, max_size=30))
+# pieces of lines with quotes: quoted commas, \' and \\ escapes (inside and
+# outside quotes), adjacent segments and lone quotes (odd quote counts)
+_QUOTED_PIECES = st.one_of(
+    st.text(alphabet=" ,?%{0123456789'\\" + _STRIPPED, max_size=6),
+    st.sampled_from(["'a,b'", "','", "''", "'x''y'", "'q'", "' q '", "'", "\\'", "\\\\",
+                     "'a\\'b'", "'c\\\\'", "'d\\e'"]),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(st.text(alphabet=" ,?%{0123456789" + _STRIPPED, max_size=30),
+                 st.lists(_QUOTED_PIECES, max_size=8).map("".join)))
 def test_quote_free_split_is_the_tokenizer(line):
-    assert _split(line, 1) == _CELLS.findall(line)
+    """`_split` and `_decode` give the cells `_CELLS` finds and the values
+    `_SEGMENT.sub` makes of them, or the same unterminated-quote error."""
+    cells = _CELLS.findall(line)
+    if sum(map(len, cells)) + len(cells) - 1 == len(line):
+        expected = cells, [_SEGMENT.sub(_unquote, cell.strip()) for cell in cells]
+    else:  # a quote left open: characters outside every match
+        expected = "line 7: unterminated quote", 7
+    try:
+        got = _split(line, 7)
+        got = got, _decode(got)[0]
+    except ArffError as exc:
+        got = str(exc), exc.line
+    assert got == expected
 
 
 # edge cases of float() and of the dialect's missing and quoted cells

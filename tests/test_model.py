@@ -712,6 +712,50 @@ def stacked_mc_predict(net, x, rng=None):
 WIDE_TASKS = [*THREE_TASKS, TaskSchema("wide", "multiclass", tuple("abcdefghij"))]
 
 
+def reference_outputs(net, x):
+    """Per task (logits, activated output) of an independent dropout-free
+    forward: x @ W + b per layer through the trunk, then through the task's
+    own head (the ``net.trunk`` and ``net.heads`` views), with the textbook
+    activations."""
+    act = np.tanh if net.config.activation == "tanh" else (lambda z: np.maximum(z, 0.0))
+    for w, b in net.trunk:
+        x = act(x @ w + b)
+    results = []
+    for task, head in zip(net.tasks, net.heads):
+        a = x
+        for w, b in head[:-1]:
+            a = act(a @ w + b)
+        z = a @ head[-1][0] + head[-1][1]
+        if task.kind == "multiclass":
+            e = np.exp(z - z.max(axis=1, keepdims=True))
+            results.append((z, e / e.sum(axis=1, keepdims=True)))
+        elif task.kind == "binary":
+            results.append((z, 1.0 / (1.0 + np.exp(-z[:, 0]))))
+        else:
+            results.append((z, z[:, 0]))
+    return results
+
+
+class TestForwardReference:
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize("shared,heads", NET_SHAPES)
+    def test_forward_equals_an_independent_reference(self, activation, shared, heads):
+        net = micro_net(seed=55, shared=shared, heads=heads, dropout=0.3, activation=activation,
+                        tasks=WIDE_TASKS)
+        rng = np.random.default_rng(56)
+        for _, b in (*net.trunk, *(layer for head in net.heads for layer in head)):
+            b[...] = rng.normal(size=b.shape)  # init_network's biases are all zero
+        x = rng.normal(size=(70, 5))
+        z = _forward(net, x, None)[-1]
+        # the training step's form: x with a ones column, one GEMM a layer
+        z1 = _forward(net, np.hstack([x, np.ones((len(x), 1))]), None, ones=True)[-1]
+        for cs, out, (ref_z, ref_out) in zip(net.cols, forward(net, x),
+                                             reference_outputs(net, x)):
+            np.testing.assert_allclose(z[:, cs], ref_z, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(z1[:, cs], ref_z, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(out, ref_out, rtol=1e-12, atol=1e-12)
+
+
 class TestPredictionPath:
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
     @pytest.mark.parametrize("shared,heads", NET_SHAPES)
