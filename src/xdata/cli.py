@@ -434,8 +434,15 @@ def run(config: RunConfig, quiet: bool = False) -> None:
     if config.test_file is not None:
         paths.append(config.test_file)
     read = _read_relations(paths)
-    relations = [(_raised(r), nt) for r, (_, nt) in zip(read, config.datasets)]
-    ds = assemble(relations, config.ignore_first_attribute)
+    test_read = read.pop() if config.test_file is not None else None
+    # the parsed training relations live only through assemble: from here on
+    # ds holds the one original-units feature matrix of the run
+    ds = assemble([(_raised(r), nt) for r, (_, nt) in zip(read, config.datasets)],
+                  config.ignore_first_attribute)
+    del read
+    if not ds.defined.any():
+        raise DatasetError("no input file defines a label: "
+                           + ", ".join(path for path, _ in config.datasets))
     _check_task_keys(config, ds)
     _progress(quiet, f"assembled {ds.n_instances} instances, {ds.n_features} features, "
                      f"{ds.n_tasks} task(s)")
@@ -444,15 +451,21 @@ def run(config: RunConfig, quiet: bool = False) -> None:
     if config.drop_fraction is not None:
         withheld = ds
         ds = drop_labels(ds, config.drop_fraction, config.drop_seed)
+        if not ds.defined.any():
+            raise ConfigError(f"drop.fraction = {config.drop_fraction} drops every "
+                              "defined label: nothing is left to train on")
         _progress(quiet, f"dropped {config.drop_fraction:.0%} of defined labels per task")
 
     eval_ds = None
     if config.test_file is not None:
-        eval_ds = assemble_eval(_raised(read[-1]), ds, config.ignore_first_attribute)
+        eval_ds = assemble_eval(_raised(test_read), ds, config.ignore_first_attribute)
+        del test_read
         _progress(quiet, f"test set: {eval_ds.n_instances} instances")
 
     ds_std, standardizer = standardize(ds)
+    # the test set is needed only standardized
     eval_std = standardizer.transform_dataset(eval_ds) if eval_ds is not None else None
+    del eval_ds
 
     _progress(quiet, "running cross-data label completion")
     result = run_cdlc(ds_std, config.cdlc, eval_std, standardizer)

@@ -10,7 +10,7 @@ defined and 0.0 elsewhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -45,14 +45,36 @@ class TaskSchema:
         return len(self.classes) if self.classes else 0
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """`a` itself if it is read-only, else a read-only view of it."""
+    if a.flags.writeable:
+        a = a.view()
+        a.flags.writeable = False
+    return a
+
+
 @dataclass
 class MultiTargetDataset:
+    """A feature matrix and its label grid.
+
+    `features` and `origin` are read-only from construction on: a writable
+    array passed in is replaced by a read-only view of it. Every derivation
+    that changes only labels (`copy`, `drop_labels`, the completion loop's
+    grid, `apply_assignments`) shares them and copies `labels` and `defined`,
+    so a run holds one feature matrix per feature space, and a stray in-place
+    write raises.
+    """
+
     features: np.ndarray  # (N, F) float64
     labels: np.ndarray  # (N, M) float64; class index or real where defined
     defined: np.ndarray  # (N, M) bool
     tasks: list[TaskSchema]
     origin: np.ndarray  # (N,) int, 1-based source file index
     feature_names: list[str]
+
+    def __post_init__(self):
+        self.features = _read_only(self.features)
+        self.origin = _read_only(self.origin)
 
     @property
     def n_instances(self) -> int:
@@ -67,9 +89,10 @@ class MultiTargetDataset:
         return len(self.tasks)
 
     def copy(self) -> "MultiTargetDataset":
+        """A copy of the label grid that shares the read-only features and origin."""
         return MultiTargetDataset(
-            self.features.copy(), self.labels.copy(), self.defined.copy(),
-            list(self.tasks), self.origin.copy(), list(self.feature_names),
+            self.features, self.labels.copy(), self.defined.copy(),
+            list(self.tasks), self.origin, list(self.feature_names),
         )
 
 
@@ -255,7 +278,7 @@ def to_relation(ds: MultiTargetDataset, relation_name: str = "completed") -> Arf
     """Export the dataset (original units) as one merged ARFF relation.
     Raises DatasetError if a defined label cell holds a non-finite value."""
     attrs = [AttributeDecl(name, NUMERIC) for name in ds.feature_names]
-    columns = list(ds.features.T.copy())
+    columns = list(ds.features.T)  # strided views of the feature columns
     for m, t in enumerate(ds.tasks):
         labels, defined = ds.labels[:, m], ds.defined[:, m]
         bad = defined & ~np.isfinite(labels)
@@ -302,7 +325,9 @@ class Standardizer:
     target_stats: dict[int, tuple[float, float]] = field(default_factory=dict)
 
     def transform_features(self, x: np.ndarray) -> np.ndarray:
-        return (x - self.feature_mean) / self.feature_std
+        z = x - self.feature_mean
+        z /= self.feature_std  # in place: one new matrix, not two
+        return z
 
     def inverse_features(self, x: np.ndarray) -> np.ndarray:
         return x * self.feature_std + self.feature_mean
@@ -314,8 +339,7 @@ class Standardizer:
         return v * std + mean
 
     def transform_dataset(self, ds: MultiTargetDataset) -> MultiTargetDataset:
-        out = ds.copy()
-        out.features = self.transform_features(ds.features)
+        out = replace(ds.copy(), features=self.transform_features(ds.features))
         for m, (mean, std) in self.target_stats.items():
             mask = out.defined[:, m]
             out.labels[mask, m] = (out.labels[mask, m] - mean) / std

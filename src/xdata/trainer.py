@@ -122,7 +122,7 @@ def run_cdlc(ds: MultiTargetDataset, config: CdlcConfig,
     config.validate()
     if eval_set is not None and [t.name for t in eval_set.tasks] != [t.name for t in ds.tasks]:
         raise ValueError("evaluation set task schemas do not match the dataset")
-    work = ds.copy()
+    work = ds.copy()  # a new label grid over the shared, read-only features
     if not work.defined.any():
         raise ValueError("dataset has no defined labels; nothing to train on")
 
@@ -191,7 +191,8 @@ def run_cdlc(ds: MultiTargetDataset, config: CdlcConfig,
 
 def apply_assignments(ds: MultiTargetDataset, assignments: Assignments,
                       standardizer: Optional[Standardizer] = None) -> MultiTargetDataset:
-    """Write pseudo-labels into an original-units dataset (for serialization)."""
+    """Write pseudo-labels into a copy of the label grid of an original-units
+    dataset (for serialization); the features are shared, not copied."""
     out = ds.copy()
     cells = assignments.instance, assignments.task_index
     out.labels[cells] = assignments.original_values(standardizer)

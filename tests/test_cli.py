@@ -293,6 +293,22 @@ class TestMain:
                               "\\r not followed by \\n"), err
         assert not (tmp_path / "out" / "completed.arff").exists()
 
+    def test_input_files_without_a_label_exit_2_naming_them(self, tmp_path, capsys):
+        cfg = self._tiny_run(tmp_path, "1,?\n2,?\n")
+        assert main(["--config", str(cfg), "--quiet"]) == 2
+        assert capsys.readouterr().err == \
+            f"data error: no input file defines a label: {tmp_path / 'tiny.arff'}\n"
+        assert not (tmp_path / "out" / "completed.arff").exists()
+
+    def test_drop_fraction_that_drops_every_label_exits_1(self, tmp_path, capsys):
+        cfg = self._tiny_run(tmp_path, "1,a\n2,b\n3,?\n")
+        cfg.write_text(cfg.read_text() + "drop.fraction = 1.0\n")
+        assert main(["--config", str(cfg), "--quiet"]) == 1
+        assert capsys.readouterr().err == ("configuration error: drop.fraction = 1.0 drops "
+                                           "every defined label: nothing is left to train "
+                                           "on\n")
+        assert not (tmp_path / "out" / "completed.arff").exists()
+
     def test_crlf_input_file_runs(self, tmp_path):
         cfg = self._tiny_run(tmp_path, "1,a\r\n2,b\r\n3,?\r\n")
         assert main(["--config", str(cfg), "--quiet"]) == 0

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from xdata.arff import NOMINAL, NUMERIC, STRING, ArffRelation, AttributeDecl
 from xdata.dataset import (BINARY, MULTICLASS, REGRESSION, DatasetError,
-                           assemble, assemble_eval, drop_labels, split,
-                           standardize, to_relation)
+                           MultiTargetDataset, TaskSchema, assemble, assemble_eval,
+                           drop_labels, split, standardize, to_relation)
 from xdata.arff import parse_arff, write_arff
 
 
@@ -260,3 +260,57 @@ def test_to_relation_rejects_non_finite_defined_label():
     ds.labels[0, 1] = np.nan
     with pytest.raises(DatasetError, match=r"task 'arousal', row 1: non-finite value"):
         to_relation(ds)
+
+
+class TestSharedFeatures:
+    """One feature matrix per feature space: derivations that change only the
+    label grid share `features` and `origin`, which are read-only."""
+
+    def test_assembled_features_and_origin_are_read_only(self):
+        ds = assemble(four_file_corpus())
+        ev = assemble_eval(_rel("T", ["f1", "f2"], [("emotion", EMOTIONS)],
+                                [[0.0, 0.0, 1]])[0], ds)
+        std, _ = standardize(ds)
+        for d in (ds, ev, std):
+            with pytest.raises(ValueError, match="read-only"):
+                d.features[0, 0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                d.origin[0] = 1
+
+    def test_construction_leaves_the_callers_array_writable(self):
+        x = np.arange(6.0).reshape(3, 2)
+        ds = MultiTargetDataset(x, np.zeros((3, 1)), np.ones((3, 1), dtype=bool),
+                                [TaskSchema("t", REGRESSION)], np.ones(3, dtype=int),
+                                ["f1", "f2"])
+        assert not ds.features.flags.writeable and np.shares_memory(ds.features, x)
+        x[0, 0] = -1.0  # the caller still owns its array
+        assert ds.features[0, 0] == -1.0
+
+    def test_copy_and_drop_labels_share_only_features_and_origin(self):
+        ds = assemble(four_file_corpus())
+        for out in (ds.copy(), drop_labels(ds, 0.5, seed=1)):
+            assert np.shares_memory(out.features, ds.features)
+            assert np.shares_memory(out.origin, ds.origin)
+            assert not np.shares_memory(out.labels, ds.labels)
+            assert not np.shares_memory(out.defined, ds.defined)
+
+    def test_standardized_features_are_new_labels_copied(self):
+        ds = assemble(four_file_corpus())
+        before = ds.labels.copy()
+        std, _ = standardize(ds)
+        assert not np.shares_memory(std.features, ds.features)
+        assert np.shares_memory(std.origin, ds.origin)
+        assert not np.shares_memory(std.labels, ds.labels)
+        assert np.array_equal(ds.labels, before)
+
+    def test_to_relation_views_the_features_and_writes_the_same_text(self):
+        ds = assemble(four_file_corpus())
+        rel = to_relation(ds)
+        views = rel.columns[:ds.n_features]
+        assert all(np.shares_memory(c, ds.features) and not c.flags.contiguous
+                   for c in views)
+        rel.validate()  # strided 1-D float64 views are valid columns
+        # the text of the same relation over contiguous copies of the columns
+        copied = ArffRelation(rel.relation_name, rel.attributes,
+                              [c.copy() for c in rel.columns])
+        assert write_arff(rel) == write_arff(copied)

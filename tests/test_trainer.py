@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xdata.dataset import MultiTargetDataset, TaskSchema
+from xdata.dataset import MultiTargetDataset, TaskSchema, standardize
 from xdata.model import NetworkConfig
 from xdata.trainer import (STATUS_COMPLETED, STATUS_MAX_ITERATIONS,
-                           STATUS_STALLED, CdlcConfig, run_cdlc, select_top_k)
+                           STATUS_STALLED, CdlcConfig, apply_assignments, run_cdlc,
+                           select_top_k)
 
 
 def top_instances(pool, k, min_confidence=None):
@@ -141,6 +142,18 @@ class TestRunCdlc:
             assert np.array_equal(getattr(r1.assignments, column.name),
                                   getattr(r2.assignments, column.name))
         assert [r.filled for r in r1.records] == [r.filled for r in r2.records]
+
+    def test_run_shares_its_input_features_and_leaves_them_unchanged(self):
+        ds = grid_dataset([60, 30], seed=12)
+        std, sz = standardize(ds)
+        before = std.features.tobytes()
+        result = run_cdlc(std, CdlcConfig(network=FAST_NET, select_per_task=20))
+        assert result.dataset.defined.all()
+        assert np.shares_memory(result.dataset.features, std.features)
+        assert std.features.tobytes() == before
+        completed = apply_assignments(ds, result.assignments, sz)
+        assert np.shares_memory(completed.features, ds.features)
+        assert not np.shares_memory(completed.labels, ds.labels)
 
     def test_no_defined_labels_errors(self):
         ds = grid_dataset([50], seed=10)
