@@ -303,6 +303,7 @@ def parse_arff(text: str) -> ArffRelation:
 
     relation_name: Optional[str] = None
     attributes: list[AttributeDecl] = []
+    names: set[str] = set()  # of `attributes`
 
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -320,9 +321,10 @@ def parse_arff(text: str) -> ArffRelation:
             if relation_name is None:
                 raise ArffError("@attribute before @relation", lineno)
             attr = _parse_attribute(line[len("@attribute"):], lineno)
-            if attr.name in {a.name for a in attributes}:
+            if attr.name in names:
                 raise ArffError(f"duplicate attribute name {attr.name!r}", lineno)
             attributes.append(attr)
+            names.add(attr.name)
         elif lower.startswith("@data"):
             if relation_name is None:
                 raise ArffError("@data before @relation", lineno)

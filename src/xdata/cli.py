@@ -347,15 +347,26 @@ def _raised(outcome):
     return outcome
 
 
+_CHUNK_ROWS = 4096  # data rows formatted at once: bounds the per-cell strings alive
+
+
+def _chunks(relation, start: int, stop: int):
+    """``format_rows`` of rows `start` to `stop` of `relation`, _CHUNK_ROWS at a time."""
+    for a in range(start, stop, _CHUNK_ROWS):
+        yield format_rows(relation, a, min(a + _CHUNK_ROWS, stop))
+
+
 def _write_arff_file(path: Path, relation) -> None:
     """Write ``write_arff(relation)`` to `path`; a forked child formats the
-    second half of the data rows while this process formats the first."""
+    second half of the data rows while this process formats the first and
+    writes it chunk by chunk."""
     relation.validate()  # so that no invalid value reaches the child
     n, half = relation.n_rows, relation.n_rows // 2
-    with _in_child(f"formatting {path.name}", format_rows, relation, half, n) as tail, \
+    with _in_child(f"formatting {path.name}",
+                   lambda: "".join(_chunks(relation, half, n))) as tail, \
             open(path, "w", encoding="utf-8") as f:
         f.write(format_header(relation))
-        f.write(format_rows(relation, 0, half))
+        f.writelines(_chunks(relation, 0, half))
         f.write(tail())
 
 

@@ -60,11 +60,20 @@ multiply, as (h * scale) * keep equals (h * keep) * scale for keep in {0, 1},
 signed zeros included. The passes run on one or two worker threads, two
 where a second CPU is usable and BLAS is held at one thread (the CLI holds it
 there; :func:`one_blas_thread`). A worker takes the next pass and makes its
-draw under one lock, so that pass t makes the t-th draw whatever the thread
-and the outputs do not depend on the number of workers. It makes each draw
-into its own reused bool buffer, computes the pass in row blocks of at most
-4096 rows, in place in per-layer buffers of its own, and writes into one
-preallocated (passes, B) or (passes, B, K) array per task. Training and
+draw's reads of the generator under one lock, so that pass t makes the t-th
+draw whatever the thread and the outputs do not depend on the number of
+workers; the mask is made from the words outside the lock. It makes each draw
+into its own reused bool buffer and computes the pass in row blocks of at most
+4096 rows, in place in per-layer buffers of its own. A classification task's
+outputs go into one (B,) or (B, K) running sum over the passes: block i of
+pass t is added once block i of pass t - 1 is (a pass count per block under
+one condition variable), so the sum is made in pass order, as
+``stack.mean(axis=0)`` sums a stack of the passes. A worker whose outputs
+are not yet due copies them into a spare buffer of a block's size and goes
+on to its next pass, holding at most one block's outputs; it waits only to
+add those before it would hold another. A regression task, whose variance
+needs every pass, keeps its (passes, B) stack, as does a binary task over
+one row, whose stack numpy reduces pairwise. Training and
 prediction both write the (B, sum K) logits column-major, so that a task's
 softmax reduces over contiguous columns and both sum a row in the same
 order. Apart from that reordered mask, its float operations are those of
@@ -327,17 +336,29 @@ def _threshold(p: float) -> tuple[np.uint16, np.uint16]:
     return tuple(map(np.uint16, divmod(min(round(p * 2**32), 2**32 - 1), 2**16)))
 
 
+def _draw_words(rng: np.random.Generator, n: int, hi, keep: np.ndarray):
+    """The part of a dropout draw of n units that reads `rng`: (its words, the
+    positions of its ties, their tie words or None); keep[:n] is scratch."""
+    words = _words(rng, n)
+    ties = np.flatnonzero(np.equal(words, hi, out=keep[:n]))
+    return words, ties, _words(rng, ties.size) if ties.size else None
+
+
+def _keep_mask(drawn, hi, lo, keep: np.ndarray) -> np.ndarray:
+    """The bool mask of the :func:`_draw_words` result `drawn` in keep[:n]:
+    unit i is kept iff (word i, its tie word) >= (hi, lo)."""
+    words, ties, tie_words = drawn
+    keep = np.greater(words, hi, out=keep[:words.size])
+    if ties.size:
+        keep[ties] = tie_words >= lo
+    return keep
+
+
 def _draw(rng: np.random.Generator, n: int, hi, lo, keep=None) -> np.ndarray:
     """One dropout draw (module docstring) of n units into the bool buffer
-    keep[:n] (a fresh array if `keep` is None), which it returns: unit i is
-    kept iff (word i, its tie word) >= (hi, lo)."""
-    words = _words(rng, n)
-    keep = np.empty(n, dtype=bool) if keep is None else keep[:n]
-    ties = np.flatnonzero(np.equal(words, hi, out=keep))
-    np.greater(words, hi, out=keep)
-    if ties.size:
-        keep[ties] = _words(rng, ties.size) >= lo
-    return keep
+    keep[:n] (a fresh array if `keep` is None), which it returns."""
+    keep = np.empty(n, dtype=bool) if keep is None else keep
+    return _keep_mask(_draw_words(rng, n, hi, keep), hi, lo, keep)
 
 
 def _layer_masks(keep: np.ndarray, rows: int, spans) -> list[np.ndarray]:
@@ -564,21 +585,31 @@ def _blocks(rows: int) -> list[tuple[int, int]]:
     return [(rows * i // n, rows * (i + 1) // n) for i in range(n)]
 
 
+def _keeps_stack(task: TaskSchema, rows: int) -> bool:
+    """Whether :func:`_predict_passes` keeps task's (passes, B) stack of a
+    call over `rows` rows, not a running sum: regression's variance needs every
+    pass, and numpy's mean over a (passes, 1) stack sums pairwise, not in pass
+    order."""
+    return task.kind == REGRESSION or (task.kind == "binary" and rows == 1)
+
+
 def _predict_passes(net: MtShlNetwork, x: np.ndarray, rng: Optional[np.random.Generator],
                     passes: int) -> list[np.ndarray]:
-    """Activated outputs of `passes` forward passes of the batch `x`, one
-    (passes, B) or (passes, B, K) array per task, each pass's (B, K) block
-    column-major.
+    """Activated outputs of `passes` forward passes of the batch `x`, per task
+    the (passes, B) stack of its outputs where :func:`_keeps_stack`, else
+    their sum over the passes, (B,) or (B, K), the latter column-major.
 
+    The sum adds the passes in pass order, the first copied, so that dividing
+    it by `passes` gives ``stack.mean(axis=0)`` to the bit, in its layout.
     Dropout-free when `rng` is None or p = 0, else every pass makes the draw
     of :func:`sample_dropout_masks`. Computes what :func:`_forward` does
     (a @ W, then + b), to the bit, in buffers reused across passes. The
     :func:`_mc_workers` workers are the caller's thread and one more thread
     each (module docstring). They run under the caller's numpy error state,
     which a new thread does not inherit; the first exception one raises stops
-    the others at their next pass and is raised here once all have ended.
-    Workers call only private helpers, none that perfbench/traced.py wraps:
-    its span stack is not thread-safe.
+    the others at their next pass or wait for an add and is raised here once
+    all have ended. Workers call only private helpers, none that
+    perfbench/traced.py wraps: its span stack is not thread-safe.
     """
     p = net.config.dropout
     akind, rows, scale = net.config.activation, x.shape[0], 1.0 / (1.0 - p)
@@ -593,25 +624,30 @@ def _predict_passes(net: MtShlNetwork, x: np.ndarray, rng: Optional[np.random.Ge
     masked = bool(net.trunk) and drawn
     if masked:
         first *= scale
-    # a pass's (B, K) block column-major, as np.stack of the training outputs
-    # lays it out, so that the entropy of the mean sums over K in their order
-    outs = [np.empty((passes, head_output_size(t), rows)).transpose(0, 2, 1)
-            if t.kind == "multiclass" else np.empty((passes, rows)) for t in net.tasks]
+    stacked = [_keeps_stack(t, rows) for t in net.tasks]
+    # a multiclass sum column-major, as stack.mean(axis=0) lays it out, so that
+    # the entropy of the mean sums over K in its order
+    outs = [np.empty((passes, rows)) if kept
+            else np.empty((head_output_size(t), rows)).T if t.kind == "multiclass"
+            else np.empty(rows) for t, kept in zip(net.tasks, stacked)]
 
     def worker_state():
-        """A worker's keep buffer (None without a draw) and, per row block, its
-        rows, layer masks, per-layer buffers and column-major logits; a block's
-        buffers are contiguous views of storage for the largest block."""
+        """A worker's keep buffer (None without a draw); per row block, its
+        index, rows, layer masks, per-layer buffers and column-major logits, a
+        block's buffers being contiguous views of storage for the largest
+        block; and per summed task, a spare buffer for a block's outputs."""
+        spare = [np.empty((size, head_output_size(t)) if t.kind == "multiclass" else size)
+                 for t, kept in zip(net.tasks, stacked) if not kept]
         keep = np.empty(rows * net.units, dtype=bool) if drawn else None
         masks = _layer_masks(keep, rows, net.spans) if drawn else [None] * len(widths)
         flats, zflat = [np.empty(size * w) for w in widths], np.empty(size * logits)
         state = []
-        for r0, r1 in blocks:
+        for i, (r0, r1) in enumerate(blocks):
             b = r1 - r0
             bufs = [f[:b * w].reshape(b, w) for f, w in zip(flats, widths)]
             z = zflat[:b * logits].reshape((b, logits), order="F")
-            state.append((r0, r1, [m if m is None else m[r0:r1] for m in masks], bufs, z))
-        return keep, state
+            state.append((i, r0, r1, [m if m is None else m[r0:r1] for m in masks], bufs, z))
+        return keep, state, spare
 
     def hidden(a, layers, j, masks, bufs):
         for layer in layers:
@@ -619,32 +655,93 @@ def _predict_passes(net: MtShlNetwork, x: np.ndarray, rng: Optional[np.random.Ge
             j += 1
         return a
 
-    def one_pass(t, r0, r1, masks, bufs, z):
+    # the draws are made in pass order under `lock`; block i of pass t is added
+    # to the sums once added[i] == t, under `cond`, which an error also wakes
+    lock, cond, order, errors, err = (threading.Lock(), threading.Condition(),
+                                      iter(range(passes)), [], np.geterr())
+    added = [0] * len(blocks)
+
+    def add(i, t, pairs) -> None:
+        """Add pass t's outputs of block i, `pairs` of (the block's rows of a
+        sum, the outputs), the first copied, then count them."""
+        for total, y in pairs:
+            if t:
+                total += y
+            else:
+                np.copyto(total, y)
+        with cond:
+            added[i] += 1
+            cond.notify_all()
+
+    def flush(held) -> bool:
+        """Add the held outputs, (i, t, pairs) in held[0] if any, once it is
+        their turn; False if an error stopped the call."""
+        if held[0] is not None:
+            i, t, pairs = held[0]
+            with cond:
+                cond.wait_for(lambda: errors or added[i] == t)
+                if errors:
+                    return False
+            add(i, t, pairs)
+            held[0] = None
+        return True
+
+    def one_pass(t, i, r0, r1, masks, bufs, z, held, spare) -> bool:
+        """Pass t over block i into the outputs; False if an error stopped it.
+        Outputs that are not yet due are held in `spare` until their turn, so
+        that a worker goes on to its next pass; it holds at most one block's."""
         top = np.multiply(first[r0:r1], masks[0], out=bufs[0]) if masked else first[r0:r1]
         top = hidden(top, net.trunk[1:], 1, masks, bufs)
         j = len(net.trunk)
         for layers, cs in net.groups:
             _dense(hidden(top, layers[:-1], j, masks, bufs), layers[-1], z[:, cs])
             j += len(layers) - 1
-        for task, cs, out in zip(net.tasks, net.cols, outs):
-            out[t, r0:r1] = _activate_output(task, z[:, cs])
+        pairs = []  # (this block's rows of a task's sum, its outputs)
+        for task, cs, out, kept in zip(net.tasks, net.cols, outs, stacked):
+            y = _activate_output(task, z[:, cs])
+            if kept:
+                out[t, r0:r1] = y
+            else:
+                pairs.append((out[r0:r1], y))
+        if not pairs:
+            return True
+        if not flush(held):  # by now due, unless the other worker is a pass behind
+            return False
+        with cond:
+            due = added[i] == t
+        if due:
+            add(i, t, pairs)
+            return True
+        for (_, y), buf in zip(pairs, spare):
+            np.copyto(buf[:r1 - r0], y)
+        held[0] = (i, t, [(total, buf[:r1 - r0]) for (total, _), buf in zip(pairs, spare)])
+        return True
 
-    lock, order, errors, err = threading.Lock(), iter(range(passes)), [], np.geterr()
+    def next_pass(keep) -> Optional[int]:
+        """The next pass, its draw made into `keep`; None once all are taken."""
+        with lock:  # only what reads the generator, in stream order
+            t = next(order, None)
+            words = _draw_words(rng, keep.size, hi, keep) if drawn and t is not None else None
+        if words is not None:
+            _keep_mask(words, hi, lo, keep)
+        return t
 
-    def work(keep, state):
+    def work(keep, state, spare):
+        held = [None]  # (i, t, pairs) of outputs not yet due, held in `spare`
         try:
             with np.errstate(**err):  # a new thread starts at numpy's defaults
                 while not errors:
-                    with lock:
-                        t = next(order, None)
-                        if t is None:
-                            return
-                        if drawn:
-                            _draw(rng, keep.size, hi, lo, keep)
+                    t = next_pass(keep)
+                    if t is None:
+                        flush(held)
+                        return
                     for block in state:
-                        one_pass(t, *block)
+                        if not one_pass(t, *block, held, spare):
+                            return
         except BaseException as exc:  # noqa: BLE001 - raised by the caller
-            errors.append(exc)
+            with cond:  # wakes a worker waiting for an add this one will not make
+                errors.append(exc)
+                cond.notify_all()
 
     states = [worker_state() for _ in range(min(_mc_workers(), passes))]
     threads = [threading.Thread(target=work, args=state, daemon=True) for state in states[1:]]
@@ -667,7 +764,9 @@ def forward(net: MtShlNetwork, x: np.ndarray,
     probability of class 1, multiclass a (B, K) distribution, regression the
     raw output.
     """
-    return [out[0] for out in _predict_passes(net, _as_rows(net, x), rng, 1)]
+    x = _as_rows(net, x)
+    return [out[0] if _keeps_stack(task, len(x)) else out
+            for task, out in zip(net.tasks, _predict_passes(net, x, rng, 1))]
 
 
 def _cell_losses(task: TaskSchema, z: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -896,15 +995,19 @@ def mc_predict(net: MtShlNetwork, x: np.ndarray,
     confidences come from that point distribution. Classification: mean
     output distribution, confidence is the negated Shannon entropy of that
     mean. Regression: mean output, confidence is the negated unbiased sample
-    variance across passes (0 for a single pass).
+    variance across passes (0 for a single pass). A mean is
+    :func:`_predict_passes`' sum over the passes divided by their number, or
+    the mean of its stack where it keeps one; the two agree to the bit.
     """
     x = _as_rows(net, x)
     passes = 1 if rng is None or net.config.dropout == 0.0 else net.config.mc_passes
     results = []
-    for task, stack in zip(net.tasks, _predict_passes(net, x, rng, passes)):
-        mean = stack.mean(axis=0)  # stack: (T, B) or (T, B, K)
+    for task, out in zip(net.tasks, _predict_passes(net, x, rng, passes)):
+        # out: the (T, B) stack, or the (B,) or (B, K) sum over the T passes
+        kept = _keeps_stack(task, len(x))
+        mean = out.mean(axis=0) if kept else np.divide(out, passes, out=out)
         if task.kind == REGRESSION:
-            var = stack.var(axis=0, ddof=1) if passes > 1 else np.zeros(x.shape[0])
+            var = out.var(axis=0, ddof=1) if passes > 1 else np.zeros(x.shape[0])
             results.append(TaskPredictionBatch(mean, -var))
         else:
             dist = np.stack([1.0 - mean, mean], axis=-1) if task.kind == "binary" else mean

@@ -156,6 +156,16 @@ def test_long_unterminated_quote_reports_its_line():
     assert exc.value.line == 5
 
 
+def test_duplicate_attribute_in_a_long_header_is_named_at_its_line():
+    names = [f"f{i}" for i in range(6000)]
+    names[4321] = "f17"  # attribute i is declared on line i + 2
+    text = ("@relation t\n" + "".join(f"@attribute {name} numeric\n" for name in names)
+            + "@data\n")
+    with pytest.raises(ArffError, match="^line 4323: duplicate attribute name 'f17'$") as exc:
+        parse_arff(text)
+    assert exc.value.line == 4323
+
+
 @pytest.mark.parametrize("snippet,err", [
     ("@relation t\n@attribute when date\n@data\n", "unsupported"),
     ("@relation t\n@attribute a numeric\n@data\n{0 1}\n", "unsupported"),

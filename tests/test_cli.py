@@ -12,7 +12,8 @@ import pytest
 import xdata
 import xdata.cli as cli
 import xdata.model as model
-from xdata.arff import NUMERIC, STRING, ArffError, ArffRelation, AttributeDecl, write_arff
+from xdata.arff import (NOMINAL, NUMERIC, STRING, ArffError, ArffRelation, AttributeDecl,
+                        write_arff)
 from xdata.cli import ConfigError, RunConfig, _format, _keys, main, parse_config
 from xdata.synthetic import make_corpus
 
@@ -560,6 +561,24 @@ class TestTwoProcesses:
         assert main(["--config", str(cfg), "--quiet"]) == 2
         assert capsys.readouterr().err == \
             f"data error: input file not found: {tmp_path / 'test.arff'}\n"
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("can_fork", [True, False])
+    @pytest.mark.parametrize("n", [0, 1, cli._CHUNK_ROWS - 1, cli._CHUNK_ROWS,
+                                   cli._CHUNK_ROWS + 1, 2 * cli._CHUNK_ROWS + 1])
+    def test_chunked_completed_arff_is_write_arff(self, tmp_path, monkeypatch, n, can_fork):
+        rng = np.random.default_rng(n)
+        values = rng.normal(size=n) * 10.0 ** rng.integers(-8, 8, n)
+        values[::7] = np.nan
+        rel = ArffRelation("t", [AttributeDecl("name", STRING),
+                                 AttributeDecl("c", NOMINAL, ("a", "b c", "?")),
+                                 AttributeDecl("v", NUMERIC)],
+                           [[None if i % 5 == 0 else f"row {i}" for i in range(n)],
+                            rng.integers(-1, 3, n), values])
+        monkeypatch.setattr(cli, "_can_fork", lambda: can_fork)
+        path = tmp_path / "completed.arff"
+        cli._write_arff_file(path, rel)
+        assert path.read_bytes() == write_arff(rel).encode("utf-8")
         assert_no_child_left()
 
     def test_invalid_value_in_second_half_raises_before_the_fork(self, tmp_path, monkeypatch):

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -787,6 +788,19 @@ class TestPredictionPath:
                             training_outputs(net, x, masks)):
             assert np.array_equal(out, ref)
 
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_many_passes_over_few_rows_equal_stacked_reference(self, rows):
+        # numpy's mean over a (passes, 1) stack sums pairwise, not in pass order
+        net = micro_net(seed=60, shared=(6,), heads={"cat": (3,)}, dropout=0.3, mc_passes=64,
+                        tasks=WIDE_TASKS)
+        x = np.random.default_rng(61).normal(size=(rows, 5))
+        for seed in range(62, 72):
+            got = mc_predict(net, x, np.random.default_rng(seed))
+            for pred, (decoded, confidence) in zip(
+                    got, stacked_mc_predict(net, x, np.random.default_rng(seed))):
+                assert pred.decoded.tobytes() == decoded.tobytes()
+                assert pred.confidence.tobytes() == confidence.tobytes()
+
     @pytest.mark.parametrize("seed", [None, 46])
     def test_zero_rows_give_empty_results(self, seed):
         net = micro_net(shared=(6,), heads={"cat": (3,)}, dropout=0.3, mc_passes=4)
@@ -829,6 +843,31 @@ def pass_outputs(net, x, seed, workers, monkeypatch):
     return [out.tobytes() for out in outs], rng.random()
 
 
+def stall_pass(monkeypatch, n, error=None):
+    """Make the worker of pass n sleep 0.2 s at its first output activation
+    in that pass, then raise `error` if given, so that the other worker, with
+    pass n + 1's outputs, reaches their add first."""
+    draws, stalled = [], set()
+    draw_words, activate = model._draw_words, model._activate_output
+
+    def drawing(*args):
+        if len(draws) == n:  # the draws are made in pass order
+            stalled.add(threading.get_ident())
+        draws.append(None)
+        return draw_words(*args)
+
+    def stalling(task, z):
+        if threading.get_ident() in stalled:
+            stalled.discard(threading.get_ident())
+            time.sleep(0.2)
+            if error is not None:
+                raise error
+        return activate(task, z)
+
+    monkeypatch.setattr(model, "_draw_words", drawing)
+    monkeypatch.setattr(model, "_activate_output", stalling)
+
+
 class TestTwoWorkers:
     """The MC passes of one call split over two threads give the bytes, and
     leave the generator in the state, of one thread running them all."""
@@ -867,6 +906,35 @@ class TestTwoWorkers:
                        np.random.default_rng(55))
         assert threading.active_count() == threads
         assert len(calls) < 8 * len(net.tasks)  # the passes stopped
+
+    @pytest.mark.parametrize("slow", [0, 3])  # 3: the last pass is held to the end
+    def test_a_slow_pass_is_still_added_in_order(self, monkeypatch, slow):
+        net = micro_net(seed=51, shared=(6,), heads={"cat": (3,)}, dropout=0.3, mc_passes=5,
+                        tasks=WIDE_TASKS)
+        x = np.random.default_rng(52).normal(size=(300, 5))
+        expected = pass_outputs(net, x, 53, 1, monkeypatch)
+        stall_pass(monkeypatch, slow)
+        assert pass_outputs(net, x, 53, 2, monkeypatch) == expected
+
+    def test_worker_error_wakes_the_worker_waiting_on_its_add(self, monkeypatch):
+        net = micro_net(shared=(6,), heads={"cat": (3,)}, dropout=0.3, mc_passes=8)
+        stall_pass(monkeypatch, 0, KeyError("pass 0 failed"))
+        monkeypatch.setattr(model, "_mc_workers", lambda: 2)
+        errors, threads = [], threading.active_count()
+
+        def call():
+            try:
+                mc_predict(net, np.random.default_rng(58).normal(size=(40, 5)),
+                           np.random.default_rng(59))
+            except KeyError as exc:
+                errors.append(exc)
+
+        watchdog = threading.Thread(target=call, daemon=True)
+        watchdog.start()
+        watchdog.join(timeout=30)
+        assert not watchdog.is_alive(), "a worker still waits for the failed pass's add"
+        assert [str(exc) for exc in errors] == ["'pass 0 failed'"]
+        assert threading.active_count() == threads
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_workers_run_under_the_callers_error_state(self, monkeypatch, workers):
