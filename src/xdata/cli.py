@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 configuration error, 2 data error, 3 runtime failure.
 from __future__ import annotations
 
 import argparse
+import codecs
 import csv
 import logging
 import os
@@ -212,8 +213,10 @@ def _progress(quiet: bool, message: str) -> None:
 
 def _utf8_text(path: str, data: bytes, error: type) -> str:
     """`data`, the bytes of the file `path`, decoded as UTF-8 with line ends
-    kept as they are; a byte that does not decode raises `error` naming the
-    file and its line."""
+    kept as they are and a leading byte-order mark dropped; a byte that does
+    not decode raises `error` naming the file and its line."""
+    # a mark holds no line end, so an error's line is the file's
+    data = data.removeprefix(codecs.BOM_UTF8)
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -436,7 +439,11 @@ def _report_lines(config: RunConfig, result: CdlcResult, final_metrics,
 @one_blas_thread()
 def run(config: RunConfig, quiet: bool = False) -> None:
     out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output.dir {config.output_dir!r}: cannot create the directory "
+                          f"({exc.strerror})") from None
 
     _progress(quiet, f"reading {len(config.datasets)} input file(s)")
     # every file is read here; each error is raised where it was raised when

@@ -27,10 +27,15 @@ task order, whatever the layout.
 Dropout is inverted, applied to hidden units of trunk and heads, never to
 inputs or outputs. One draw (:func:`_draw`) covers every hidden unit of a
 batch of B rows: the U hidden units (trunk layers, then each group's hidden
-layers; ``MtShlNetwork.spans``) take B*U 16-bit words from one
-``rng.bit_generator.random_raw(ceil(B*U/4))`` call, viewed as uint16 (native
+layers; ``MtShlNetwork.spans``) take the B*U 16-bit words of
+``rng.bit_generator.random_raw(ceil(B*U/4))``, viewed as uint16 (native
 byte order), layer-major: layer j's bool keep mask is the next B*W_j words,
 reshaped (B, W_j); a group's layer is as wide as its heads' layers together.
+The draw reads those words in pieces of a fixed number of 64-bit words
+(``_PIECE``), one random_raw call each, which yield the words of the one call
+and leave the generator where it leaves it; it writes each piece's units and
+notes its ties before it reads the next, so that it holds one piece's words,
+however many units it draws.
 The threshold t = min(round(p * 2**32), 2**32 - 1) splits into
 hi, lo = divmod(t, 2**16). A unit is kept iff its word is > hi; a unit whose
 word equals hi (a tie, about 1 in 65536) takes one more 16-bit word, all ties
@@ -60,20 +65,23 @@ multiply, as (h * scale) * keep equals (h * keep) * scale for keep in {0, 1},
 signed zeros included. The passes run on one or two worker threads, two
 where a second CPU is usable and BLAS is held at one thread (the CLI holds it
 there; :func:`one_blas_thread`). A worker takes the next pass and makes its
-draw's reads of the generator under one lock, so that pass t makes the t-th
-draw whatever the thread and the outputs do not depend on the number of
-workers; the mask is made from the words outside the lock. It makes each draw
+draw under one lock, so that pass t makes the t-th draw whatever the thread
+and the outputs do not depend on the number of workers. It makes each draw
 into its own reused bool buffer and computes the pass in row blocks of at most
-4096 rows, in place in per-layer buffers of its own. A classification task's
-outputs go into one (B,) or (B, K) running sum over the passes: block i of
-pass t is added once block i of pass t - 1 is (a pass count per block under
-one condition variable), so the sum is made in pass order, as
-``stack.mean(axis=0)`` sums a stack of the passes. A worker whose outputs
-are not yet due copies them into a spare buffer of a block's size and goes
-on to its next pass, holding at most one block's outputs; it waits only to
-add those before it would hold another. A regression task, whose variance
-needs every pass, keeps its (passes, B) stack, as does a binary task over
-one row, whose stack numpy reduces pairwise. Training and
+4096 rows, in place in per-layer buffers of its own. A task's outputs go into
+running moments over the passes: block i of pass t is added once block i of
+pass t - 1 is (a pass count per block under one condition variable), so they
+are made in pass order. Each task has a (B,) or (B, K) running sum, pass 0
+copied, which sums the passes as ``stack.mean(axis=0)`` sums a stack of them;
+a regression task also has Welford's running mean and sum of squared
+deviations m2, from which :func:`mc_predict` takes the variance
+m2 / (passes - 1). A worker whose outputs are not yet due copies them into a
+spare buffer of a block's size and goes on to its next pass, holding at most
+one block's outputs; it waits only to add those before it would hold another.
+So no buffer of a call grows with the number of passes. The one exception is
+a call over one row: a binary or regression task keeps its (passes, 1) stack,
+as numpy reduces that stack pairwise, not in pass order, and its variance
+takes the same Welford update over the stack's rows in order. Training and
 prediction both write the (B, sum K) logits column-major, so that a task's
 softmax reduces over contiguous columns and both sum a row in the same
 order. Apart from that reordered mask, its float operations are those of
@@ -336,29 +344,28 @@ def _threshold(p: float) -> tuple[np.uint16, np.uint16]:
     return tuple(map(np.uint16, divmod(min(round(p * 2**32), 2**32 - 1), 2**16)))
 
 
-def _draw_words(rng: np.random.Generator, n: int, hi, keep: np.ndarray):
-    """The part of a dropout draw of n units that reads `rng`: (its words, the
-    positions of its ties, their tie words or None); keep[:n] is scratch."""
-    words = _words(rng, n)
-    ties = np.flatnonzero(np.equal(words, hi, out=keep[:n]))
-    return words, ties, _words(rng, ties.size) if ties.size else None
-
-
-def _keep_mask(drawn, hi, lo, keep: np.ndarray) -> np.ndarray:
-    """The bool mask of the :func:`_draw_words` result `drawn` in keep[:n]:
-    unit i is kept iff (word i, its tie word) >= (hi, lo)."""
-    words, ties, tie_words = drawn
-    keep = np.greater(words, hi, out=keep[:words.size])
-    if ties.size:
-        keep[ties] = tie_words >= lo
-    return keep
+_PIECE = 16384  # 64-bit words a dropout draw reads from its generator at a time
 
 
 def _draw(rng: np.random.Generator, n: int, hi, lo, keep=None) -> np.ndarray:
     """One dropout draw (module docstring) of n units into the bool buffer
-    keep[:n] (a fresh array if `keep` is None), which it returns."""
-    keep = np.empty(n, dtype=bool) if keep is None else keep
-    return _keep_mask(_draw_words(rng, n, hi, keep), hi, lo, keep)
+    keep[:n] (a fresh array if `keep` is None), which it returns. It reads the
+    words _PIECE 64-bit words at a time, as many random_raw calls give the
+    words of one, and writes each piece's units and collects its ties before
+    it reads the next; then all tie words in one call."""
+    keep = np.empty(n, dtype=bool) if keep is None else keep[:n]
+    ties, step = [], 4 * _PIECE
+    for start in range(0, n, step):
+        piece = keep[start:start + step]
+        words = _words(rng, piece.size)
+        tied = np.equal(words, hi, out=piece).nonzero()[0]
+        if tied.size:
+            ties.append(tied + start)
+        np.greater(words, hi, out=piece)
+    if ties:
+        ties = np.concatenate(ties)
+        keep[ties] = _words(rng, ties.size) >= lo
+    return keep
 
 
 def _layer_masks(keep: np.ndarray, rows: int, spans) -> list[np.ndarray]:
@@ -587,20 +594,37 @@ def _blocks(rows: int) -> list[tuple[int, int]]:
 
 def _keeps_stack(task: TaskSchema, rows: int) -> bool:
     """Whether :func:`_predict_passes` keeps task's (passes, B) stack of a
-    call over `rows` rows, not a running sum: regression's variance needs every
-    pass, and numpy's mean over a (passes, 1) stack sums pairwise, not in pass
-    order."""
-    return task.kind == REGRESSION or (task.kind == "binary" and rows == 1)
+    call over `rows` rows, not its running moments: numpy's mean over a
+    (passes, 1) stack sums pairwise, not in pass order (over a (passes, 1, K)
+    stack it sums in pass order)."""
+    return rows == 1 and task.kind != "multiclass"
+
+
+def _welford(t: int, y: np.ndarray, mean: np.ndarray, m2: np.ndarray) -> None:
+    """Welford's update of the running `mean` and sum of squared deviations
+    `m2` by pass t's outputs `y`, in place; pass 0 sets them to (y, 0). Each
+    update adds d * (y - mean) with d = y - (the old mean), two factors of
+    one sign, so `m2` never goes below 0."""
+    if t == 0:
+        np.copyto(mean, y)
+        m2.fill(0.0)
+        return
+    d = y - mean
+    mean += d / (t + 1)
+    m2 += d * (y - mean)
 
 
 def _predict_passes(net: MtShlNetwork, x: np.ndarray, rng: Optional[np.random.Generator],
-                    passes: int) -> list[np.ndarray]:
+                    passes: int) -> list:
     """Activated outputs of `passes` forward passes of the batch `x`, per task
     the (passes, B) stack of its outputs where :func:`_keeps_stack`, else
-    their sum over the passes, (B,) or (B, K), the latter column-major.
+    their running moments over the passes: (sum,) for a classification task,
+    the sum (B,) or (B, K), the latter column-major, and for a regression task
+    (sum, mean, m2), each (B,), mean and m2 by :func:`_welford`.
 
-    The sum adds the passes in pass order, the first copied, so that dividing
-    it by `passes` gives ``stack.mean(axis=0)`` to the bit, in its layout.
+    The moments add the passes in pass order, so that dividing the sum by
+    `passes` gives ``stack.mean(axis=0)`` to the bit, in its layout, and
+    mean and m2 are Welford's over the stack's rows in order.
     Dropout-free when `rng` is None or p = 0, else every pass makes the draw
     of :func:`sample_dropout_masks`. Computes what :func:`_forward` does
     (a @ W, then + b), to the bit, in buffers reused across passes. The
@@ -628,14 +652,15 @@ def _predict_passes(net: MtShlNetwork, x: np.ndarray, rng: Optional[np.random.Ge
     # a multiclass sum column-major, as stack.mean(axis=0) lays it out, so that
     # the entropy of the mean sums over K in its order
     outs = [np.empty((passes, rows)) if kept
-            else np.empty((head_output_size(t), rows)).T if t.kind == "multiclass"
-            else np.empty(rows) for t, kept in zip(net.tasks, stacked)]
+            else (np.empty((head_output_size(t), rows)).T,) if t.kind == "multiclass"
+            else tuple(np.empty(rows) for _ in range(3 if t.kind == REGRESSION else 1))
+            for t, kept in zip(net.tasks, stacked)]
 
     def worker_state():
         """A worker's keep buffer (None without a draw); per row block, its
         index, rows, layer masks, per-layer buffers and column-major logits, a
         block's buffers being contiguous views of storage for the largest
-        block; and per summed task, a spare buffer for a block's outputs."""
+        block; and per task with moments, a spare buffer for a block's outputs."""
         spare = [np.empty((size, head_output_size(t)) if t.kind == "multiclass" else size)
                  for t, kept in zip(net.tasks, stacked) if not kept]
         keep = np.empty(rows * net.units, dtype=bool) if drawn else None
@@ -656,19 +681,22 @@ def _predict_passes(net: MtShlNetwork, x: np.ndarray, rng: Optional[np.random.Ge
         return a
 
     # the draws are made in pass order under `lock`; block i of pass t is added
-    # to the sums once added[i] == t, under `cond`, which an error also wakes
+    # to the moments once added[i] == t, under `cond`, which an error also wakes
     lock, cond, order, errors, err = (threading.Lock(), threading.Condition(),
                                       iter(range(passes)), [], np.geterr())
     added = [0] * len(blocks)
 
     def add(i, t, pairs) -> None:
         """Add pass t's outputs of block i, `pairs` of (the block's rows of a
-        sum, the outputs), the first copied, then count them."""
-        for total, y in pairs:
+        task's moments, the outputs), pass 0 copied into the sum, then count
+        them."""
+        for (total, *moments), y in pairs:
             if t:
                 total += y
             else:
                 np.copyto(total, y)
+            if moments:
+                _welford(t, y, *moments)
         with cond:
             added[i] += 1
             cond.notify_all()
@@ -696,13 +724,13 @@ def _predict_passes(net: MtShlNetwork, x: np.ndarray, rng: Optional[np.random.Ge
         for layers, cs in net.groups:
             _dense(hidden(top, layers[:-1], j, masks, bufs), layers[-1], z[:, cs])
             j += len(layers) - 1
-        pairs = []  # (this block's rows of a task's sum, its outputs)
+        pairs = []  # (this block's rows of a task's moments, its outputs)
         for task, cs, out, kept in zip(net.tasks, net.cols, outs, stacked):
             y = _activate_output(task, z[:, cs])
             if kept:
                 out[t, r0:r1] = y
             else:
-                pairs.append((out[r0:r1], y))
+                pairs.append((tuple(a[r0:r1] for a in out), y))
         if not pairs:
             return True
         if not flush(held):  # by now due, unless the other worker is a pass behind
@@ -714,16 +742,15 @@ def _predict_passes(net: MtShlNetwork, x: np.ndarray, rng: Optional[np.random.Ge
             return True
         for (_, y), buf in zip(pairs, spare):
             np.copyto(buf[:r1 - r0], y)
-        held[0] = (i, t, [(total, buf[:r1 - r0]) for (total, _), buf in zip(pairs, spare)])
+        held[0] = (i, t, [(acc, buf[:r1 - r0]) for (acc, _), buf in zip(pairs, spare)])
         return True
 
     def next_pass(keep) -> Optional[int]:
         """The next pass, its draw made into `keep`; None once all are taken."""
-        with lock:  # only what reads the generator, in stream order
+        with lock:  # the generator is read in stream order
             t = next(order, None)
-            words = _draw_words(rng, keep.size, hi, keep) if drawn and t is not None else None
-        if words is not None:
-            _keep_mask(words, hi, lo, keep)
+            if drawn and t is not None:
+                _draw(rng, keep.size, hi, lo, keep)
         return t
 
     def work(keep, state, spare):
@@ -765,8 +792,8 @@ def forward(net: MtShlNetwork, x: np.ndarray,
     raw output.
     """
     x = _as_rows(net, x)
-    return [out[0] if _keeps_stack(task, len(x)) else out
-            for task, out in zip(net.tasks, _predict_passes(net, x, rng, 1))]
+    # a stack's one pass, or the sum of the moments over one pass
+    return [out[0] for out in _predict_passes(net, x, rng, 1)]
 
 
 def _cell_losses(task: TaskSchema, z: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -997,17 +1024,26 @@ def mc_predict(net: MtShlNetwork, x: np.ndarray,
     mean. Regression: mean output, confidence is the negated unbiased sample
     variance across passes (0 for a single pass). A mean is
     :func:`_predict_passes`' sum over the passes divided by their number, or
-    the mean of its stack where it keeps one; the two agree to the bit.
+    the mean of its stack where it keeps one; the two agree to the bit. The
+    variance is m2 / (passes - 1), m2 the sum of squared deviations of
+    Welford's update over the passes in order (:func:`_welford`).
     """
     x = _as_rows(net, x)
     passes = 1 if rng is None or net.config.dropout == 0.0 else net.config.mc_passes
     results = []
     for task, out in zip(net.tasks, _predict_passes(net, x, rng, passes)):
-        # out: the (T, B) stack, or the (B,) or (B, K) sum over the T passes
+        # out: the (T, B) stack, or the moments over the T passes
         kept = _keeps_stack(task, len(x))
-        mean = out.mean(axis=0) if kept else np.divide(out, passes, out=out)
+        mean = out.mean(axis=0) if kept else np.divide(out[0], passes, out=out[0])
         if task.kind == REGRESSION:
-            var = out.var(axis=0, ddof=1) if passes > 1 else np.zeros(x.shape[0])
+            if kept:
+                moments = np.empty((2, len(x)))
+                for t, y in enumerate(out):  # the stack's rows in pass order
+                    _welford(t, y, *moments)
+                m2 = moments[1]
+            else:
+                m2 = out[2]
+            var = np.divide(m2, passes - 1, out=m2) if passes > 1 else m2
             results.append(TaskPredictionBatch(mean, -var))
         else:
             dist = np.stack([1.0 - mean, mean], axis=-1) if task.kind == "binary" else mean

@@ -1,3 +1,4 @@
+import codecs
 import math
 import os
 import re
@@ -71,14 +72,47 @@ def constant_target_config(tmp_path: Path) -> Path:
     return cfg
 
 
-def run_entry(cfg: Path, *flags: str, **kwargs) -> subprocess.CompletedProcess:
-    """The CLI in a subprocess: pytest captures warnings and log records in
-    process, so only a subprocess shows what reaches stderr."""
+def run_entry(cfg: Path, *flags: str, code: str = "from xdata.cli import entry; entry()",
+              **kwargs) -> subprocess.CompletedProcess:
+    """The CLI in a subprocess (`code` runs it): pytest captures warnings and
+    log records in process, so only a subprocess shows what reaches stderr."""
     src = str(Path(xdata.__file__).parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-c", "from xdata.cli import entry; entry()",
-                           "--config", str(cfg), *flags], env=env, timeout=120, **kwargs)
+    return subprocess.run([sys.executable, "-c", code, "--config", str(cfg), *flags], env=env,
+                          timeout=120, **kwargs)
+
+
+def mixed_task_config(tmp_path: Path, out_dir: Path) -> Path:
+    """Two ARFF files over four features whose targets are a binary, a
+    three-class and a regression task, about a third of each file's labels
+    missing; nine MC passes."""
+    rng = np.random.default_rng(11)
+    datasets = []
+    for k, n in ((1, 150), (2, 90)):
+        x = rng.normal(size=(n, 4))
+        flag = np.where(x[:, 0] > 0, "pos", "neg")
+        kind = np.array(["a", "b", "c"])[np.digitize(x[:, 1], [-0.5, 0.5])]
+        level = x[:, 2] - 0.5 * x[:, 3] + 0.1 * rng.normal(size=n)
+        rows = []
+        for i in range(n):
+            labels = [flag[i], kind[i], repr(float(level[i]))]
+            labels = ["?" if rng.random() < 0.35 else v for v in labels]
+            rows.append(",".join([*map(repr, x[i].tolist()), *labels]))
+        name = f"mixed{k}"
+        path = tmp_path / f"{name}.arff"
+        path.write_text(f"@relation {name}\n"
+                        + "".join(f"@attribute f{j} numeric\n" for j in range(4))
+                        + "@attribute flag {neg,pos}\n@attribute kind {a,b,c}\n"
+                        "@attribute level numeric\n@data\n" + "\n".join(rows) + "\n",
+                        encoding="utf-8")
+        datasets += [f"dataset.{k}.file = {path}", f"dataset.{k}.num_targets = 3"]
+    cfg = tmp_path / "mixed.conf"
+    cfg.write_text("\n".join([*datasets, f"output.dir = {out_dir}", "cdlc.select_per_task = 40",
+                              "net.shared_layers = 8", "net.head_layers.level = 4",
+                              "net.epochs = 2", "net.mc_passes = 9", "net.dropout = 0.2"])
+                   + "\n", encoding="utf-8")
+    return cfg
 
 
 class TestParseConfig:
@@ -259,12 +293,45 @@ class TestMain:
         assert capsys.readouterr().err == \
             f"data error: {bad}: line {line}: not UTF-8 text (byte 0xff)\n"
 
-    def test_undecodable_config_file_is_a_configuration_error(self, tmp_path, capsys):
+    # a byte-order mark is dropped, and the line and byte stay those of the file
+    @pytest.mark.parametrize("bom", [b"", codecs.BOM_UTF8])
+    def test_undecodable_config_file_is_a_configuration_error(self, tmp_path, capsys, bom):
         cfg = tmp_path / "c.conf"
-        cfg.write_bytes(b"dataset.1.file = a.arff\noutput.dir = out\n# caf\xe9\n")
+        cfg.write_bytes(bom + b"dataset.1.file = a.arff\noutput.dir = out\n# caf\xe9\n")
         assert main(["--config", str(cfg), "--quiet"]) == 1
         assert capsys.readouterr().err == \
             f"configuration error: {cfg}: line 3: not UTF-8 text (byte 0xe9)\n"
+
+    @pytest.mark.parametrize("kind", ["config", "arff"])
+    def test_byte_order_mark_is_dropped(self, tmp_path, kind):
+        out = tmp_path / "out"
+        runs = []
+        for bom in (False, True):
+            cfg = small_config(tmp_path, out)
+            marked = cfg if kind == "config" else tmp_path / "file2.arff"
+            if bom:
+                marked.write_bytes(codecs.BOM_UTF8 + marked.read_bytes())
+            assert main(["--config", str(cfg), "--quiet"]) == 0
+            runs.append({p.name: p.read_bytes() for p in out.iterdir()})
+            for p in out.iterdir():
+                p.unlink()
+        assert runs[0] == runs[1]
+
+    # a file where output.dir should be, or a directory under a file; the
+    # input file does not exist, so reading it first would exit 2
+    @pytest.mark.parametrize("under", ["", "sub"])
+    def test_uncreatable_output_dir_exits_1_before_any_input_is_read(self, tmp_path, capsys,
+                                                                     under):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out = taken / under if under else taken
+        cfg = tmp_path / "c.conf"
+        cfg.write_text(f"dataset.1.file = {tmp_path}/absent.arff\ndataset.1.num_targets = 1\n"
+                       f"output.dir = {out}\n")
+        assert main(["--config", str(cfg), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: output.dir {str(out)!r}: "
+                              "cannot create the directory ("), err
 
     def test_diverging_training_exits_3(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -517,6 +584,27 @@ class TestTwoProcesses:
                 p.unlink()
         assert runs[0] == runs[1]
         assert_no_child_left()
+
+    def test_one_cpu_and_two_write_the_same_files(self, tmp_path):
+        # pinned to one CPU the CLI forks no ARFF child and runs one MC worker;
+        # unpinned it forks and, with BLAS control, runs two
+        cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
+        if len(cpus) < 2:
+            pytest.skip("fewer than two usable CPUs")
+        out = tmp_path / "out"
+        cfg = mixed_task_config(tmp_path, out)
+        runs = []
+        for pin in (f"os.sched_setaffinity(0, {{{cpus[0]}}}); assert not cli._can_fork(); ",
+                    "assert cli._can_fork(); "):
+            code = f"import os; from xdata import cli; {pin}cli.entry()"
+            done = run_entry(cfg, "--quiet", code=code, capture_output=True, text=True)
+            assert done.returncode == 0, done.stderr
+            runs.append({p.name: p.read_bytes() for p in out.iterdir()})
+            for p in out.iterdir():
+                p.unlink()
+        assert sorted(runs[0]) == ["assignments.csv", "completed.arff", "iterations.csv",
+                                   "report.txt"]
+        assert runs[0] == runs[1]
 
     # the larger file is read by this process, the smaller by the child
     @pytest.mark.parametrize("pad", [1, 2])

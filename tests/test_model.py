@@ -4,11 +4,15 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import xdata
 import xdata.model as model
@@ -411,13 +415,19 @@ def layer_major(kept, rows, widths):
     return [kept[a:b].reshape(rows, w) for a, b, w in zip(ends, ends[1:], widths)]
 
 
+def hidden_widths(net):
+    """The width of each hidden layer, in a draw's order: trunk layers, then
+    each group's hidden layers."""
+    widths = [w.shape[1] for w, _ in net.trunk]
+    return widths + [w.shape[1] for layers, _ in net.groups for w, _ in layers[:-1]]
+
+
 def epoch_masks(rng, net, n):
     """Reference for the dropout masks of one epoch of train on n rows: one
     :func:`raw_draw` of every row's units, the minibatch at rows s..s+b of the
     epoch's order taking the U units of each of its rows, s*U..(s+b)*U, layer
     by layer. Returns each minibatch's masks and the minibatch of each tie."""
-    widths = [w.shape[1] for w, _ in net.trunk]
-    widths += [w.shape[1] for layers, _ in net.groups for w, _ in layers[:-1]]
+    widths = hidden_widths(net)
     units, size = sum(widths), net.config.batch_size
     kept, ties = raw_draw(rng, n * units, net.config.dropout)
     masks = [layer_major(kept[s * units:(s + b) * units], b, widths)
@@ -520,7 +530,9 @@ class TestTrain:
         # bytes, so that a signed zero differs too
         assert train(net, x, y, mask).params.tobytes() == ref.params.tobytes()
 
-    def test_train_equals_per_step_reference_through_ties(self):
+    @pytest.mark.parametrize("piece", [model._PIECE, 8])  # 8 words: an epoch's draw in pieces
+    def test_train_equals_per_step_reference_through_ties(self, monkeypatch, piece):
+        monkeypatch.setattr(model, "_PIECE", piece)
         rng = np.random.default_rng(34)
         x, y, mask = random_batch(1000, rng)  # 160 units a row, about 2.4 ties an epoch
         net = micro_net(seed=35, shared=(128,), heads={"cat": (32,)}, dropout=0.3, epochs=2,
@@ -651,10 +663,14 @@ class TestDropoutDraw:
         masks = sample_dropout_masks(net, 1000, np.random.default_rng(61))
         assert np.count_nonzero(masks[0]) <= 2  # expected 10**6 / 2**32
 
-    # the last case has 2**20 units, so ties (about 16) occur
+    # the last case has 2**20 units, so ties (about 16) occur; with pieces of
+    # 8 words (32 units) one draw is many random_raw calls
+    @pytest.mark.parametrize("piece", [model._PIECE, 8])
     @pytest.mark.parametrize("shared,heads,batch",
                              [*((s, h, 7) for s, h in NET_SHAPES), ((1024,), {}, 1024)])
-    def test_masks_are_one_raw_draw_sliced_layer_major(self, shared, heads, batch):
+    def test_masks_are_one_raw_draw_sliced_layer_major(self, monkeypatch, shared, heads, batch,
+                                                       piece):
+        monkeypatch.setattr(model, "_PIECE", piece)
         p = 0.3
         net = micro_net(shared=shared, heads=heads, dropout=p)
         rng, ref_rng = np.random.default_rng(62), np.random.default_rng(62)
@@ -674,6 +690,44 @@ class TestDropoutDraw:
             assert mask.dtype == bool and np.array_equal(mask, ref)
         assert rng.random() == ref_rng.random()  # nothing else was drawn
 
+    def test_draw_in_pieces_equals_one_call_with_ties_at_piece_edges(self, monkeypatch):
+        # pieces of 8 words (32 units): three whole ones, then a short one of 5 units
+        monkeypatch.setattr(model, "_PIECE", 8)
+        p, n = 0.3, 101
+        hi, lo = model._threshold(p)
+        units = np.random.default_rng(63).integers(0, 2**16, 4 * 28, dtype=np.uint16)
+        units[units == hi] = hi + 1  # no tie but those placed below
+        # ties on both sides of the piece boundaries at units 32, 64 and 96, in
+        # the short last piece, and a tie's word in the last word's unused unit 101
+        tied = [31, 32, 63, 64, 77, 96, 100]
+        units[[*tied, 101]] = hi
+        # the tie words, one call after the 26 words of the units
+        units[104:104 + len(tied)] = [lo, lo - 1, 0, 2**16 - 1, lo + 1, lo - 1, lo]
+        words = units.view(np.uint64)
+        ref_rng = ScriptedBits(words)
+        kept, ties = raw_draw(ref_rng, n, p)
+        assert ties.tolist() == tied
+        assert kept[ties].tolist() == [True, False, False, True, True, False, True]
+        for keep in (None, np.ones(n + 3, dtype=bool)):
+            rng = ScriptedBits(words)
+            got = model._draw(rng, n, hi, lo, keep)
+            assert got.dtype == bool and np.array_equal(got, kept)
+            assert rng.at == ref_rng.at == 28  # the same words were read
+            if keep is not None:
+                assert np.shares_memory(got, keep) and keep[n:].all()  # only keep[:n] written
+
+
+class ScriptedBits:
+    """A stand-in for a Generator whose bit generator's random_raw serves the
+    64-bit `words` in order; `at` counts the words served."""
+
+    def __init__(self, words):
+        self.words, self.at, self.bit_generator = words, 0, self
+
+    def random_raw(self, size):
+        self.at += size
+        return self.words[self.at - size:self.at].copy()
+
 
 def training_outputs(net, x, masks):
     """Activated per-task outputs of the training forward :func:`_forward`."""
@@ -681,15 +735,35 @@ def training_outputs(net, x, masks):
     return [_activate_output(t, z[:, cs]) for t, cs in zip(net.tasks, net.cols)]
 
 
+def pass_order_variance(stack):
+    """The documented regression variance of a (T, B) stack of pass outputs:
+    Welford's update over its rows in pass order, mean and m2 from
+    (stack[0], 0), each pass adding d / (t + 1) to the mean and d * (y - mean)
+    to m2, d = y - the old mean; then m2 / (T - 1), or zeros for T = 1."""
+    mean, m2 = stack[0].copy(), np.zeros(stack.shape[1])
+    if len(stack) == 1:
+        return m2
+    for t in range(1, len(stack)):
+        y = stack[t]
+        d = y - mean
+        mean = mean + d / (t + 1)
+        m2 = m2 + d * (y - mean)
+    return m2 / (len(stack) - 1)
+
+
 def stacked_mc_predict(net, x, rng=None):
     """Reference for mc_predict: the stacked form, one list of per-task outputs
-    per pass through the training forward :func:`_forward` under masks from
-    :func:`sample_dropout_masks`, then ``np.stack`` per task."""
+    per pass through the training forward :func:`_forward` under the masks of
+    one :func:`raw_draw` per pass, then ``np.stack`` per task; a regression
+    task's variance by :func:`pass_order_variance`."""
     def one_pass(pass_rng):
-        masks = None if pass_rng is None else sample_dropout_masks(net, x.shape[0], pass_rng)
+        masks = None
+        if pass_rng is not None:
+            kept, _ = raw_draw(pass_rng, x.shape[0] * sum(widths), net.config.dropout)
+            masks = layer_major(kept, x.shape[0], widths)
         return training_outputs(net, x, masks)
 
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    widths, x = hidden_widths(net), np.atleast_2d(np.asarray(x, dtype=float))
     if rng is None or net.config.dropout == 0.0:
         passes = [one_pass(None)]
     else:
@@ -699,8 +773,7 @@ def stacked_mc_predict(net, x, rng=None):
         stack = np.stack([p[m] for p in passes])
         mean = stack.mean(axis=0)
         if task.kind == "regression":
-            var = stack.var(axis=0, ddof=1) if len(passes) > 1 else np.zeros(x.shape[0])
-            results.append((mean, -var))
+            results.append((mean, -pass_order_variance(stack)))
         else:
             dist = np.stack([1.0 - mean, mean], axis=-1) if task.kind == "binary" else mean
             decoded = (mean > 0.5).astype(int) if task.kind == "binary" else mean.argmax(axis=1)
@@ -835,12 +908,13 @@ class TestPredictionPath:
 
 
 def pass_outputs(net, x, seed, workers, monkeypatch):
-    """The bytes of `_predict_passes` on `workers` workers, and the next
-    uniform of its generator."""
+    """The bytes of `_predict_passes` on `workers` workers (each stack, and
+    each array of a task's moments), and the next uniform of its generator."""
     monkeypatch.setattr(model, "_mc_workers", lambda: workers)
     rng = np.random.default_rng(seed)
     outs = model._predict_passes(net, x, rng, net.config.mc_passes)
-    return [out.tobytes() for out in outs], rng.random()
+    return [a.tobytes() for out in outs
+            for a in (out if isinstance(out, tuple) else (out,))], rng.random()
 
 
 def stall_pass(monkeypatch, n, error=None):
@@ -848,13 +922,13 @@ def stall_pass(monkeypatch, n, error=None):
     in that pass, then raise `error` if given, so that the other worker, with
     pass n + 1's outputs, reaches their add first."""
     draws, stalled = [], set()
-    draw_words, activate = model._draw_words, model._activate_output
+    draw, activate = model._draw, model._activate_output
 
     def drawing(*args):
         if len(draws) == n:  # the draws are made in pass order
             stalled.add(threading.get_ident())
         draws.append(None)
-        return draw_words(*args)
+        return draw(*args)
 
     def stalling(task, z):
         if threading.get_ident() in stalled:
@@ -864,7 +938,7 @@ def stall_pass(monkeypatch, n, error=None):
                 raise error
         return activate(task, z)
 
-    monkeypatch.setattr(model, "_draw_words", drawing)
+    monkeypatch.setattr(model, "_draw", drawing)
     monkeypatch.setattr(model, "_activate_output", stalling)
 
 
@@ -882,6 +956,24 @@ class TestTwoWorkers:
         assert (pass_outputs(net, x, 53, 2, monkeypatch)
                 == pass_outputs(net, x, 53, 1, monkeypatch))
         rng, ref_rng = np.random.default_rng(53), np.random.default_rng(53)
+        for pred, (decoded, confidence) in zip(mc_predict(net, x, rng),
+                                               stacked_mc_predict(net, x, ref_rng)):
+            assert pred.decoded.tobytes() == decoded.tobytes()
+            assert pred.confidence.tobytes() == confidence.tobytes()
+        assert rng.random() == ref_rng.random()
+
+    def test_draws_in_small_pieces_equal_the_one_call_reference(self, monkeypatch):
+        # 80 units a row: each pass's draw is 1500 random_raw calls of 8 words
+        monkeypatch.setattr(model, "_PIECE", 8)
+        net = micro_net(seed=64, shared=(64,), heads={"cat": (16,)}, dropout=0.3, mc_passes=8,
+                        tasks=WIDE_TASKS)
+        x = np.random.default_rng(65).normal(size=(600, 5))
+        probe = np.random.default_rng(66)
+        assert sum(raw_draw(probe, 600 * 80, 0.3)[1].size for _ in range(8)) > 0  # ties occur
+        # one worker, then two, which mc_predict below keeps
+        assert (pass_outputs(net, x, 66, 1, monkeypatch)
+                == pass_outputs(net, x, 66, 2, monkeypatch))
+        rng, ref_rng = np.random.default_rng(66), np.random.default_rng(66)
         for pred, (decoded, confidence) in zip(mc_predict(net, x, rng),
                                                stacked_mc_predict(net, x, ref_rng)):
             assert pred.decoded.tobytes() == decoded.tobytes()
@@ -971,3 +1063,69 @@ class TestTwoWorkers:
             assert get() == 2
         finally:
             set_(prior)
+
+
+def mc_over_outputs(stack):
+    """mc_predict's prediction for a regression task whose outputs in pass t
+    are row t of the (T, B) `stack`: a one-worker call on a one-task net whose
+    output activation is replaced by the stack's rows in turn."""
+    net = micro_net(shared=(3,), dropout=0.3, mc_passes=len(stack), tasks=[THREE_TASKS[2]])
+    rows = iter(stack)
+
+    def scripted(task, z):
+        z[:, 0] = next(rows)
+        return z[:, 0]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "_mc_workers", lambda: 1)
+        mp.setattr(model, "_activate_output", scripted)
+        (pred,) = mc_predict(net, np.zeros((stack.shape[1], 5)), np.random.default_rng(0))
+    return pred
+
+
+class TestRegressionMoments:
+    """Regression confidence from Welford's moments over the passes in order
+    (:func:`pass_order_variance`), whose memory does not grow with them."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(2, 17), st.integers(1, 4)),
+                  elements=st.floats(-1.0, 1.0)),
+           st.sampled_from([0.0, -7.0, 1e6, -3e9, 1e12]),
+           st.sampled_from([1.0, 1e-3, 1e-9]))
+    def test_confidence_is_the_pass_order_variance_and_never_positive(self, base, offset,
+                                                                    spread):
+        # a large offset with a tiny spread is where a one-pass variance loses
+        # digits; B = 1 takes the one-row stack's path
+        stack = offset + spread * base
+        pred = mc_over_outputs(stack)
+        assert (pred.confidence <= 0.0).all()
+        assert pred.confidence.tobytes() == (-pass_order_variance(stack)).tobytes()
+        assert pred.decoded.tobytes() == stack.mean(axis=0).tobytes()
+        # against numpy's two-pass variance: both err by a few ulps of the
+        # variance, and Welford's means by an ulp of the offset, which a
+        # deviation of about the spread scales
+        var = stack.var(axis=0, ddof=1)
+        mean = np.abs(stack.mean(axis=0))
+        bound = 8 * len(stack) * np.finfo(float).eps * (var + mean * np.sqrt(var))
+        assert (np.abs(-pred.confidence - var) <= bound).all()
+
+    @pytest.mark.parametrize("value", [0.0, -2.5, 1e12])
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_constant_outputs_give_exactly_zero(self, value, rows):
+        pred = mc_over_outputs(np.full((9, rows), value))
+        assert (pred.confidence == 0.0).all()
+        assert (pred.decoded == value).all()
+
+    def test_mc_predict_peak_does_not_grow_with_the_passes(self):
+        # a (64, 4000) regression stack alone is 2 MB; a pass's outputs 32 kB
+        x = np.random.default_rng(67).normal(size=(4000, 5))
+        peaks = []
+        for passes in (4, 64):
+            net = micro_net(seed=68, shared=(16,), dropout=0.3, mc_passes=passes)
+            tracemalloc.start()
+            try:
+                mc_predict(net, x, np.random.default_rng(69))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 64 * 1024, peaks
