@@ -89,13 +89,23 @@ def _format(value) -> str:
 
 _BOOLS = {**dict.fromkeys(("true", "yes", "1"), True),
           **dict.fromkeys(("false", "no", "0"), False)}
+
+
+def _text(value: str) -> str:
+    """A text value, which may not be empty: an empty path would name the
+    working directory, or no file."""
+    if not value:
+        raise ValueError("empty text")
+    return value
+
+
 # (conversion, what it expects) per field value type; range checks are in validate()
 _PARSERS = {
     int: (int, "an integer"), float: (float, "a number"),
     bool: (lambda v: _BOOLS[v.lower()], "true/false"),
     tuple[int, ...]: (lambda v: tuple(map(int, v.split(","))) if v.strip() else (),
                       "comma-separated integers"),
-    str: (str, "text"),
+    str: (_text, "non-empty text"),
 }
 
 
@@ -140,7 +150,8 @@ def _keys(config, prefix: str = ""):
 
 
 _COMMENT_RE = re.compile(r"(?:^|\s)#")
-_DATASET_RE = re.compile(r"^dataset\.(\d+)\.(file|num_targets)$")
+# a canonical ASCII index only: "01" or a non-ASCII digit would alias index 1
+_DATASET_RE = re.compile(r"^dataset\.([1-9][0-9]*)\.(file|num_targets)$")
 
 
 def parse_config(text: str, overrides: Optional[dict[str, str]] = None) -> RunConfig:
@@ -170,7 +181,7 @@ def parse_config(text: str, overrides: Optional[dict[str, str]] = None) -> RunCo
         if m:
             idx = int(m.group(1))
             if m.group(2) == "file":
-                dataset_files[idx] = value
+                dataset_files[idx] = _parse(key, value, str)
             else:
                 dataset_targets[idx] = _parse(key, value, int)
             continue

@@ -329,9 +329,6 @@ class Standardizer:
         z /= self.feature_std  # in place: one new matrix, not two
         return z
 
-    def inverse_features(self, x: np.ndarray) -> np.ndarray:
-        return x * self.feature_std + self.feature_mean
-
     def inverse_target(self, m: int, v):
         if m not in self.target_stats:
             return v

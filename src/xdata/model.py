@@ -64,29 +64,26 @@ passes draw masks, scales it once: each pass then masks it with one
 multiply, as (h * scale) * keep equals (h * keep) * scale for keep in {0, 1},
 signed zeros included. The passes run on one or two worker threads, two
 where a second CPU is usable and BLAS is held at one thread (the CLI holds it
-there; :func:`one_blas_thread`). A worker takes the next pass and makes its
-draw under one lock, so that pass t makes the t-th draw whatever the thread
-and the outputs do not depend on the number of workers. It makes each draw
-into its own reused bool buffer and computes the pass in row blocks of at most
-4096 rows, in place in per-layer buffers of its own. A task's outputs go into
-running moments over the passes: block i of pass t is added once block i of
-pass t - 1 is (a pass count per block under one condition variable), so they
-are made in pass order. Each task has a (B,) or (B, K) running sum, pass 0
-copied, which sums the passes as ``stack.mean(axis=0)`` sums a stack of them;
-a regression task also has Welford's running mean and sum of squared
-deviations m2, from which :func:`mc_predict` takes the variance
-m2 / (passes - 1). A worker whose outputs are not yet due copies them into a
-spare buffer of a block's size and goes on to its next pass, holding at most
-one block's outputs; it waits only to add those before it would hold another.
-So no buffer of a call grows with the number of passes. The one exception is
-a call over one row: a binary or regression task keeps its (passes, 1) stack,
-as numpy reduces that stack pairwise, not in pass order, and its variance
-takes the same Welford update over the stack's rows in order. Training and
-prediction both write the (B, sum K) logits column-major, so that a task's
-softmax reduces over contiguous columns and both sum a row in the same
-order. Apart from that reordered mask, its float operations are those of
-:func:`_forward`, so its outputs are byte-identical to stacking per-pass
-training outputs (the tests' reference).
+there; :func:`one_blas_thread`). Worker w runs passes w, w + workers, ...;
+pass t makes its draw once pass t - 1 has made its own (a turn counter under
+one condition variable), so that pass t makes the t-th draw whatever the
+thread. A worker makes each draw into its own reused bool buffer and computes
+the pass in row blocks of at most 4096 rows, in place in per-layer buffers of
+its own. Pass t adds its outputs into half t % 2 of the running moments, so
+that one worker adds all of a half's passes, in pass order: per half, a task
+has a (B,) or (B, K) sum, its first pass copied, and a regression task
+Welford's running mean and sum of squared deviations m2 instead. Once the
+workers have ended, :func:`mc_predict` merges the two halves: a
+classification mean is (S0 + S1) / T, a regression mean and m2 are Chan's
+pairwise merge of the halves' (:func:`mc_predict`). So the outputs do not
+depend on the number of workers or on their timing, no buffer of a call grows
+with the number of passes, and no worker waits for the other's outputs, only
+for its turn to draw. Training and prediction both write the (B, sum K)
+logits column-major, so that a task's softmax reduces over contiguous
+columns and both sum a row in the same order. Apart from that reordered
+mask, a pass's float operations are those of :func:`_forward`, so its
+outputs are byte-identical to per-pass training outputs, which the tests
+stack and reduce as two halves (their reference).
 
 All computation is float64 numpy, the output activations included (the
 max-shifted softmax and log-softmax and the sigmoid below); training is plain
@@ -592,48 +589,40 @@ def _blocks(rows: int) -> list[tuple[int, int]]:
     return [(rows * i // n, rows * (i + 1) // n) for i in range(n)]
 
 
-def _keeps_stack(task: TaskSchema, rows: int) -> bool:
-    """Whether :func:`_predict_passes` keeps task's (passes, B) stack of a
-    call over `rows` rows, not its running moments: numpy's mean over a
-    (passes, 1) stack sums pairwise, not in pass order (over a (passes, 1, K)
-    stack it sums in pass order)."""
-    return rows == 1 and task.kind != "multiclass"
-
-
-def _welford(t: int, y: np.ndarray, mean: np.ndarray, m2: np.ndarray) -> None:
+def _welford(k: int, y: np.ndarray, mean: np.ndarray, m2: np.ndarray) -> None:
     """Welford's update of the running `mean` and sum of squared deviations
-    `m2` by pass t's outputs `y`, in place; pass 0 sets them to (y, 0). Each
-    update adds d * (y - mean) with d = y - (the old mean), two factors of
-    one sign, so `m2` never goes below 0."""
-    if t == 0:
+    `m2` by the k-th outputs `y` they take, in place; k = 0 sets them to
+    (y, 0). Each update adds d * (y - mean) with d = y - (the old mean), two
+    factors of one sign, so `m2` never goes below 0."""
+    if k == 0:
         np.copyto(mean, y)
         m2.fill(0.0)
         return
     d = y - mean
-    mean += d / (t + 1)
+    mean += d / (k + 1)
     m2 += d * (y - mean)
 
 
 def _predict_passes(net: MtShlNetwork, x: np.ndarray, rng: Optional[np.random.Generator],
                     passes: int) -> list:
-    """Activated outputs of `passes` forward passes of the batch `x`, per task
-    the (passes, B) stack of its outputs where :func:`_keeps_stack`, else
-    their running moments over the passes: (sum,) for a classification task,
-    the sum (B,) or (B, K), the latter column-major, and for a regression task
-    (sum, mean, m2), each (B,), mean and m2 by :func:`_welford`.
+    """Activated outputs of `passes` forward passes of the batch `x`, reduced
+    as two halves: pass t goes into half t % 2 (one half when `passes` is 1).
+    Per half, per task, its running moments over its passes in pass order:
+    (sum,) for a classification task, the sum (B,) or (B, K), the latter
+    column-major, pass 0 of the half copied; (mean, m2) for a regression
+    task, each (B,), by :func:`_welford`. :func:`mc_predict` merges the halves.
 
-    The moments add the passes in pass order, so that dividing the sum by
-    `passes` gives ``stack.mean(axis=0)`` to the bit, in its layout, and
-    mean and m2 are Welford's over the stack's rows in order.
     Dropout-free when `rng` is None or p = 0, else every pass makes the draw
-    of :func:`sample_dropout_masks`. Computes what :func:`_forward` does
-    (a @ W, then + b), to the bit, in buffers reused across passes. The
-    :func:`_mc_workers` workers are the caller's thread and one more thread
-    each (module docstring). They run under the caller's numpy error state,
-    which a new thread does not inherit; the first exception one raises stops
-    the others at their next pass or wait for an add and is raised here once
-    all have ended. Workers call only private helpers, none that
-    perfbench/traced.py wraps: its span stack is not thread-safe.
+    of :func:`sample_dropout_masks`, pass t the t-th. Computes what
+    :func:`_forward` does (a @ W, then + b), to the bit, in buffers reused
+    across passes. Of the :func:`_mc_workers` workers (the caller's thread,
+    and for two one more thread), worker w runs passes w, w + workers, ...,
+    so one worker runs all of a half's passes in order (module docstring).
+    They run under the caller's numpy error state, which a new thread does
+    not inherit; the first exception one raises stops the others at their
+    next turn to draw and is raised here once all have ended. Workers call
+    only private helpers, none that perfbench/traced.py wraps: its span
+    stack is not thread-safe.
     """
     p = net.config.dropout
     akind, rows, scale = net.config.activation, x.shape[0], 1.0 / (1.0 - p)
@@ -648,31 +637,26 @@ def _predict_passes(net: MtShlNetwork, x: np.ndarray, rng: Optional[np.random.Ge
     masked = bool(net.trunk) and drawn
     if masked:
         first *= scale
-    stacked = [_keeps_stack(t, rows) for t in net.tasks]
-    # a multiclass sum column-major, as stack.mean(axis=0) lays it out, so that
-    # the entropy of the mean sums over K in its order
-    outs = [np.empty((passes, rows)) if kept
-            else (np.empty((head_output_size(t), rows)).T,) if t.kind == "multiclass"
-            else tuple(np.empty(rows) for _ in range(3 if t.kind == REGRESSION else 1))
-            for t, kept in zip(net.tasks, stacked)]
+    # a multiclass sum column-major, in the layout of the logits, so that the
+    # entropy of the mean sums over K in order
+    halves = [[(np.empty((head_output_size(t), rows)).T,) if t.kind == "multiclass"
+               else tuple(np.empty(rows) for _ in range(2 if t.kind == REGRESSION else 1))
+               for t in net.tasks] for _ in range(min(passes, 2))]
 
     def worker_state():
-        """A worker's keep buffer (None without a draw); per row block, its
-        index, rows, layer masks, per-layer buffers and column-major logits, a
-        block's buffers being contiguous views of storage for the largest
-        block; and per task with moments, a spare buffer for a block's outputs."""
-        spare = [np.empty((size, head_output_size(t)) if t.kind == "multiclass" else size)
-                 for t, kept in zip(net.tasks, stacked) if not kept]
+        """A worker's keep buffer (None without a draw) and, per row block, its
+        rows, layer masks, per-layer buffers and column-major logits, a block's
+        buffers being contiguous views of storage for the largest block."""
         keep = np.empty(rows * net.units, dtype=bool) if drawn else None
         masks = _layer_masks(keep, rows, net.spans) if drawn else [None] * len(widths)
         flats, zflat = [np.empty(size * w) for w in widths], np.empty(size * logits)
         state = []
-        for i, (r0, r1) in enumerate(blocks):
+        for r0, r1 in blocks:
             b = r1 - r0
             bufs = [f[:b * w].reshape(b, w) for f, w in zip(flats, widths)]
             z = zflat[:b * logits].reshape((b, logits), order="F")
-            state.append((i, r0, r1, [m if m is None else m[r0:r1] for m in masks], bufs, z))
-        return keep, state, spare
+            state.append((r0, r1, [m if m is None else m[r0:r1] for m in masks], bufs, z))
+        return keep, state
 
     def hidden(a, layers, j, masks, bufs):
         for layer in layers:
@@ -680,106 +664,68 @@ def _predict_passes(net: MtShlNetwork, x: np.ndarray, rng: Optional[np.random.Ge
             j += 1
         return a
 
-    # the draws are made in pass order under `lock`; block i of pass t is added
-    # to the moments once added[i] == t, under `cond`, which an error also wakes
-    lock, cond, order, errors, err = (threading.Lock(), threading.Condition(),
-                                      iter(range(passes)), [], np.geterr())
-    added = [0] * len(blocks)
-
-    def add(i, t, pairs) -> None:
-        """Add pass t's outputs of block i, `pairs` of (the block's rows of a
-        task's moments, the outputs), pass 0 copied into the sum, then count
-        them."""
-        for (total, *moments), y in pairs:
-            if t:
-                total += y
-            else:
-                np.copyto(total, y)
-            if moments:
-                _welford(t, y, *moments)
-        with cond:
-            added[i] += 1
-            cond.notify_all()
-
-    def flush(held) -> bool:
-        """Add the held outputs, (i, t, pairs) in held[0] if any, once it is
-        their turn; False if an error stopped the call."""
-        if held[0] is not None:
-            i, t, pairs = held[0]
-            with cond:
-                cond.wait_for(lambda: errors or added[i] == t)
-                if errors:
-                    return False
-            add(i, t, pairs)
-            held[0] = None
-        return True
-
-    def one_pass(t, i, r0, r1, masks, bufs, z, held, spare) -> bool:
-        """Pass t over block i into the outputs; False if an error stopped it.
-        Outputs that are not yet due are held in `spare` until their turn, so
-        that a worker goes on to its next pass; it holds at most one block's."""
+    def one_pass(t, r0, r1, masks, bufs, z) -> None:
+        """Pass t over the rows r0:r1 into its half's moments, as the half's
+        (t // 2)-th pass."""
         top = np.multiply(first[r0:r1], masks[0], out=bufs[0]) if masked else first[r0:r1]
         top = hidden(top, net.trunk[1:], 1, masks, bufs)
         j = len(net.trunk)
         for layers, cs in net.groups:
             _dense(hidden(top, layers[:-1], j, masks, bufs), layers[-1], z[:, cs])
             j += len(layers) - 1
-        pairs = []  # (this block's rows of a task's moments, its outputs)
-        for task, cs, out, kept in zip(net.tasks, net.cols, outs, stacked):
+        k, half = divmod(t, 2)
+        # acc: a classification task's sum, a regression task's mean
+        for task, cs, (acc, *m2) in zip(net.tasks, net.cols, halves[half]):
             y = _activate_output(task, z[:, cs])
-            if kept:
-                out[t, r0:r1] = y
+            if m2:
+                _welford(k, y, acc[r0:r1], m2[0][r0:r1])
+            elif k:
+                acc[r0:r1] += y
             else:
-                pairs.append((tuple(a[r0:r1] for a in out), y))
-        if not pairs:
-            return True
-        if not flush(held):  # by now due, unless the other worker is a pass behind
-            return False
-        with cond:
-            due = added[i] == t
-        if due:
-            add(i, t, pairs)
-            return True
-        for (_, y), buf in zip(pairs, spare):
-            np.copyto(buf[:r1 - r0], y)
-        held[0] = (i, t, [(acc, buf[:r1 - r0]) for (acc, _), buf in zip(pairs, spare)])
+                acc[r0:r1] = y
+
+    # pass t makes its draw once passes 0..t-1 have made theirs: the turn
+    # `made` under `cond`, which an error also wakes
+    cond, errors, err, made = threading.Condition(), [], np.geterr(), [0]
+
+    def turn(t, keep) -> bool:
+        """Wait for pass t's turn and make its draw into `keep`; False if an
+        error stopped the call."""
+        with cond:  # the generator is read in stream order
+            cond.wait_for(lambda: errors or made[0] == t)
+            if errors:
+                return False
+            if drawn:
+                _draw(rng, keep.size, hi, lo, keep)
+            made[0] += 1
+            cond.notify_all()
         return True
 
-    def next_pass(keep) -> Optional[int]:
-        """The next pass, its draw made into `keep`; None once all are taken."""
-        with lock:  # the generator is read in stream order
-            t = next(order, None)
-            if drawn and t is not None:
-                _draw(rng, keep.size, hi, lo, keep)
-        return t
-
-    def work(keep, state, spare):
-        held = [None]  # (i, t, pairs) of outputs not yet due, held in `spare`
+    def work(w, keep, state):
         try:
             with np.errstate(**err):  # a new thread starts at numpy's defaults
-                while not errors:
-                    t = next_pass(keep)
-                    if t is None:
-                        flush(held)
+                for t in range(w, passes, workers):
+                    if not turn(t, keep):
                         return
                     for block in state:
-                        if not one_pass(t, *block, held, spare):
-                            return
+                        one_pass(t, *block)
         except BaseException as exc:  # noqa: BLE001 - raised by the caller
-            with cond:  # wakes a worker waiting for an add this one will not make
+            with cond:  # wakes a worker waiting for a turn this one will not take
                 errors.append(exc)
                 cond.notify_all()
 
-    states = [worker_state() for _ in range(min(_mc_workers(), passes))]
-    threads = [threading.Thread(target=work, args=state, daemon=True) for state in states[1:]]
+    workers = min(_mc_workers(), passes)
+    states = [worker_state() for _ in range(workers)]
+    threads = [threading.Thread(target=work, args=(w, *state), daemon=True)
+               for w, state in enumerate(states) if w]
     for thread in threads:
         thread.start()
-    work(*states[0])
+    work(0, *states[0])
     for thread in threads:
         thread.join()
     if errors:
         raise errors[0]
-    return outs
+    return halves
 
 
 def forward(net: MtShlNetwork, x: np.ndarray,
@@ -787,13 +733,13 @@ def forward(net: MtShlNetwork, x: np.ndarray,
     """Activated per-task outputs for a batch.
 
     With `rng` given, hidden units are dropped stochastically (sampled-dropout
-    mode); without, the pass is deterministic. Binary tasks yield the
-    probability of class 1, multiclass a (B, K) distribution, regression the
-    raw output.
+    mode), the one pass making one draw as :func:`mc_predict`'s passes do;
+    without, the pass is deterministic. Binary tasks yield the probability of
+    class 1, multiclass a (B, K) distribution, regression the raw output.
     """
     x = _as_rows(net, x)
-    # a stack's one pass, or the sum of the moments over one pass
-    return [out[0] for out in _predict_passes(net, x, rng, 1)]
+    # over one pass, a sum or mean is a copy of its outputs
+    return [moments[0] for moments in _predict_passes(net, x, rng, 1)[0]]
 
 
 def _cell_losses(task: TaskSchema, z: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -1022,32 +968,35 @@ def mc_predict(net: MtShlNetwork, x: np.ndarray,
     confidences come from that point distribution. Classification: mean
     output distribution, confidence is the negated Shannon entropy of that
     mean. Regression: mean output, confidence is the negated unbiased sample
-    variance across passes (0 for a single pass). A mean is
-    :func:`_predict_passes`' sum over the passes divided by their number, or
-    the mean of its stack where it keeps one; the two agree to the bit. The
-    variance is m2 / (passes - 1), m2 the sum of squared deviations of
-    Welford's update over the passes in order (:func:`_welford`).
+    variance across passes (0 for a single pass). The T passes come as the
+    moments of two halves from :func:`_predict_passes`, n0 = ceil(T/2) even
+    passes and n1 = floor(T/2) odd ones. A classification mean is
+    (S0 + S1) / T of the halves' sums. A regression task merges the halves'
+    Welford moments by Chan's pairwise update: with d = mean1 - mean0, the
+    mean is mean0 + d * (n1 / T) and the variance m2 / (T - 1), where
+    m2 = m2_0 + m2_1 + d * d * (n0 * n1 / T), a sum of terms >= 0.
     """
     x = _as_rows(net, x)
     passes = 1 if rng is None or net.config.dropout == 0.0 else net.config.mc_passes
+    halves = _predict_passes(net, x, rng, passes)
+    n0, n1 = passes - passes // 2, passes // 2
     results = []
-    for task, out in zip(net.tasks, _predict_passes(net, x, rng, passes)):
-        # out: the (T, B) stack, or the moments over the T passes
-        kept = _keeps_stack(task, len(x))
-        mean = out.mean(axis=0) if kept else np.divide(out[0], passes, out=out[0])
+    for m, task in enumerate(net.tasks):
+        # the even half's moments of the task, and the odd half's if T > 1
+        (mean, *m2), *odd = (half[m] for half in halves)
         if task.kind == REGRESSION:
-            if kept:
-                moments = np.empty((2, len(x)))
-                for t, y in enumerate(out):  # the stack's rows in pass order
-                    _welford(t, y, *moments)
-                m2 = moments[1]
-            else:
-                m2 = out[2]
-            var = np.divide(m2, passes - 1, out=m2) if passes > 1 else m2
+            var = m2[0]  # the even half's m2, all 0 for a single pass
+            if odd:  # Chan's merge
+                mean1, m2_1 = odd[0]
+                d = mean1 - mean
+                mean = mean + d * (n1 / passes)
+                var = (var + m2_1 + d * d * (n0 * n1 / passes)) / (passes - 1)
             results.append(TaskPredictionBatch(mean, -var))
         else:
+            if odd:
+                mean += odd[0][0]
+            mean /= passes
             dist = np.stack([1.0 - mean, mean], axis=-1) if task.kind == "binary" else mean
             conf = -shannon_entropy(dist)
             results.append(TaskPredictionBatch(_decode_classification(task, mean), conf))
     return results
-

@@ -152,6 +152,22 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="output.dir"):
             parse_config("dataset.1.file = a\n")
 
+    @pytest.mark.parametrize("key", ["dataset.01.file", "dataset.١.file",
+                                     "dataset.0.file", "dataset.01.num_targets"])
+    def test_non_canonical_dataset_index_is_an_unknown_key(self, key):
+        # int() reads "01" and the Arabic-Indic digit one as 1
+        with pytest.raises(ConfigError) as exc:
+            parse_config(f"dataset.1.file = a.arff\n{key} = 1\noutput.dir = o\n")
+        assert str(exc.value) == f"unknown key {key!r}"
+
+    @pytest.mark.parametrize("key", ["output.dir", "test.file", "dataset.1.file",
+                                     "net.activation"])
+    def test_empty_text_value_names_the_key(self, key):
+        lines = {"dataset.1.file": "a.arff", "output.dir": "o", key: ""}
+        with pytest.raises(ConfigError) as exc:
+            parse_config("".join(f"{k} = {v}\n" for k, v in lines.items()))
+        assert str(exc.value) == f"key {key!r}: expected non-empty text, got ''"
+
     def test_comments_and_blank_lines(self):
         cfg = parse_config("# heading\n\ndataset.1.file = a # trailing\noutput.dir = o\n")
         assert cfg.datasets[0][0] == "a"
@@ -219,6 +235,16 @@ class TestMain:
         cfg.write_text("bogus.key = 1\n")
         assert main(["--config", str(cfg)]) == 1
         assert "bogus.key" in capsys.readouterr().err
+
+    def test_empty_output_dir_exits_1_writing_nothing(self, tmp_path, capsys, monkeypatch):
+        cfg = small_config(tmp_path, tmp_path / "out")
+        text = re.sub(r"(?m)^output\.dir = .*$", "output.dir =", cfg.read_text())
+        cfg.write_text(text, encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.iterdir())
+        assert main(["--config", str(cfg), "--quiet"]) == 1
+        assert "key 'output.dir': expected non-empty text, got ''" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
 
     @pytest.mark.parametrize("key", ["net.head_layers.nosuchtask",
                                      "cdlc.min_confidence.nosuchtask"])

@@ -735,27 +735,56 @@ def training_outputs(net, x, masks):
     return [_activate_output(t, z[:, cs]) for t, cs in zip(net.tasks, net.cols)]
 
 
-def pass_order_variance(stack):
-    """The documented regression variance of a (T, B) stack of pass outputs:
-    Welford's update over its rows in pass order, mean and m2 from
-    (stack[0], 0), each pass adding d / (t + 1) to the mean and d * (y - mean)
-    to m2, d = y - the old mean; then m2 / (T - 1), or zeros for T = 1."""
-    mean, m2 = stack[0].copy(), np.zeros(stack.shape[1])
-    if len(stack) == 1:
-        return m2
-    for t in range(1, len(stack)):
-        y = stack[t]
-        d = y - mean
-        mean = mean + d / (t + 1)
-        m2 = m2 + d * (y - mean)
-    return m2 / (len(stack) - 1)
+def halves(stack):
+    """The two halves of a stack of pass outputs, even passes then odd ones:
+    stack[0::2] and stack[1::2], the second empty for one pass."""
+    return [half for half in (stack[0::2], stack[1::2]) if len(half)]
+
+
+def halves_mean(stack):
+    """The documented mean of a (T, B) or (T, B, K) stack of pass outputs:
+    (S0 + S1) / T, S_h the sum of half h's rows in pass order, its first row
+    copied; a (B, K) sum column-major, the layout of the logits."""
+    sums = []
+    for half in halves(stack):
+        total = np.array(half[0], order="F")
+        for y in half[1:]:
+            total = total + y
+        sums.append(total)
+    return (sums[0] + sums[1] if len(sums) == 2 else sums[0]) / len(stack)
+
+
+def halves_mean_and_variance(stack):
+    """The documented regression mean and variance of a (T, B) stack of pass
+    outputs. Per half, Welford's update over its rows in pass order: mean and
+    m2 from (half[0], 0), its k-th row y adding d / (k + 1) to the mean and
+    d * (y - mean) to m2, d = y - the old mean. Then Chan's merge of the
+    halves' (n0, mean0, m2_0) and (n1, mean1, m2_1): d = mean1 - mean0, mean
+    mean0 + d * (n1 / T), variance (m2_0 + m2_1 + d * d * (n0 * n1 / T)) /
+    (T - 1); for T = 1, half 0's (mean, m2 = 0)."""
+    moments = []
+    for half in halves(stack):
+        mean, m2 = half[0].copy(), np.zeros(stack.shape[1])
+        for k in range(1, len(half)):
+            y = half[k]
+            d = y - mean
+            mean = mean + d / (k + 1)
+            m2 = m2 + d * (y - mean)
+        moments.append((len(half), mean, m2))
+    if len(moments) == 1:
+        return moments[0][1:]
+    (n0, mean0, m2_0), (n1, mean1, m2_1) = moments
+    t = n0 + n1
+    d = mean1 - mean0
+    return mean0 + d * (n1 / t), (m2_0 + m2_1 + d * d * (n0 * n1 / t)) / (t - 1)
 
 
 def stacked_mc_predict(net, x, rng=None):
-    """Reference for mc_predict: the stacked form, one list of per-task outputs
-    per pass through the training forward :func:`_forward` under the masks of
-    one :func:`raw_draw` per pass, then ``np.stack`` per task; a regression
-    task's variance by :func:`pass_order_variance`."""
+    """Reference for mc_predict: one list of per-task outputs per pass through
+    the training forward :func:`_forward` under the masks of one
+    :func:`raw_draw` per pass, then ``np.stack`` per task, each stack reduced
+    by :func:`halves_mean` or, for a regression task,
+    :func:`halves_mean_and_variance`."""
     def one_pass(pass_rng):
         masks = None
         if pass_rng is not None:
@@ -771,10 +800,11 @@ def stacked_mc_predict(net, x, rng=None):
     results = []
     for m, task in enumerate(net.tasks):
         stack = np.stack([p[m] for p in passes])
-        mean = stack.mean(axis=0)
         if task.kind == "regression":
-            results.append((mean, -pass_order_variance(stack)))
+            mean, var = halves_mean_and_variance(stack)
+            results.append((mean, -var))
         else:
+            mean = halves_mean(stack)
             dist = np.stack([1.0 - mean, mean], axis=-1) if task.kind == "binary" else mean
             decoded = (mean > 0.5).astype(int) if task.kind == "binary" else mean.argmax(axis=1)
             results.append((decoded, -shannon_entropy(dist)))
@@ -863,7 +893,6 @@ class TestPredictionPath:
 
     @pytest.mark.parametrize("rows", [1, 2])
     def test_many_passes_over_few_rows_equal_stacked_reference(self, rows):
-        # numpy's mean over a (passes, 1) stack sums pairwise, not in pass order
         net = micro_net(seed=60, shared=(6,), heads={"cat": (3,)}, dropout=0.3, mc_passes=64,
                         tasks=WIDE_TASKS)
         x = np.random.default_rng(61).normal(size=(rows, 5))
@@ -908,19 +937,18 @@ class TestPredictionPath:
 
 
 def pass_outputs(net, x, seed, workers, monkeypatch):
-    """The bytes of `_predict_passes` on `workers` workers (each stack, and
-    each array of a task's moments), and the next uniform of its generator."""
+    """The bytes of `_predict_passes` on `workers` workers (each array of each
+    half's moments of each task), and the next uniform of its generator."""
     monkeypatch.setattr(model, "_mc_workers", lambda: workers)
     rng = np.random.default_rng(seed)
-    outs = model._predict_passes(net, x, rng, net.config.mc_passes)
-    return [a.tobytes() for out in outs
-            for a in (out if isinstance(out, tuple) else (out,))], rng.random()
+    halves = model._predict_passes(net, x, rng, net.config.mc_passes)
+    return [a.tobytes() for half in halves for moments in half for a in moments], rng.random()
 
 
 def stall_pass(monkeypatch, n, error=None):
     """Make the worker of pass n sleep 0.2 s at its first output activation
-    in that pass, then raise `error` if given, so that the other worker, with
-    pass n + 1's outputs, reaches their add first."""
+    in that pass, then raise `error` if given, so that the other worker, done
+    with pass n + 1, waits for its turn to draw pass n + 3 meanwhile."""
     draws, stalled = [], set()
     draw, activate = model._draw, model._activate_output
 
@@ -980,6 +1008,21 @@ class TestTwoWorkers:
             assert pred.confidence.tobytes() == confidence.tobytes()
         assert rng.random() == ref_rng.random()
 
+    def test_two_workers_under_frequent_thread_switches(self, monkeypatch):
+        # each worker adds into its own half; a lost or reordered add would
+        # change the bytes
+        net = micro_net(seed=70, shared=(6,), heads={"cat": (3,)}, dropout=0.3, mc_passes=9,
+                        tasks=WIDE_TASKS)
+        x = np.random.default_rng(71).normal(size=(40, 5))
+        expected = pass_outputs(net, x, 72, 1, monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                assert pass_outputs(net, x, 72, 2, monkeypatch) == expected
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_worker_exception_is_raised_after_the_workers_end(self, monkeypatch):
         net = micro_net(shared=(6,), heads={"cat": (3,)}, dropout=0.3, mc_passes=8)
         calls, original = [], model._activate_output
@@ -999,8 +1042,8 @@ class TestTwoWorkers:
         assert threading.active_count() == threads
         assert len(calls) < 8 * len(net.tasks)  # the passes stopped
 
-    @pytest.mark.parametrize("slow", [0, 3])  # 3: the last pass is held to the end
-    def test_a_slow_pass_is_still_added_in_order(self, monkeypatch, slow):
+    @pytest.mark.parametrize("slow", [0, 3])  # 3: the second worker's last pass
+    def test_a_slow_pass_gives_one_workers_bytes(self, monkeypatch, slow):
         net = micro_net(seed=51, shared=(6,), heads={"cat": (3,)}, dropout=0.3, mc_passes=5,
                         tasks=WIDE_TASKS)
         x = np.random.default_rng(52).normal(size=(300, 5))
@@ -1008,7 +1051,7 @@ class TestTwoWorkers:
         stall_pass(monkeypatch, slow)
         assert pass_outputs(net, x, 53, 2, monkeypatch) == expected
 
-    def test_worker_error_wakes_the_worker_waiting_on_its_add(self, monkeypatch):
+    def test_worker_error_wakes_the_worker_waiting_for_its_turn(self, monkeypatch):
         net = micro_net(shared=(6,), heads={"cat": (3,)}, dropout=0.3, mc_passes=8)
         stall_pass(monkeypatch, 0, KeyError("pass 0 failed"))
         monkeypatch.setattr(model, "_mc_workers", lambda: 2)
@@ -1024,7 +1067,7 @@ class TestTwoWorkers:
         watchdog = threading.Thread(target=call, daemon=True)
         watchdog.start()
         watchdog.join(timeout=30)
-        assert not watchdog.is_alive(), "a worker still waits for the failed pass's add"
+        assert not watchdog.is_alive(), "a worker still waits for a turn to draw"
         assert [str(exc) for exc in errors] == ["'pass 0 failed'"]
         assert threading.active_count() == threads
 
@@ -1084,23 +1127,25 @@ def mc_over_outputs(stack):
 
 
 class TestRegressionMoments:
-    """Regression confidence from Welford's moments over the passes in order
-    (:func:`pass_order_variance`), whose memory does not grow with them."""
+    """Regression confidence from Welford's moments over each half of the
+    passes in order, merged by Chan's update
+    (:func:`halves_mean_and_variance`), whose memory does not grow with the
+    passes."""
 
     @settings(max_examples=80, deadline=None)
     @given(arrays(np.float64, st.tuples(st.integers(2, 17), st.integers(1, 4)),
                   elements=st.floats(-1.0, 1.0)),
            st.sampled_from([0.0, -7.0, 1e6, -3e9, 1e12]),
            st.sampled_from([1.0, 1e-3, 1e-9]))
-    def test_confidence_is_the_pass_order_variance_and_never_positive(self, base, offset,
-                                                                    spread):
+    def test_confidence_is_the_halves_variance_and_never_positive(self, base, offset, spread):
         # a large offset with a tiny spread is where a one-pass variance loses
-        # digits; B = 1 takes the one-row stack's path
+        # digits; an odd T gives halves of unequal size
         stack = offset + spread * base
         pred = mc_over_outputs(stack)
         assert (pred.confidence <= 0.0).all()
-        assert pred.confidence.tobytes() == (-pass_order_variance(stack)).tobytes()
-        assert pred.decoded.tobytes() == stack.mean(axis=0).tobytes()
+        mean, var = halves_mean_and_variance(stack)
+        assert pred.confidence.tobytes() == (-var).tobytes()
+        assert pred.decoded.tobytes() == mean.tobytes()
         # against numpy's two-pass variance: both err by a few ulps of the
         # variance, and Welford's means by an ulp of the offset, which a
         # deviation of about the spread scales
