@@ -28,11 +28,11 @@ from typing import Any, NamedTuple, Optional, Union, get_args, get_origin, get_t
 
 from .arff import ArffError, format_header, format_rows, parse_arff
 from .dataset import (REGRESSION, DatasetError, MultiTargetDataset, assemble,
-                      assemble_eval, drop_labels, standardize, to_relation)
-from .metrics import MetricReport, evaluate, pseudo_label_accuracy
+                      assemble_eval, drop_labels, to_relation)
+from .metrics import MetricReport, pseudo_label_accuracy
 from .model import one_blas_thread, usable_cpus
-from .trainer import (CdlcConfig, CdlcResult, apply_assignments, run_cdlc,
-                      write_assignments_csv, write_iterations_csv)
+from .trainer import (CdlcConfig, CdlcResult, run_cdlc, write_assignments_csv,
+                      write_iterations_csv)
 
 
 class ConfigError(ValueError):
@@ -409,18 +409,17 @@ def _write_scatter(out_dir: Path, metrics: MetricReport, tasks) -> None:
                 w.writerows((task.classes[t], task.classes[p]) for t, p in pairs)
 
 
-def _report_lines(config: RunConfig, result: CdlcResult, final_metrics,
-                  pl_reports) -> list[str]:
+def _report_lines(config: RunConfig, result: CdlcResult, pl_reports) -> list[str]:
     lines = ["effective configuration:"]
     lines += ["  " + ln for ln in config.to_config_text().splitlines()]
     lines.append("")
     lines.append(f"status: {result.status}")
     lines.append(f"iterations: {len(result.records)}")
     lines.append(f"pseudo-labels assigned: {len(result.assignments)}")
-    if final_metrics is not None:
+    if result.final_metrics is not None:
         lines.append("")
         lines.append("final test metrics:")
-        for name, tm in final_metrics.tasks.items():
+        for name, tm in result.final_metrics.tasks.items():
             if not tm.evaluable:
                 lines.append(f"  {name}: not evaluable (n={tm.n})")
             elif tm.kind == REGRESSION:
@@ -473,6 +472,12 @@ def run(config: RunConfig, quiet: bool = False) -> None:
         raise DatasetError("no input file defines a label: "
                            + ", ".join(path for path, _ in config.datasets))
     _check_task_keys(config, ds)
+    if config.test_file is not None:
+        for t in ds.tasks:
+            if "/" in t.name or "\0" in t.name or len(os.fsencode(f"scatter_{t.name}.csv")) > 255:
+                raise DatasetError(f"task {t.name!r}: test.file asks for a scatter_<task>.csv, "
+                                   "and a file name cannot hold '/' or a NUL character or "
+                                   "exceed 255 bytes")
     _progress(quiet, f"assembled {ds.n_instances} instances, {ds.n_features} features, "
                      f"{ds.n_tasks} task(s)")
 
@@ -491,37 +496,25 @@ def run(config: RunConfig, quiet: bool = False) -> None:
         del test_read
         _progress(quiet, f"test set: {eval_ds.n_instances} instances")
 
-    ds_std, standardizer = standardize(ds)
-    # the test set is needed only standardized
-    eval_std = standardizer.transform_dataset(eval_ds) if eval_ds is not None else None
-    del eval_ds
-
     _progress(quiet, "running cross-data label completion")
-    result = run_cdlc(ds_std, config.cdlc, eval_std, standardizer)
+    result = run_cdlc(ds, config.cdlc, eval_ds)
     for r in result.records:
         filled = sum(r.filled.values())
         _progress(quiet, f"iteration {r.iteration}: filled {filled} cell(s), "
                          f"{sum(r.remaining.values())} remaining")
     _progress(quiet, f"finished with status {result.status!r}")
 
-    completed = apply_assignments(ds, result.assignments, standardizer)
-    _write_arff_file(out_dir / "completed.arff", to_relation(completed))
-    write_assignments_csv(out_dir / "assignments.csv", result.assignments, ds, standardizer)
+    _write_arff_file(out_dir / "completed.arff", to_relation(result.dataset))
+    write_assignments_csv(out_dir / "assignments.csv", result.assignments, ds)
     write_iterations_csv(out_dir / "iterations.csv", result.records, ds)
-
-    final_metrics = None
-    if eval_std is not None and result.final_net is not None:
-        # the last record already evaluated final_net unless cdlc.eval_every_iteration is off
-        final_metrics = result.records[-1].metrics
-        if final_metrics is None:
-            final_metrics = evaluate(result.final_net, eval_std, standardizer)
-        _write_scatter(out_dir, final_metrics, eval_std.tasks)
+    if result.final_metrics is not None:
+        _write_scatter(out_dir, result.final_metrics, ds.tasks)
 
     pl_reports = None
     if withheld is not None:
-        pl_reports = pseudo_label_accuracy(result.assignments, withheld, standardizer)
+        pl_reports = pseudo_label_accuracy(result.assignments, withheld)
 
-    report = _report_lines(config, result, final_metrics, pl_reports)
+    report = _report_lines(config, result, pl_reports)
     (out_dir / "report.txt").write_text("\n".join(report) + "\n", encoding="utf-8")
     _progress(quiet, f"wrote results to {out_dir}")
 
@@ -577,3 +570,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

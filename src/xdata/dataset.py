@@ -59,10 +59,9 @@ class MultiTargetDataset:
 
     `features` and `origin` are read-only from construction on: a writable
     array passed in is replaced by a read-only view of it. Every derivation
-    that changes only labels (`copy`, `drop_labels`, the completion loop's
-    grid, `apply_assignments`) shares them and copies `labels` and `defined`,
-    so a run holds one feature matrix per feature space, and a stray in-place
-    write raises.
+    that changes only labels (`copy`, `drop_labels`, `apply_assignments`)
+    shares them and copies `labels` and `defined`, so a run holds one feature
+    matrix per feature space, and a stray in-place write raises.
     """
 
     features: np.ndarray  # (N, F) float64
@@ -321,7 +320,6 @@ class Standardizer:
 
     feature_mean: np.ndarray
     feature_std: np.ndarray  # effective divisor; 1.0 for constant columns
-    constant_features: np.ndarray  # bool per feature
     target_stats: dict[int, tuple[float, float]] = field(default_factory=dict)
 
     def transform_features(self, x: np.ndarray) -> np.ndarray:
@@ -350,8 +348,7 @@ def standardize(ds: MultiTargetDataset) -> tuple[MultiTargetDataset, Standardize
         raise DatasetError("cannot standardize an empty dataset")
     mean = ds.features.mean(axis=0)
     std = ds.features.std(axis=0)
-    constant = std < 1e-12
-    eff_std = np.where(constant, 1.0, std)
+    eff_std = np.where(std < 1e-12, 1.0, std)
     target_stats: dict[int, tuple[float, float]] = {}
     for m, t in enumerate(ds.tasks):
         if t.kind != REGRESSION:
@@ -363,5 +360,5 @@ def standardize(ds: MultiTargetDataset) -> tuple[MultiTargetDataset, Standardize
         t_mean = float(vals.mean())
         t_std = float(vals.std())
         target_stats[m] = (t_mean, 1.0 if t_std < 1e-12 else t_std)
-    stdzr = Standardizer(mean, eff_std, constant, target_stats)
+    stdzr = Standardizer(mean, eff_std, target_stats)
     return stdzr.transform_dataset(ds), stdzr

@@ -137,17 +137,14 @@ class PseudoLabelReport:
     mae: Optional[float] = None
 
 
-def pseudo_label_accuracy(assignments, withheld_truth: MultiTargetDataset,
-                          standardizer: Optional[Standardizer] = None
+def pseudo_label_accuracy(assignments, withheld_truth: MultiTargetDataset
                           ) -> dict[str, PseudoLabelReport]:
     """Compare pseudo-label assignments (`trainer.Assignments`) to the pre-drop
-    ground-truth grid.
+    ground-truth grid, both in original units.
 
     Assignments referencing cells undefined in the truth grid are skipped and
-    counted separately. Regression values are mapped back to original units
-    before comparison when a standardizer is supplied.
+    counted separately.
     """
-    values = assignments.original_values(standardizer)
     reports: dict[str, PseudoLabelReport] = {}
     for m, task in enumerate(withheld_truth.tasks):
         mine = assignments.task_index == m
@@ -159,7 +156,7 @@ def pseudo_label_accuracy(assignments, withheld_truth: MultiTargetDataset,
             reports[task.name] = PseudoLabelReport(task.kind, 0, skipped)
             continue
         truth = withheld_truth.labels[instance[comparable], m]
-        assigned = values[mine][comparable]
+        assigned = assignments.value[mine][comparable]
         if task.kind == REGRESSION:
             cc = pearson_cc(truth, assigned) if n >= 2 else None
             if cc is not None and np.isnan(cc):

@@ -19,9 +19,9 @@ from typing import Optional
 
 import numpy as np
 
-from .dataset import MultiTargetDataset, Standardizer, split
+from .dataset import MultiTargetDataset, split, standardize
 from .metrics import MetricReport, evaluate
-from .model import MtShlNetwork, NetworkConfig, init_network, mc_predict, train
+from .model import NetworkConfig, init_network, mc_predict, train
 
 logger = logging.getLogger(__name__)
 
@@ -60,20 +60,11 @@ class Assignments:
     iteration: np.ndarray  # int
     instance: np.ndarray  # int
     task_index: np.ndarray  # int
-    value: np.ndarray  # float; class index, or regression value in standardized space
-    confidence: np.ndarray  # float
+    value: np.ndarray  # float; class index, or regression value in original units
+    confidence: np.ndarray  # float; of the prediction in the standardized space
 
     def __len__(self) -> int:
         return len(self.instance)
-
-    def original_values(self, standardizer: Optional[Standardizer] = None) -> np.ndarray:
-        """`value` with regression entries mapped back to original target units."""
-        values = self.value.copy()
-        if standardizer is not None:
-            for m in standardizer.target_stats:
-                sel = self.task_index == m
-                values[sel] = standardizer.inverse_target(m, values[sel])
-        return values
 
 
 @dataclass
@@ -88,11 +79,13 @@ class IterationRecord:
 
 @dataclass
 class CdlcResult:
-    dataset: MultiTargetDataset  # completed grid, standardized space
+    dataset: MultiTargetDataset  # the input with the assignments applied, original units
     records: list[IterationRecord]
     assignments: Assignments
     status: str
-    final_net: Optional[MtShlNetwork] = None  # network from the last iteration
+    # the last iteration's network scored on the evaluation set; None without
+    # one or without an iteration
+    final_metrics: Optional[MetricReport] = None
 
 
 def select_top_k(confidence: np.ndarray, instance: np.ndarray, k: int,
@@ -107,14 +100,17 @@ def select_top_k(confidence: np.ndarray, instance: np.ndarray, k: int,
 
 
 def run_cdlc(ds: MultiTargetDataset, config: CdlcConfig,
-             eval_set: Optional[MultiTargetDataset] = None,
-             standardizer: Optional[Standardizer] = None) -> CdlcResult:
-    """Run the label-completion loop on a (typically standardized) dataset.
+             eval_set: Optional[MultiTargetDataset] = None) -> CdlcResult:
+    """Run the label-completion loop on `ds`, scoring on `eval_set` if given;
+    both are in original units, and so is everything returned but the
+    assignments' confidences.
 
-    Each iteration trains a fresh network seeded with network.seed + iteration
-    (or warm-starts the previous one), evaluates on `eval_set` if given (so
-    record 0 reflects training on the original labels only), then assigns up
-    to select_per_task pseudo-labels per task. Terminates when the grid is
+    The loop works on a standardized copy of `ds` (`dataset.standardize`),
+    `eval_set` transformed with the same statistics. Each iteration trains a
+    fresh network seeded with network.seed + iteration (or warm-starts the
+    previous one), evaluates on `eval_set` if cdlc.eval_every_iteration is on
+    (so record 0 reflects training on the original labels only), then assigns
+    up to select_per_task pseudo-labels per task. Terminates when the grid is
     complete, max_iterations is reached, or an iteration assigns nothing.
     Raises FloatingPointError if a candidate's prediction or confidence is
     non-finite.
@@ -122,9 +118,11 @@ def run_cdlc(ds: MultiTargetDataset, config: CdlcConfig,
     config.validate()
     if eval_set is not None and [t.name for t in eval_set.tasks] != [t.name for t in ds.tasks]:
         raise ValueError("evaluation set task schemas do not match the dataset")
-    work = ds.copy()  # a new label grid over the shared, read-only features
-    if not work.defined.any():
+    if not ds.defined.any():
         raise ValueError("dataset has no defined labels; nothing to train on")
+    work, standardizer = standardize(ds)  # a new label grid over new features
+    if eval_set is not None:
+        eval_set = standardizer.transform_dataset(eval_set)
 
     records: list[IterationRecord] = []
     chunks = [(np.zeros(0, int),) * 3 + (np.zeros(0),) * 2]  # Assignments field order
@@ -171,7 +169,7 @@ def run_cdlc(ds: MultiTargetDataset, config: CdlcConfig,
             work.labels[rows, m] = values
             work.defined[rows, m] = True
             chunks.append((np.full(len(pos), iteration), rows, np.full(len(pos), m),
-                           values, confidence[pos]))
+                           standardizer.inverse_target(m, values), confidence[pos]))
             filled[task.name] = len(pos)
             boundary[task.name] = float(confidence[pos[-1]]) if len(pos) else None
 
@@ -186,16 +184,20 @@ def run_cdlc(ds: MultiTargetDataset, config: CdlcConfig,
         iteration += 1
 
     assignments = Assignments(*(np.concatenate(column) for column in zip(*chunks)))
-    return CdlcResult(work, records, assignments, status, final_net=net)
+    final_metrics = None
+    if eval_set is not None and net is not None:
+        final_metrics = (records[-1].metrics if config.eval_every_iteration
+                         else evaluate(net, eval_set, standardizer))
+    return CdlcResult(apply_assignments(ds, assignments), records, assignments, status,
+                      final_metrics)
 
 
-def apply_assignments(ds: MultiTargetDataset, assignments: Assignments,
-                      standardizer: Optional[Standardizer] = None) -> MultiTargetDataset:
-    """Write pseudo-labels into a copy of the label grid of an original-units
-    dataset (for serialization); the features are shared, not copied."""
+def apply_assignments(ds: MultiTargetDataset, assignments: Assignments) -> MultiTargetDataset:
+    """Write pseudo-labels into a copy of the label grid of `ds`; the features
+    are shared, not copied."""
     out = ds.copy()
     cells = assignments.instance, assignments.task_index
-    out.labels[cells] = assignments.original_values(standardizer)
+    out.labels[cells] = assignments.value
     out.defined[cells] = True
     return out
 
@@ -212,18 +214,16 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def write_assignments_csv(path, assignments: Assignments, ds: MultiTargetDataset,
-                          standardizer: Optional[Standardizer] = None) -> None:
+def write_assignments_csv(path, assignments: Assignments, ds: MultiTargetDataset) -> None:
     """Columns: iteration,instance,dataset_origin,task,label,confidence.
-    Labels are category text or inverse-standardized reals."""
+    Labels are category text or reals in original units."""
     a = assignments
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["iteration", "instance", "dataset_origin", "task", "label", "confidence"])
         for it, i, origin, m, v, conf in zip(
                 a.iteration.tolist(), a.instance.tolist(), ds.origin[a.instance].tolist(),
-                a.task_index.tolist(), a.original_values(standardizer).tolist(),
-                a.confidence.tolist()):
+                a.task_index.tolist(), a.value.tolist(), a.confidence.tolist()):
             task = ds.tasks[m]
             label = task.classes[int(v)] if task.classes is not None else repr(v)
             w.writerow([it, i, origin, task.name, label, repr(conf)])
@@ -232,15 +232,12 @@ def write_assignments_csv(path, assignments: Assignments, ds: MultiTargetDataset
 def write_iterations_csv(path, records: list[IterationRecord],
                          ds: MultiTargetDataset) -> None:
     names = [t.name for t in ds.tasks]
-    metric_cols: list[str] = []
-    for r in records:
-        if r.metrics is not None:
-            metric_cols = r.metrics.column_names()
-            break
+    # every record has metrics or none has (cdlc.eval_every_iteration)
+    metrics = records[0].metrics if records else None
     header = ["iteration"]
     for n in names:
         header += [f"filled_{n}", f"boundary_conf_{n}", f"remaining_{n}"]
-    header += metric_cols
+    header += metrics.column_names() if metrics is not None else []
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(header)
@@ -250,6 +247,4 @@ def write_iterations_csv(path, records: list[IterationRecord],
                 row += [r.filled[n], _fmt(r.boundary_confidence[n]), r.remaining[n]]
             if r.metrics is not None:
                 row += [_fmt(v) for v in r.metrics.column_values()]
-            elif metric_cols:
-                row += [""] * len(metric_cols)
             w.writerow(row)

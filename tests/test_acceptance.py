@@ -12,8 +12,8 @@ from arff_columns import columns_equal, count_missing
 
 from xdata.arff import ArffError, parse_arff, write_arff
 from xdata.cli import main
-from xdata.dataset import (MultiTargetDataset, TaskSchema, assemble,
-                           assemble_eval, drop_labels, split, standardize)
+from xdata.dataset import (MultiTargetDataset, TaskSchema, assemble, assemble_eval,
+                           drop_labels, split)
 from xdata.metrics import pearson_cc, pseudo_label_accuracy, uar
 from xdata.model import NetworkConfig, init_network, loss_and_grads, mc_predict, mt_loss
 from xdata.synthetic import make_corpus
@@ -201,19 +201,17 @@ def _run_synthetic_seed(seed):
     ds = assemble([corpus["file1"], corpus["file2"], corpus["file3"], corpus["file4"]])
     withheld = ds
     ds = drop_labels(ds, 0.75, seed=seed + 1)
-    ds_std, stdzr = standardize(ds)
     eval_ds = assemble_eval(corpus["test"][0], ds)
-    eval_std = stdzr.transform_dataset(eval_ds)
     cfg = CdlcConfig(
         network=NetworkConfig(shared_layers=(32,), epochs=30, dropout=0.1,
                               learning_rate=0.002, batch_size=64, mc_passes=10,
                               seed=seed),
         select_per_task=1000,
     )
-    result = run_cdlc(ds_std, cfg, eval_std, stdzr)
+    result = run_cdlc(ds, cfg, eval_ds)
     first = result.records[0].metrics
     last = result.records[-1].metrics
-    quality = pseudo_label_accuracy(result.assignments, withheld, stdzr)
+    quality = pseudo_label_accuracy(result.assignments, withheld)
     return first, last, quality
 
 

@@ -72,14 +72,16 @@ def constant_target_config(tmp_path: Path) -> Path:
     return cfg
 
 
-def run_entry(cfg: Path, *flags: str, code: str = "from xdata.cli import entry; entry()",
+def run_entry(cfg: Path, *flags: str,
+              launch: tuple[str, ...] = ("-c", "from xdata.cli import entry; entry()"),
               **kwargs) -> subprocess.CompletedProcess:
-    """The CLI in a subprocess (`code` runs it): pytest captures warnings and
-    log records in process, so only a subprocess shows what reaches stderr."""
+    """The CLI in a subprocess (the interpreter options `launch` run it): pytest
+    captures warnings and log records in process, so only a subprocess shows
+    what reaches stderr."""
     src = str(Path(xdata.__file__).parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-c", code, "--config", str(cfg), *flags], env=env,
+    return subprocess.run([sys.executable, *launch, "--config", str(cfg), *flags], env=env,
                           timeout=120, **kwargs)
 
 
@@ -461,6 +463,31 @@ class TestMain:
     def test_missing_config_file_exits_1(self, tmp_path):
         assert main(["--config", str(tmp_path / "absent.conf")]) == 1
 
+    def test_module_run_is_the_cli(self, tmp_path):
+        run = run_entry(tmp_path / "absent.conf", launch=("-m", "xdata.cli"),
+                        capture_output=True, text=True)
+        assert run.returncode == 1
+        assert run.stderr.startswith("configuration error: config file not found"), run.stderr
+
+    # a run with a test set writes scatter_<task>.csv, which such a name cannot name
+    @pytest.mark.parametrize("name", ["x/y", "x\0y", "t" * 244])
+    def test_task_name_unfit_for_a_file_name_exits_2_before_training(self, tmp_path, capsys,
+                                                                      name):
+        header = f"@relation r\n@attribute f numeric\n@attribute '{name}' numeric\n@data\n"
+        data, test = tmp_path / "d.arff", tmp_path / "t.arff"
+        data.write_text(header + "0,0.5\n1,1.5\n2,?\n3,3.5\n4,4.0\n", encoding="utf-8")
+        test.write_text(header + "5,5.5\n6,6.5\n", encoding="utf-8")
+        cfg = tmp_path / "c.conf"
+        cfg.write_text(f"dataset.1.file = {data}\ndataset.1.num_targets = 1\n"
+                       f"output.dir = {tmp_path / 'plain'}\nnet.shared_layers = 2\n"
+                       "net.epochs = 1\nnet.mc_passes = 2\n", encoding="utf-8")
+        assert main(["--config", str(cfg), "--quiet"]) == 0
+        out = tmp_path / "tested"
+        cfg.write_text(cfg.read_text() + f"test.file = {test}\n", encoding="utf-8")
+        assert main(["--config", str(cfg), "--quiet", "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"data error: task {name!r}: ")
+        assert not (out / "completed.arff").exists()
+
     def test_seed_flag_overrides_config(self, tmp_path):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
@@ -623,7 +650,8 @@ class TestTwoProcesses:
         for pin in (f"os.sched_setaffinity(0, {{{cpus[0]}}}); assert not cli._can_fork(); ",
                     "assert cli._can_fork(); "):
             code = f"import os; from xdata import cli; {pin}cli.entry()"
-            done = run_entry(cfg, "--quiet", code=code, capture_output=True, text=True)
+            done = run_entry(cfg, "--quiet", launch=("-c", code), capture_output=True,
+                             text=True)
             assert done.returncode == 0, done.stderr
             runs.append({p.name: p.read_bytes() for p in out.iterdir()})
             for p in out.iterdir():

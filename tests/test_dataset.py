@@ -179,7 +179,7 @@ class TestStandardize:
         ds = assemble([(rel, nt)])
         out, sz = standardize(ds)
         assert np.allclose(out.features[:, 0], 0.0)
-        assert sz.constant_features[0]
+        assert sz.feature_std[0] == 1.0
 
     def test_two_point_column(self):
         rel, nt = _rel("A", ["f1"], [("t", None)], [[0.0, 0.0], [2.0, 1.0]])
@@ -204,8 +204,7 @@ class TestStandardize:
         ds = assemble([(rel, nt)])
         out, sz = standardize(ds)
         back = out.features * sz.feature_std + sz.feature_mean
-        if not sz.constant_features[0]:
-            assert np.allclose(back[:, 0], ds.features[:, 0], atol=1e-9)
+        assert np.allclose(back[:, 0], ds.features[:, 0], atol=1e-9)
 
 
 def test_merged_arff_roundtrip():

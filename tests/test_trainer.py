@@ -1,12 +1,13 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xdata.dataset import MultiTargetDataset, TaskSchema, standardize
+from xdata.dataset import REGRESSION, MultiTargetDataset, TaskSchema, assemble, assemble_eval
 from xdata.model import NetworkConfig
+from xdata.synthetic import make_corpus
 from xdata.trainer import (STATUS_COMPLETED, STATUS_MAX_ITERATIONS,
                            STATUS_STALLED, CdlcConfig, apply_assignments, run_cdlc,
                            select_top_k)
@@ -145,15 +146,54 @@ class TestRunCdlc:
 
     def test_run_shares_its_input_features_and_leaves_them_unchanged(self):
         ds = grid_dataset([60, 30], seed=12)
-        std, sz = standardize(ds)
-        before = std.features.tobytes()
-        result = run_cdlc(std, CdlcConfig(network=FAST_NET, select_per_task=20))
+        before = ds.features.tobytes()
+        result = run_cdlc(ds, CdlcConfig(network=FAST_NET, select_per_task=20))
         assert result.dataset.defined.all()
-        assert np.shares_memory(result.dataset.features, std.features)
-        assert std.features.tobytes() == before
-        completed = apply_assignments(ds, result.assignments, sz)
+        assert np.shares_memory(result.dataset.features, ds.features)
+        assert ds.features.tobytes() == before
+        completed = apply_assignments(ds, result.assignments)
         assert np.shares_memory(completed.features, ds.features)
         assert not np.shares_memory(completed.labels, ds.labels)
+
+    def test_takes_and_returns_original_units(self):
+        """Scaling the features and regression targets by 2**10 is exact, so
+        the standardized loop sees bit-identical inputs: the same cells and
+        confidences, the regression pseudo-labels scaled by exactly 2**10."""
+        corpus = make_corpus(n_train=240, n_test=60, seed=2)
+        ds = assemble([corpus[f"file{k}"] for k in range(1, 5)])
+        ev = assemble_eval(corpus["test"][0], ds)
+        regression = [m for m, t in enumerate(ds.tasks) if t.kind == REGRESSION]
+        assert regression and len(regression) < ds.n_tasks
+
+        def scaled(d):
+            labels = d.labels.copy()
+            labels[:, regression] *= 1024.0
+            return replace(d, features=d.features * 1024.0, labels=labels)
+
+        cfg = CdlcConfig(network=FAST_NET, select_per_task=50)
+        base = run_cdlc(ds, cfg, ev)
+        big = run_cdlc(scaled(ds), cfg, scaled(ev))
+        a, b = base.assignments, big.assignments
+        assert len(base.records) == 3 and len(a) == 360
+        for column in ("iteration", "instance", "task_index", "confidence"):
+            assert np.array_equal(getattr(a, column), getattr(b, column)), column
+        is_reg = np.isin(a.task_index, regression)
+        assert np.array_equal(b.value[~is_reg], a.value[~is_reg])
+        assert np.array_equal(b.value[is_reg], a.value[is_reg] * 1024.0)
+        assert np.array_equal(big.dataset.labels, scaled(base.dataset).labels)
+        assert base.final_metrics is base.records[-1].metrics
+        assert big.final_metrics.column_values() == base.final_metrics.column_values()
+        # without per-iteration evaluation the last network is scored once
+        off = run_cdlc(ds, replace(cfg, eval_every_iteration=False), ev)
+        assert all(r.metrics is None for r in off.records)
+        assert off.final_metrics.column_values() == base.final_metrics.column_values()
+
+    def test_no_final_metrics_without_eval_set_or_iteration(self):
+        cfg = CdlcConfig(network=FAST_NET, select_per_task=10)
+        assert run_cdlc(grid_dataset([20], seed=13), cfg).final_metrics is None
+        complete = grid_dataset([0, 0], seed=4)
+        result = run_cdlc(complete, cfg, complete)
+        assert result.records == [] and result.final_metrics is None
 
     def test_no_defined_labels_errors(self):
         ds = grid_dataset([50], seed=10)
