@@ -33,12 +33,20 @@ class TaskSchema:
     classes: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
-        if self.kind == BINARY and (self.classes is None or len(self.classes) != 2):
+        if self.kind not in (BINARY, MULTICLASS, REGRESSION):
+            raise DatasetError(f"task {self.name!r}: unknown kind {self.kind!r} "
+                               f"(expected {BINARY}, {MULTICLASS} or {REGRESSION})")
+        if self.kind == REGRESSION:
+            if self.classes is not None:
+                raise DatasetError(f"regression task {self.name!r} cannot have classes")
+            return
+        n = len(self.classes or ())
+        if n < 2:
+            raise DatasetError(f"task {self.name!r} needs at least two categories, got {n}")
+        if self.kind == BINARY and n != 2:
             raise DatasetError(f"binary task {self.name!r} must have exactly 2 classes")
-        if self.kind == MULTICLASS and (self.classes is None or len(self.classes) < 3):
+        if self.kind == MULTICLASS and n < 3:
             raise DatasetError(f"multiclass task {self.name!r} must have >= 3 classes")
-        if self.kind == REGRESSION and self.classes is not None:
-            raise DatasetError(f"regression task {self.name!r} cannot have classes")
 
     @property
     def num_classes(self) -> int:
@@ -333,13 +341,6 @@ class Standardizer:
         mean, std = self.target_stats[m]
         return v * std + mean
 
-    def transform_dataset(self, ds: MultiTargetDataset) -> MultiTargetDataset:
-        out = replace(ds.copy(), features=self.transform_features(ds.features))
-        for m, (mean, std) in self.target_stats.items():
-            mask = out.defined[:, m]
-            out.labels[mask, m] = (out.labels[mask, m] - mean) / std
-        return out
-
 
 def standardize(ds: MultiTargetDataset) -> tuple[MultiTargetDataset, Standardizer]:
     """Zero-mean/unit-variance features (all instances) and regression targets
@@ -361,4 +362,8 @@ def standardize(ds: MultiTargetDataset) -> tuple[MultiTargetDataset, Standardize
         t_std = float(vals.std())
         target_stats[m] = (t_mean, 1.0 if t_std < 1e-12 else t_std)
     stdzr = Standardizer(mean, eff_std, target_stats)
-    return stdzr.transform_dataset(ds), stdzr
+    out = replace(ds.copy(), features=stdzr.transform_features(ds.features))
+    for m, (t_mean, t_std) in target_stats.items():
+        mask = out.defined[:, m]
+        out.labels[mask, m] = (out.labels[mask, m] - t_mean) / t_std
+    return out, stdzr

@@ -90,15 +90,17 @@ def evaluate(net: MtShlNetwork, eval_set: MultiTargetDataset,
              standardizer: Optional[Standardizer] = None) -> MetricReport:
     """Deterministic-mode test-set metrics per task.
 
-    Instances whose true cell is undefined are excluded per task; a task with
-    no defined cells is reported as not evaluable. Regression correlations are
-    computed in original target units when a standardizer is supplied; each
-    evaluated task keeps its true and predicted values (``TaskMetrics.true``,
-    ``.predicted``).
+    `eval_set` is in original units. With a standardizer, the network reads
+    its features standardized by it and its regression predictions are mapped
+    back to original units; the true values are never transformed. Instances
+    whose true cell is undefined are excluded per task; a task with no
+    defined cells is reported as not evaluable. Each evaluated task keeps its
+    true and predicted values (``TaskMetrics.true``, ``.predicted``).
     """
     if [t.name for t in net.tasks] != [t.name for t in eval_set.tasks]:
         raise ValueError("evaluation set task schemas do not match the network")
-    preds = mc_predict(net, eval_set.features)
+    x = eval_set.features
+    preds = mc_predict(net, x if standardizer is None else standardizer.transform_features(x))
     report = MetricReport()
     for m, task in enumerate(net.tasks):
         sel = eval_set.defined[:, m]
@@ -109,7 +111,6 @@ def evaluate(net: MtShlNetwork, eval_set: MultiTargetDataset,
         y_true, y_pred = eval_set.labels[sel, m], preds[m].decoded[sel]
         if task.kind == REGRESSION:
             if standardizer is not None:
-                y_true = standardizer.inverse_target(m, y_true)
                 y_pred = standardizer.inverse_target(m, y_pred)
             cc = pearson_cc(y_true, y_pred) if n >= 2 else None
             tm = TaskMetrics(task.kind, n, evaluable=cc is not None and not np.isnan(cc),

@@ -1,7 +1,8 @@
 """Multi-task shared-hidden-layer feedforward network.
 
-A shared trunk feeds one head per task; heads end in a single sigmoid unit
-(binary), a softmax layer (multiclass), or a single linear unit (regression).
+A shared trunk feeds one head per task; a classification head ends in a
+K-way softmax layer (K = 2 for a two-category task), a regression head in a
+single linear unit.
 The training loss is the sum of per-task losses over *defined* label cells
 only; undefined cells contribute exactly zero to loss and gradients.
 
@@ -70,9 +71,9 @@ one condition variable), so that pass t makes the t-th draw whatever the
 thread. A worker makes each draw into its own reused bool buffer and computes
 the pass in row blocks of at most 4096 rows, in place in per-layer buffers of
 its own. Pass t adds its outputs into half t % 2 of the running moments, so
-that one worker adds all of a half's passes, in pass order: per half, a task
-has a (B,) or (B, K) sum, its first pass copied, and a regression task
-Welford's running mean and sum of squared deviations m2 instead. Once the
+that one worker adds all of a half's passes, in pass order: per half, a
+classification task has a (B, K) sum, its first pass copied, and a regression
+task Welford's running mean and sum of squared deviations m2 instead. Once the
 workers have ended, :func:`mc_predict` merges the two halves: a
 classification mean is (S0 + S1) / T, a regression mean and m2 are Chan's
 pairwise merge of the halves' (:func:`mc_predict`). So the outputs do not
@@ -86,8 +87,8 @@ outputs are byte-identical to per-pass training outputs, which the tests
 stack and reduce as two halves (their reference).
 
 All computation is float64 numpy, the output activations included (the
-max-shifted softmax and log-softmax and the sigmoid below); training is plain
-minibatch SGD (optional momentum) and fully deterministic in (config, seed, data).
+max-shifted softmax and log-softmax below); training is plain minibatch SGD
+(optional momentum) and fully deterministic in (config, seed, data).
 It encodes the labels once per :func:`train` call into a target and a weight
 matrix in the logits' column order and gathers them with the inputs once per
 epoch, the inputs into an array whose last column is 1.0; each step's output
@@ -172,9 +173,7 @@ Layer = tuple[np.ndarray, np.ndarray]  # (weights in_dim x out_dim, bias out_dim
 
 
 def head_output_size(task: TaskSchema) -> int:
-    if task.kind == "multiclass":
-        return task.num_classes
-    return 1  # binary sigmoid unit or regression scalar
+    return task.num_classes or 1  # a regression task has no classes
 
 
 def _layout(config: NetworkConfig, feature_dim: int, tasks: list[TaskSchema]):
@@ -487,24 +486,13 @@ def _log_softmax(z: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-z)), in place."""
-    # exp(-z) overflows to inf for very negative z, and the result is then exactly 0
-    with np.errstate(over="ignore"):
-        np.exp(np.negative(z, out=z), out=z)
-        z += 1.0
-        return np.divide(1.0, z, out=z)
-
-
 def _activate_output(task: TaskSchema, z: np.ndarray) -> np.ndarray:
     """Logits -> probabilities (classification) or identity (regression), in
-    place in the (B, K) logits `z`: the (B, K) distribution for multiclass,
-    else z's (B,) column."""
-    if task.kind == "multiclass":
-        return _softmax(z)
-    if task.kind == "binary":
-        return _sigmoid(z[:, 0])
-    return z[:, 0]
+    place in the (B, K) logits `z`: a classification task's (B, K) softmax
+    distribution, a regression task's (B,) column."""
+    if task.kind == REGRESSION:
+        return z[:, 0]
+    return _softmax(z)
 
 
 def _as_rows(net: MtShlNetwork, x) -> np.ndarray:
@@ -608,9 +596,9 @@ def _predict_passes(net: MtShlNetwork, x: np.ndarray, rng: Optional[np.random.Ge
     """Activated outputs of `passes` forward passes of the batch `x`, reduced
     as two halves: pass t goes into half t % 2 (one half when `passes` is 1).
     Per half, per task, its running moments over its passes in pass order:
-    (sum,) for a classification task, the sum (B,) or (B, K), the latter
-    column-major, pass 0 of the half copied; (mean, m2) for a regression
-    task, each (B,), by :func:`_welford`. :func:`mc_predict` merges the halves.
+    (sum,) for a classification task, the (B, K) sum column-major, pass 0 of
+    the half copied; (mean, m2) for a regression task, each (B,), by
+    :func:`_welford`. :func:`mc_predict` merges the halves.
 
     Dropout-free when `rng` is None or p = 0, else every pass makes the draw
     of :func:`sample_dropout_masks`, pass t the t-th. Computes what
@@ -637,10 +625,10 @@ def _predict_passes(net: MtShlNetwork, x: np.ndarray, rng: Optional[np.random.Ge
     masked = bool(net.trunk) and drawn
     if masked:
         first *= scale
-    # a multiclass sum column-major, in the layout of the logits, so that the
-    # entropy of the mean sums over K in order
-    halves = [[(np.empty((head_output_size(t), rows)).T,) if t.kind == "multiclass"
-               else tuple(np.empty(rows) for _ in range(2 if t.kind == REGRESSION else 1))
+    # a classification sum column-major, in the layout of the logits, so that
+    # the entropy of the mean sums over K in order
+    halves = [[(np.empty(rows), np.empty(rows)) if t.kind == REGRESSION
+               else (np.empty((head_output_size(t), rows)).T,)
                for t in net.tasks] for _ in range(min(passes, 2))]
 
     def worker_state():
@@ -734,8 +722,8 @@ def forward(net: MtShlNetwork, x: np.ndarray,
 
     With `rng` given, hidden units are dropped stochastically (sampled-dropout
     mode), the one pass making one draw as :func:`mc_predict`'s passes do;
-    without, the pass is deterministic. Binary tasks yield the probability of
-    class 1, multiclass a (B, K) distribution, regression the raw output.
+    without, the pass is deterministic. A classification task yields its
+    (B, K) class distribution, a regression task its raw (B,) output.
     """
     x = _as_rows(net, x)
     # over one pass, a sum or mean is a copy of its outputs
@@ -744,30 +732,28 @@ def forward(net: MtShlNetwork, x: np.ndarray,
 
 def _cell_losses(task: TaskSchema, z: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per-row task loss given logits z and (safe) labels y."""
-    if task.kind == "binary":
-        return np.logaddexp(0.0, z[:, 0]) - y * z[:, 0]
-    if task.kind == "multiclass":
-        logp = _log_softmax(z)
-        return -logp[np.arange(len(y)), y.astype(int)]
-    d = z[:, 0] - y
-    return d * d
+    if task.kind == REGRESSION:
+        d = z[:, 0] - y
+        return d * d
+    logp = _log_softmax(z)
+    return -logp[np.arange(len(y)), y.astype(int)]
 
 
 def _encode_targets(net: MtShlNetwork, y: np.ndarray,
                     defined: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(targets, weights) for the rows of `y`, each (B, sum K) in the logits'
-    column order (net.cols): targets one-hot for multiclass and the label for
-    binary and regression, 0 in undefined cells; weights the defined mask,
-    doubled for regression. (activated logits - targets) * weights is then
+    column order (net.cols): targets one-hot for classification and the label
+    for regression, 0 in undefined cells; weights the defined mask, doubled
+    for regression. (activated logits - targets) * weights is then
     d(masked loss)/d(logits)."""
     width = net.groups[-1][1].stop
     targets, weights = np.zeros((len(defined), width)), np.empty((len(defined), width))
     for m, (task, cs) in enumerate(zip(net.tasks, net.cols)):
         sel = defined[:, m]
-        if task.kind == "multiclass":
-            targets[sel, cs.start + y[sel, m].astype(int)] = 1.0
-        else:
+        if task.kind == REGRESSION:
             targets[sel, cs.start] = y[sel, m]
+        else:
+            targets[sel, cs.start + y[sel, m].astype(int)] = 1.0
         weights[:, cs] = (sel * (2.0 if task.kind == REGRESSION else 1.0))[:, None]
     return targets, weights
 
@@ -953,12 +939,6 @@ class TaskPredictionBatch:
     confidence: np.ndarray  # (B,); higher = more certain, <= 0
 
 
-def _decode_classification(task: TaskSchema, pbar: np.ndarray) -> np.ndarray:
-    if task.kind == "binary":
-        return (pbar > 0.5).astype(int)  # p == 0.5 ties to class 0
-    return pbar.argmax(axis=1)
-
-
 def mc_predict(net: MtShlNetwork, x: np.ndarray,
                rng: Optional[np.random.Generator] = None) -> list[TaskPredictionBatch]:
     """Monte-Carlo dropout prediction with per-row confidences.
@@ -966,8 +946,9 @@ def mc_predict(net: MtShlNetwork, x: np.ndarray,
     Runs config.mc_passes stochastic forward passes drawn from `rng`; with
     `rng` None or dropout 0 it runs one dropout-free pass instead, and the
     confidences come from that point distribution. Classification: mean
-    output distribution, confidence is the negated Shannon entropy of that
-    mean. Regression: mean output, confidence is the negated unbiased sample
+    output distribution, decoded as its argmax (an exact tie to the lower
+    class), confidence is the negated Shannon entropy of that mean.
+    Regression: mean output, confidence is the negated unbiased sample
     variance across passes (0 for a single pass). The T passes come as the
     moments of two halves from :func:`_predict_passes`, n0 = ceil(T/2) even
     passes and n1 = floor(T/2) odd ones. A classification mean is
@@ -996,7 +977,5 @@ def mc_predict(net: MtShlNetwork, x: np.ndarray,
             if odd:
                 mean += odd[0][0]
             mean /= passes
-            dist = np.stack([1.0 - mean, mean], axis=-1) if task.kind == "binary" else mean
-            conf = -shannon_entropy(dist)
-            results.append(TaskPredictionBatch(_decode_classification(task, mean), conf))
+            results.append(TaskPredictionBatch(mean.argmax(axis=1), -shannon_entropy(mean)))
     return results

@@ -105,12 +105,13 @@ def run_cdlc(ds: MultiTargetDataset, config: CdlcConfig,
     both are in original units, and so is everything returned but the
     assignments' confidences.
 
-    The loop works on a standardized copy of `ds` (`dataset.standardize`),
-    `eval_set` transformed with the same statistics. Each iteration trains a
-    fresh network seeded with network.seed + iteration (or warm-starts the
-    previous one), evaluates on `eval_set` if cdlc.eval_every_iteration is on
-    (so record 0 reflects training on the original labels only), then assigns
-    up to select_per_task pseudo-labels per task. Terminates when the grid is
+    The loop works on a standardized copy of `ds` (`dataset.standardize`);
+    `evaluate` scores `eval_set` with the same statistics. Each iteration
+    trains a fresh network seeded with network.seed + iteration (or
+    warm-starts the previous one), evaluates on `eval_set` if
+    cdlc.eval_every_iteration is on (so record 0 reflects training on the
+    original labels only), then assigns up to select_per_task pseudo-labels
+    per task. Terminates when the grid is
     complete, max_iterations is reached, or an iteration assigns nothing.
     Raises FloatingPointError if a candidate's prediction or confidence is
     non-finite.
@@ -121,8 +122,6 @@ def run_cdlc(ds: MultiTargetDataset, config: CdlcConfig,
     if not ds.defined.any():
         raise ValueError("dataset has no defined labels; nothing to train on")
     work, standardizer = standardize(ds)  # a new label grid over new features
-    if eval_set is not None:
-        eval_set = standardizer.transform_dataset(eval_set)
 
     records: list[IterationRecord] = []
     chunks = [(np.zeros(0, int),) * 3 + (np.zeros(0),) * 2]  # Assignments field order

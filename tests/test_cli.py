@@ -1,4 +1,5 @@
 import codecs
+import csv
 import math
 import os
 import re
@@ -14,7 +15,7 @@ import xdata
 import xdata.cli as cli
 import xdata.model as model
 from xdata.arff import (NOMINAL, NUMERIC, STRING, ArffError, ArffRelation, AttributeDecl,
-                        write_arff)
+                        parse_arff, write_arff)
 from xdata.cli import ConfigError, RunConfig, _format, _keys, main, parse_config
 from xdata.synthetic import make_corpus
 
@@ -395,6 +396,25 @@ class TestMain:
         assert capsys.readouterr().err == \
             f"data error: no input file defines a label: {tmp_path / 'tiny.arff'}\n"
         assert not (tmp_path / "out" / "completed.arff").exists()
+
+    def test_one_category_target_exits_2_asking_for_two_categories(self, tmp_path, capsys):
+        cfg = self._tiny_run(tmp_path, "1,only\n2,?\n")
+        arff = tmp_path / "tiny.arff"
+        arff.write_text(arff.read_text().replace("{a,b}", "{only}"), encoding="utf-8")
+        assert main(["--config", str(cfg), "--quiet"]) == 2
+        assert capsys.readouterr().err == \
+            "data error: task 'y' needs at least two categories, got 1\n"
+        assert not (tmp_path / "out" / "completed.arff").exists()
+
+    def test_scatter_truth_is_the_test_files_cells(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["--config", str(small_config(tmp_path, out)), "--quiet"]) == 0
+        test = parse_arff((tmp_path / "test.arff").read_text(encoding="utf-8"))
+        for name in ("coord_a", "coord_v"):
+            column = test.columns[[a.name for a in test.attributes].index(name)]
+            with open(out / f"scatter_{name}.csv", newline="") as f:
+                true = [float(row["true"]) for row in csv.DictReader(f)]
+            assert true == column.tolist(), name
 
     def test_drop_fraction_that_drops_every_label_exits_1(self, tmp_path, capsys):
         cfg = self._tiny_run(tmp_path, "1,a\n2,b\n3,?\n")

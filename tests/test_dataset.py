@@ -95,6 +95,11 @@ class TestAssemble:
         ds = assemble([a])
         assert ds.tasks[0].kind == BINARY
 
+    def test_unknown_task_kind_is_rejected_naming_task_and_kind(self):
+        # the network treats every kind but regression as classification
+        with pytest.raises(DatasetError, match=r"^task 'v': unknown kind 'Regression' "):
+            TaskSchema("v", "Regression")
+
     def test_row_permutation_stability(self):
         files = four_file_corpus()
         ds1 = assemble(files)

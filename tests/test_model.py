@@ -81,10 +81,10 @@ class TestInit:
     @pytest.mark.parametrize("shared,heads", NET_SHAPES)
     def test_glorot_draws_per_layer_in_documented_order(self, shared, heads):
         # trunk layers, then each head's layers in task order, whatever the layout
-        sizes = [5, *shared]
+        sizes, outputs = [5, *shared], {"flag": 2, "cat": 4, "value": 1}
         shapes = list(zip(sizes, sizes[1:]))
         for task in THREE_TASKS:
-            head = [sizes[-1], *heads.get(task.name, ()), 4 if task.kind == "multiclass" else 1]
+            head = [sizes[-1], *heads.get(task.name, ()), outputs[task.name]]
             shapes += zip(head, head[1:])
         net = micro_net(seed=8, shared=shared, heads=heads)
         layers = [*net.trunk, *(layer for head in net.heads for layer in head)]
@@ -204,9 +204,12 @@ class TestForward:
         assert np.allclose(out[1], 0.25)
 
     def test_binary_output_in_open_interval(self):
+        # a two-category task's output is a (B, 2) distribution
         net = micro_net()
         out = forward(net, np.random.default_rng(2).normal(size=(10, 5)))
+        assert out[0].shape == (10, 2)
         assert ((out[0] > 0) & (out[0] < 1)).all()
+        assert np.abs(out[0].sum(axis=1) - 1.0).max() <= 1e-12
 
     def test_probabilities_valid_at_large_magnitudes(self):
         net = micro_net(shared=(4,))
@@ -228,14 +231,14 @@ class TestForward:
         net = init_network(NetworkConfig(shared_layers=(), dropout=dropout, mc_passes=3),
                            1, THREE_TASKS)
         for (w, b), row in zip((h[-1] for h in net.heads),
-                               ([800.0], [800.0, -800.0, 0.0, -800.0], [800.0])):
+                               ([-800.0, 800.0], [800.0, -800.0, 0.0, -800.0], [800.0])):
             w[...], b[...] = row, 0.0
         x = np.array([[1.0], [-1.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             outs = forward(net, x, np.random.default_rng(0) if dropout else None)
             preds = mc_predict(net, x, np.random.default_rng(0))
-        assert outs[0].tolist() == [1.0, 0.0]
+        assert outs[0].tolist() == [[0.0, 1.0], [1.0, 0.0]]
         assert np.abs(outs[1].sum(axis=1) - 1.0).max() <= 1e-12
         assert outs[1].argmax(axis=1).tolist() == [0, 1]
         assert outs[2].tolist() == [800.0, -800.0]
@@ -587,9 +590,8 @@ class TestConfidence:
         x = np.random.default_rng(35).normal(size=(20, 5))
         preds = mc_predict(net, x)
         p_flag, p_cat, value = forward(net, x)
-        assert np.array_equal(preds[0].decoded, (p_flag > 0.5).astype(int))
-        assert np.array_equal(preds[0].confidence,
-                              -shannon_entropy(np.stack([1.0 - p_flag, p_flag], axis=-1)))
+        assert np.array_equal(preds[0].decoded, p_flag.argmax(axis=1))
+        assert np.array_equal(preds[0].confidence, -shannon_entropy(p_flag))
         assert np.array_equal(preds[1].decoded, p_cat.argmax(axis=1))
         assert np.array_equal(preds[1].confidence, -shannon_entropy(p_cat))
         assert np.array_equal(preds[2].decoded, value)
@@ -616,7 +618,7 @@ class TestDecoding:
         net = init_network(NetworkConfig(shared_layers=(), seed=0, dropout=0.0), 2,
                            [TaskSchema("b", "binary", ("n", "p"))])
         w, b = net.heads[0][0]
-        w[...], b[...] = 0.0, 0.0  # sigmoid(0) = 0.5
+        w[...], b[...] = 0.0, 0.0  # equal logits: the distribution (0.5, 0.5)
         preds = mc_predict(net, np.zeros((3, 2)))
         assert (preds[0].decoded == 0).all()
 
@@ -805,9 +807,7 @@ def stacked_mc_predict(net, x, rng=None):
             results.append((mean, -var))
         else:
             mean = halves_mean(stack)
-            dist = np.stack([1.0 - mean, mean], axis=-1) if task.kind == "binary" else mean
-            decoded = (mean > 0.5).astype(int) if task.kind == "binary" else mean.argmax(axis=1)
-            results.append((decoded, -shannon_entropy(dist)))
+            results.append((mean.argmax(axis=1), -shannon_entropy(mean)))
     return results
 
 
@@ -830,13 +830,11 @@ def reference_outputs(net, x):
         for w, b in head[:-1]:
             a = act(a @ w + b)
         z = a @ head[-1][0] + head[-1][1]
-        if task.kind == "multiclass":
+        if task.kind == "regression":
+            results.append((z, z[:, 0]))
+        else:
             e = np.exp(z - z.max(axis=1, keepdims=True))
             results.append((z, e / e.sum(axis=1, keepdims=True)))
-        elif task.kind == "binary":
-            results.append((z, 1.0 / (1.0 + np.exp(-z[:, 0]))))
-        else:
-            results.append((z, z[:, 0]))
     return results
 
 

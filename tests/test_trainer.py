@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xdata.dataset import REGRESSION, MultiTargetDataset, TaskSchema, assemble, assemble_eval
+from xdata.arff import NOMINAL, NUMERIC, ArffRelation, AttributeDecl
+from xdata.dataset import (REGRESSION, MultiTargetDataset, TaskSchema, assemble, assemble_eval,
+                           drop_labels)
+from xdata.metrics import pseudo_label_accuracy
 from xdata.model import NetworkConfig
-from xdata.synthetic import make_corpus
+from xdata.synthetic import QUADRANT_CLASSES, generate, make_corpus
 from xdata.trainer import (STATUS_COMPLETED, STATUS_MAX_ITERATIONS,
                            STATUS_STALLED, CdlcConfig, apply_assignments, run_cdlc,
                            select_top_k)
@@ -214,3 +217,44 @@ class TestRunCdlc:
         ds = grid_dataset([40, 40], seed=11)
         with pytest.raises(FloatingPointError, match=r"^iteration 0: .* task 't1'$"):
             run_cdlc(ds, CdlcConfig(network=FAST_NET, select_per_task=10))
+
+
+def two_category_run(seed):
+    """The synthetic corpus of 3000 rows with a two-category target `pos`
+    ({no, yes}, yes iff coord_a > 0): four 625-row training files with the
+    targets (pos, coord_v), (pos), (quadrant, coord_v) and none, 90% of their
+    labels dropped (drop seed = seed + 1), and rows 2500-2999, fully labeled,
+    as the test set; the bundled experiment's network. Returns the run's
+    final test metrics and its pseudo-label reports."""
+    data = generate(3000, seed)
+    columns = {"pos": (data.coord_a > 0).astype(np.int64), "quadrant": data.quadrant,
+               "coord_v": data.coord_v}
+    categories = {"pos": ("no", "yes"), "quadrant": QUADRANT_CLASSES}
+
+    def relation(name, rows, targets):
+        attrs = [AttributeDecl(f"f{j + 1}", NUMERIC) for j in range(data.features.shape[1])]
+        attrs += [AttributeDecl(t, NOMINAL, categories[t]) if t in categories
+                  else AttributeDecl(t, NUMERIC) for t in targets]
+        return ArffRelation(name, attrs, [*data.features[rows].T,
+                                          *(columns[t][rows] for t in targets)])
+
+    targets = [("pos", "coord_v"), ("pos",), ("quadrant", "coord_v"), ()]
+    withheld = assemble([(relation(f"file{k + 1}", np.arange(625 * k, 625 * (k + 1)), t), len(t))
+                         for k, t in enumerate(targets)])
+    ds = drop_labels(withheld, 0.9, seed + 1)
+    test = assemble_eval(relation("test", np.arange(2500, 3000), ("pos", "quadrant", "coord_v")),
+                         ds)
+    cfg = CdlcConfig(network=NetworkConfig(shared_layers=(32,), epochs=30, learning_rate=0.002,
+                                           dropout=0.1, mc_passes=10, seed=seed))
+    result = run_cdlc(ds, cfg, test)
+    return result.final_metrics, pseudo_label_accuracy(result.assignments, withheld)
+
+
+class TestTwoCategoryQuality:
+    # a two-category task completes as well as the others: 0.94-0.98 on
+    # both at each seed (chance is 0.5)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_two_category_task_is_completed_well(self, seed):
+        metrics, pseudo = two_category_run(seed)
+        assert metrics.tasks["pos"].uar >= 0.9
+        assert pseudo["pos"].accuracy >= 0.9
