@@ -130,6 +130,16 @@ def _task_from_attr(attr: AttributeDecl) -> TaskSchema:
     return TaskSchema(attr.name, kind, tuple(attr.categories))
 
 
+def _check_agreement(task: TaskSchema, other: TaskSchema, where: str) -> None:
+    """Raise unless two declarations of one task agree: both numeric, or both
+    nominal over one category set (in any order, of any size)."""
+    kinds = ["numeric" if t.kind == REGRESSION else "nominal" for t in (task, other)]
+    if kinds[0] != kinds[1]:
+        raise DatasetError(f"{where}: kind conflict ({kinds[0]} vs {kinds[1]})")
+    if task.classes is not None and set(task.classes) != set(other.classes):
+        raise DatasetError(f"{where}: nominal category sets differ")
+
+
 def _relation_to_arrays(rel: ArffRelation, feat_cols: Sequence[int],
                         targets: Sequence[tuple[int, int, AttributeDecl]],
                         tasks: Sequence[TaskSchema], features: np.ndarray,
@@ -203,13 +213,7 @@ def assemble(
                 task_pos[a.name] = len(tasks)
                 tasks.append(schema)
             else:
-                prior = tasks[task_pos[a.name]]
-                if prior.kind != schema.kind:
-                    raise DatasetError(
-                        f"task {a.name!r}: kind conflict ({prior.kind} vs {schema.kind})"
-                    )
-                if prior.classes is not None and set(prior.classes) != set(schema.classes):
-                    raise DatasetError(f"task {a.name!r}: nominal category sets differ")
+                _check_agreement(tasks[task_pos[a.name]], schema, f"task {a.name!r}")
         per_file.append((rel, feat_attrs, target_attrs))
 
     if not tasks:
@@ -262,12 +266,8 @@ def assemble_eval(rel: ArffRelation, train: MultiTargetDataset,
     for t in train.tasks:
         if t.name not in target_cols:
             continue
-        a = attrs[target_cols[t.name] - offset]
-        schema = _task_from_attr(a)
-        if schema.kind != t.kind:
-            raise DatasetError(f"evaluation task {t.name!r}: kind conflict")
-        if t.classes is not None and set(schema.classes) != set(t.classes):
-            raise DatasetError(f"evaluation task {t.name!r}: nominal category sets differ")
+        _check_agreement(t, _task_from_attr(attrs[target_cols[t.name] - offset]),
+                         f"evaluation task {t.name!r}")
 
     n = rel.n_rows
     features = np.zeros((n, len(feat_cols)))

@@ -65,23 +65,24 @@ passes draw masks, scales it once: each pass then masks it with one
 multiply, as (h * scale) * keep equals (h * keep) * scale for keep in {0, 1},
 signed zeros included. The passes run on one or two worker threads, two
 where a second CPU is usable and BLAS is held at one thread (the CLI holds it
-there; :func:`one_blas_thread`). Worker w runs passes w, w + workers, ...;
-pass t makes its draw once pass t - 1 has made its own (a turn counter under
-one condition variable), so that pass t makes the t-th draw whatever the
-thread. A worker makes each draw into its own reused bool buffer and computes
-the pass in row blocks of at most 4096 rows, in place in per-layer buffers of
-its own. Pass t adds its outputs into half t % 2 of the running moments, so
-that one worker adds all of a half's passes, in pass order: per half, a
-classification task has a (B, K) sum, its first pass copied, and a regression
-task Welford's running mean and sum of squared deviations m2 instead. Once the
-workers have ended, :func:`mc_predict` merges the two halves: a
-classification mean is (S0 + S1) / T, a regression mean and m2 are Chan's
-pairwise merge of the halves' (:func:`mc_predict`). So the outputs do not
-depend on the number of workers or on their timing, no buffer of a call grows
-with the number of passes, and no worker waits for the other's outputs, only
-for its turn to draw. Training and prediction both write the (B, sum K)
-logits column-major, so that a task's softmax reduces over contiguous
-columns and both sum a row in the same order. Apart from that reordered
+there; :func:`one_blas_thread`). Worker w runs passes w, w + workers, ....
+Each half of the passes has a random stream of its own: pass t draws from
+stream t % 2, the even half from the caller's generator and the odd half from
+``Generator(rng.bit_generator.jumped())``, made when the call starts (a call
+of one pass reads the caller's alone). A worker makes each draw into its own
+reused bool buffer and computes the pass in row blocks of at most 4096 rows,
+in place in per-layer buffers of its own. Pass t adds its outputs into half
+t % 2 of the running moments: per half, a classification task has a (B, K)
+sum, its first pass copied, and a regression task Welford's running mean and
+sum of squared deviations m2 instead. So one worker makes a half's draws and
+adds in pass order, and no worker waits for the other. Once the workers have
+ended, :func:`mc_predict` merges the two halves: a classification mean is
+(S0 + S1) / T, a regression mean and m2 are Chan's pairwise merge of the
+halves' (:func:`mc_predict`). So the outputs do not depend on the number of
+workers or on their timing, and no buffer of a call grows with the number of
+passes. Training and prediction both write the (B, sum K) logits
+column-major, so that a task's softmax reduces over contiguous columns and
+both sum a row in the same order. Apart from that reordered
 mask, a pass's float operations are those of :func:`_forward`, so its
 outputs are byte-identical to per-pass training outputs, which the tests
 stack and reduce as two halves (their reference).
@@ -601,16 +602,17 @@ def _predict_passes(net: MtShlNetwork, x: np.ndarray, rng: Optional[np.random.Ge
     :func:`_welford`. :func:`mc_predict` merges the halves.
 
     Dropout-free when `rng` is None or p = 0, else every pass makes the draw
-    of :func:`sample_dropout_masks`, pass t the t-th. Computes what
-    :func:`_forward` does (a @ W, then + b), to the bit, in buffers reused
-    across passes. Of the :func:`_mc_workers` workers (the caller's thread,
-    and for two one more thread), worker w runs passes w, w + workers, ...,
-    so one worker runs all of a half's passes in order (module docstring).
-    They run under the caller's numpy error state, which a new thread does
-    not inherit; the first exception one raises stops the others at their
-    next turn to draw and is raised here once all have ended. Workers call
-    only private helpers, none that perfbench/traced.py wraps: its span
-    stack is not thread-safe.
+    of :func:`sample_dropout_masks`, pass t the (t // 2)-th from stream
+    t % 2: `rng` for the even passes, a generator jumped from it for the odd
+    ones (module docstring). Computes what :func:`_forward` does (a @ W,
+    then + b), to the bit, in buffers reused across passes. Of the
+    :func:`_mc_workers` workers (the caller's thread, and for two one more
+    thread), worker w runs passes w, w + workers, ..., so with two workers
+    each runs one half, and one worker runs both. They run under the
+    caller's numpy error state, which a new thread does not inherit; the
+    first exception one raises stops the others at their next pass and is
+    raised here once all have ended. Workers call only private helpers,
+    none that perfbench/traced.py wraps: its span stack is not thread-safe.
     """
     p = net.config.dropout
     akind, rows, scale = net.config.activation, x.shape[0], 1.0 / (1.0 - p)
@@ -672,35 +674,23 @@ def _predict_passes(net: MtShlNetwork, x: np.ndarray, rng: Optional[np.random.Ge
             else:
                 acc[r0:r1] = y
 
-    # pass t makes its draw once passes 0..t-1 have made theirs: the turn
-    # `made` under `cond`, which an error also wakes
-    cond, errors, err, made = threading.Condition(), [], np.geterr(), [0]
-
-    def turn(t, keep) -> bool:
-        """Wait for pass t's turn and make its draw into `keep`; False if an
-        error stopped the call."""
-        with cond:  # the generator is read in stream order
-            cond.wait_for(lambda: errors or made[0] == t)
-            if errors:
-                return False
-            if drawn:
-                _draw(rng, keep.size, hi, lo, keep)
-            made[0] += 1
-            cond.notify_all()
-        return True
+    # pass t draws from streams[t % 2]: the even half from `rng`, the odd half
+    # from a jump of it made before any draw, so that the halves share no state
+    streams = [rng, np.random.Generator(rng.bit_generator.jumped())] if drawn else None
+    errors, err = [], np.geterr()
 
     def work(w, keep, state):
         try:
             with np.errstate(**err):  # a new thread starts at numpy's defaults
                 for t in range(w, passes, workers):
-                    if not turn(t, keep):
+                    if errors:  # the other worker failed
                         return
+                    if drawn:
+                        _draw(streams[t % 2], keep.size, hi, lo, keep)
                     for block in state:
                         one_pass(t, *block)
         except BaseException as exc:  # noqa: BLE001 - raised by the caller
-            with cond:  # wakes a worker waiting for a turn this one will not take
-                errors.append(exc)
-                cond.notify_all()
+            errors.append(exc)
 
     workers = min(_mc_workers(), passes)
     states = [worker_state() for _ in range(workers)]
@@ -943,9 +933,11 @@ def mc_predict(net: MtShlNetwork, x: np.ndarray,
                rng: Optional[np.random.Generator] = None) -> list[TaskPredictionBatch]:
     """Monte-Carlo dropout prediction with per-row confidences.
 
-    Runs config.mc_passes stochastic forward passes drawn from `rng`; with
-    `rng` None or dropout 0 it runs one dropout-free pass instead, and the
-    confidences come from that point distribution. Classification: mean
+    Runs config.mc_passes stochastic forward passes, the even ones drawn
+    from `rng` and the odd ones from ``Generator(rng.bit_generator.jumped())``
+    made on entry, so `rng` ends ceil(T/2) draws on; with `rng` None or
+    dropout 0 it runs one dropout-free pass instead, and the confidences come
+    from that point distribution. Classification: mean
     output distribution, decoded as its argmax (an exact tie to the lower
     class), confidence is the negated Shannon entropy of that mean.
     Regression: mean output, confidence is the negated unbiased sample

@@ -58,8 +58,18 @@ class TestAssemble:
     def test_kind_conflict(self):
         a = _rel("A", ["f1"], [("t", None)], [])
         b = _rel("B", ["f1"], [("t", ("x", "y"))], [])
-        with pytest.raises(DatasetError, match="kind conflict"):
-            assemble([a, b])
+        for files, kinds in (([a, b], "numeric vs nominal"), ([b, a], "nominal vs numeric")):
+            with pytest.raises(DatasetError, match=rf"^task 't': kind conflict \({kinds}\)$"):
+                assemble(files)
+
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_category_counts_that_differ_are_a_category_set_conflict(self, first):
+        # two categories in one file and three in the other: one nominal
+        # kind to the network, so the sets, not the kinds, conflict
+        files = [_rel("A", ["f1"], [("e", ("x", "y"))], []),
+                 _rel("B", ["f1"], [("e", ("x", "y", "z"))], [])]
+        with pytest.raises(DatasetError, match=r"^task 'e': nominal category sets differ$"):
+            assemble([files[first], files[1 - first]])
 
     def test_feature_mismatch(self):
         a = _rel("A", ["f1", "f2"], [("t", None)], [])
@@ -231,6 +241,26 @@ def test_assemble_eval_matches_schema():
     assert [t.name for t in ev.tasks] == [t.name for t in ds.tasks]
     assert ev.defined[0].all()
     assert ev.labels[0, 0] == 1
+
+
+@pytest.mark.parametrize("train_cats,test_cats", [(("x", "y"), ("x", "y", "z")),
+                                                   (("x", "y", "z"), ("x", "y"))])
+def test_assemble_eval_category_counts_that_differ_are_a_category_set_conflict(
+        train_cats, test_cats):
+    ds = assemble([_rel("A", ["f1"], [("e", train_cats)], [[0.0, 1]])])
+    test_rel, _ = _rel("T", ["f1"], [("e", test_cats)], [[0.0, 1]])
+    with pytest.raises(DatasetError,
+                       match=r"^evaluation task 'e': nominal category sets differ$"):
+        assemble_eval(test_rel, ds)
+
+
+@pytest.mark.parametrize("train_cats,test_cats,kinds", [(None, ("x", "y"), "numeric vs nominal"),
+                                                        (("x", "y"), None, "nominal vs numeric")])
+def test_assemble_eval_kind_conflict_names_both_kinds(train_cats, test_cats, kinds):
+    ds = assemble([_rel("A", ["f1"], [("e", train_cats)], [[0.0, 1]])])
+    test_rel, _ = _rel("T", ["f1"], [("e", test_cats)], [[0.0, 1]])
+    with pytest.raises(DatasetError, match=rf"^evaluation task 'e': kind conflict \({kinds}\)$"):
+        assemble_eval(test_rel, ds)
 
 
 def test_missing_feature_error_names_file_row_and_attribute():

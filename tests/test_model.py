@@ -784,9 +784,10 @@ def halves_mean_and_variance(stack):
 def stacked_mc_predict(net, x, rng=None):
     """Reference for mc_predict: one list of per-task outputs per pass through
     the training forward :func:`_forward` under the masks of one
-    :func:`raw_draw` per pass, then ``np.stack`` per task, each stack reduced
-    by :func:`halves_mean` or, for a regression task,
-    :func:`halves_mean_and_variance`."""
+    :func:`raw_draw` per pass, pass t's from `rng` for an even t and from a
+    jump of it, made before `rng` draws, for an odd t, then ``np.stack`` per
+    task, each stack reduced by :func:`halves_mean` or, for a regression
+    task, :func:`halves_mean_and_variance`."""
     def one_pass(pass_rng):
         masks = None
         if pass_rng is not None:
@@ -798,7 +799,8 @@ def stacked_mc_predict(net, x, rng=None):
     if rng is None or net.config.dropout == 0.0:
         passes = [one_pass(None)]
     else:
-        passes = [one_pass(rng) for _ in range(net.config.mc_passes)]
+        streams = [rng, np.random.Generator(rng.bit_generator.jumped())]
+        passes = [one_pass(streams[t % 2]) for t in range(net.config.mc_passes)]
     results = []
     for m, task in enumerate(net.tasks):
         stack = np.stack([p[m] for p in passes])
@@ -875,7 +877,7 @@ class TestPredictionPath:
                     assert pred.decoded.dtype == decoded.dtype
                     assert pred.decoded.tobytes() == decoded.tobytes()
                     assert pred.confidence.tobytes() == confidence.tobytes()
-                if seed is not None:  # the same number of words, drawn in the same order
+                if seed is not None:  # the same words drawn from the caller's stream
                     assert rng.random() == ref_rng.random()
 
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
@@ -943,29 +945,37 @@ def pass_outputs(net, x, seed, workers, monkeypatch):
     return [a.tobytes() for half in halves for moments in half for a in moments], rng.random()
 
 
-def stall_pass(monkeypatch, n, error=None):
+def stall_pass(monkeypatch, n):
     """Make the worker of pass n sleep 0.2 s at its first output activation
-    in that pass, then raise `error` if given, so that the other worker, done
-    with pass n + 1, waits for its turn to draw pass n + 3 meanwhile."""
-    draws, stalled = [], set()
-    draw, activate = model._draw, model._activate_output
+    in that pass, while the other worker runs on. Pass n is found by its
+    stream: it makes the (n // 2)-th draw from stream n % 2, the call's
+    generator for an even n and the jumped one for an odd n. Returns the
+    list of stalls made, which the call fills."""
+    calls, draws, stalled, slept = [], [0, 0], set(), []
+    draw, activate, predict = model._draw, model._activate_output, model._predict_passes
 
-    def drawing(*args):
-        if len(draws) == n:  # the draws are made in pass order
+    def predicting(net, x, rng, passes):
+        calls.append(rng)
+        return predict(net, x, rng, passes)
+
+    def drawing(rng, *args):
+        stream = 0 if rng is calls[-1] else 1
+        if (stream, draws[stream]) == (n % 2, n // 2):
             stalled.add(threading.get_ident())
-        draws.append(None)
-        return draw(*args)
+        draws[stream] += 1
+        return draw(rng, *args)
 
     def stalling(task, z):
         if threading.get_ident() in stalled:
             stalled.discard(threading.get_ident())
+            slept.append(n)
             time.sleep(0.2)
-            if error is not None:
-                raise error
         return activate(task, z)
 
+    monkeypatch.setattr(model, "_predict_passes", predicting)
     monkeypatch.setattr(model, "_draw", drawing)
     monkeypatch.setattr(model, "_activate_output", stalling)
+    return slept
 
 
 class TestTwoWorkers:
@@ -1046,28 +1056,62 @@ class TestTwoWorkers:
                         tasks=WIDE_TASKS)
         x = np.random.default_rng(52).normal(size=(300, 5))
         expected = pass_outputs(net, x, 53, 1, monkeypatch)
-        stall_pass(monkeypatch, slow)
+        slept = stall_pass(monkeypatch, slow)
         assert pass_outputs(net, x, 53, 2, monkeypatch) == expected
+        assert slept == [slow]
 
-    def test_worker_error_wakes_the_worker_waiting_for_its_turn(self, monkeypatch):
-        net = micro_net(shared=(6,), heads={"cat": (3,)}, dropout=0.3, mc_passes=8)
-        stall_pass(monkeypatch, 0, KeyError("pass 0 failed"))
-        monkeypatch.setattr(model, "_mc_workers", lambda: 2)
-        errors, threads = [], threading.active_count()
+    def test_no_worker_waits_for_the_other(self, monkeypatch):
+        # worker 1's first pass waits until worker 0 has run all of its
+        # passes (0, 2, 4), which a worker waiting for pass 3's draw never does
+        net = micro_net(shared=(6,), heads={"cat": (3,)}, dropout=0.3, mc_passes=6)
+        x = np.random.default_rng(58).normal(size=(40, 5))
+        expected = pass_outputs(net, x, 59, 1, monkeypatch)
+        released, original = threading.Event(), model._activate_output
+        caller, worker0_calls, results = [], [], []
+
+        def gated(task, z):
+            if threading.get_ident() == caller[0]:
+                out = original(task, z)
+                worker0_calls.append(None)
+                if len(worker0_calls) == 3 * len(net.tasks):
+                    released.set()
+                return out
+            assert released.wait(timeout=10), "worker 0 did not run its passes"
+            return original(task, z)
 
         def call():
-            try:
-                mc_predict(net, np.random.default_rng(58).normal(size=(40, 5)),
-                           np.random.default_rng(59))
-            except KeyError as exc:
-                errors.append(exc)
+            caller.append(threading.get_ident())
+            results.append(pass_outputs(net, x, 59, 2, monkeypatch))
 
+        monkeypatch.setattr(model, "_activate_output", gated)
         watchdog = threading.Thread(target=call, daemon=True)
         watchdog.start()
         watchdog.join(timeout=30)
-        assert not watchdog.is_alive(), "a worker still waits for a turn to draw"
-        assert [str(exc) for exc in errors] == ["'pass 0 failed'"]
-        assert threading.active_count() == threads
+        assert not watchdog.is_alive(), "a worker still waits for the other"
+        assert results == [expected]
+
+    def test_odd_passes_draw_from_a_jump_of_the_callers_generator(self, monkeypatch):
+        net = micro_net(seed=73, shared=(6,), heads={"cat": (3,)}, dropout=0.3, mc_passes=7)
+        x = np.random.default_rng(74).normal(size=(30, 5))
+        n = len(x) * net.units
+        drawn, draw = [], model._draw
+
+        def recording(rng, *args):
+            keep = draw(rng, *args)
+            drawn.append((rng is caller, keep[:n].copy()))
+            return keep
+
+        monkeypatch.setattr(model, "_mc_workers", lambda: 1)
+        monkeypatch.setattr(model, "_draw", recording)
+        caller, ref = np.random.default_rng(75), np.random.default_rng(75)
+        odd = np.random.Generator(ref.bit_generator.jumped())
+        mc_predict(net, x, caller)
+        # one worker runs the passes in order, alternating the streams
+        assert [own for own, _ in drawn] == [t % 2 == 0 for t in range(7)]
+        for t, (_, keep) in enumerate(drawn):
+            assert np.array_equal(keep, raw_draw(odd if t % 2 else ref, n, 0.3)[0])
+        # the caller's generator ends ceil(T/2) = 4 draws on, where `ref` is
+        assert caller.random() == ref.random()
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_workers_run_under_the_callers_error_state(self, monkeypatch, workers):
