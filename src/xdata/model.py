@@ -45,9 +45,10 @@ without a tie), and is kept iff that word is >= lo. So a unit is kept iff its
 32-bit (word, tie word) is >= t, and P(keep) = 1 - t/2**32 exactly, within
 2**-33 of 1 - p, independently of every other unit; the clamp stops a p just
 below 1 from wrapping t to 0, which would keep every unit. p = 0 draws
-nothing. Prediction makes one draw per pass. Training makes one draw of the
-N*U units of an epoch's N rows after its shuffle, and the minibatch of rows
-s..s+B of that order takes the units s*U..(s+B)*U as its own draw of B rows.
+nothing. Prediction makes one draw per pass and row block. Training makes one
+draw of the N*U units of an epoch's N rows after its shuffle, and the
+minibatch of rows s..s+B of that order takes the units s*U..(s+B)*U as its
+own draw of B rows.
 Prediction applies its bool mask as (h * keep) * scale with scale = 1/(1-p);
 training pre-scales each step's mask once to keep * scale, so that its forward
 and backward each take one float multiply, h * (keep * scale), which is equal
@@ -59,33 +60,31 @@ variance of the outputs.
 
 Prediction (:func:`forward`, :func:`mc_predict`) runs all passes of one call
 through one function, separate from the training forward, which keeps each
-layer's activation for backprop. It computes the first trunk layer's
-activation once per call (dropout never touches the inputs) and, when the
-passes draw masks, scales it once: each pass then masks it with one
-multiply, as (h * scale) * keep equals (h * keep) * scale for keep in {0, 1},
-signed zeros included. The passes run on one or two worker threads, two
-where a second CPU is usable and BLAS is held at one thread (the CLI holds it
-there; :func:`one_blas_thread`). Worker w runs passes w, w + workers, ....
-Each half of the passes has a random stream of its own: pass t draws from
-stream t % 2, the even half from the caller's generator and the odd half from
-``Generator(rng.bit_generator.jumped())``, made when the call starts (a call
-of one pass reads the caller's alone). A worker makes each draw into its own
-reused bool buffer and computes the pass in row blocks of at most 4096 rows,
-in place in per-layer buffers of its own. Pass t adds its outputs into half
-t % 2 of the running moments: per half, a classification task has a (B, K)
-sum, its first pass copied, and a regression task Welford's running mean and
-sum of squared deviations m2 instead. So one worker makes a half's draws and
-adds in pass order, and no worker waits for the other. Once the workers have
-ended, :func:`mc_predict` merges the two halves: a classification mean is
-(S0 + S1) / T, a regression mean and m2 are Chan's pairwise merge of the
-halves' (:func:`mc_predict`). So the outputs do not depend on the number of
-workers or on their timing, and no buffer of a call grows with the number of
-passes. Training and prediction both write the (B, sum K) logits
-column-major, so that a task's softmax reduces over contiguous columns and
-both sum a row in the same order. Apart from that reordered
-mask, a pass's float operations are those of :func:`_forward`, so its
-outputs are byte-identical to per-pass training outputs, which the tests
-stack and reduce as two halves (their reference).
+layer's activation for backprop. Its passes run on one or two worker threads,
+two where a second CPU is usable and BLAS is held at one thread (the CLI holds
+it there; :func:`one_blas_thread`). Pass t draws from stream t % 2: the even
+half from the caller's generator, the odd half from
+``Generator(rng.bit_generator.jumped())``, made when the call starts (a call of
+one pass reads the caller's alone). Worker w takes the row blocks
+(:func:`_blocks`, at most 4096 rows) in order. Per block it computes the first
+trunk layer's activation once (dropout never touches the inputs), scaled once
+when the passes draw masks, as (h * scale) * keep equals (h * keep) * scale for
+keep in {0, 1}, signed zeros included; then for t = w, w + workers, ... it
+draws the block's masks from stream t % 2 and runs pass t over the block, in
+buffers of its own sized to the largest block. So each stream is read block by
+block and in pass order within a block, however many workers run, and no worker
+waits for the other. Pass t adds into the block's rows of half t % 2 of the
+running moments: per half, a classification task has a (B, K) sum, its first
+pass copied, and a regression task Welford's running mean and sum of squared
+deviations m2. :func:`mc_predict` merges the two halves in place once the
+workers have ended. So the outputs do not depend on the number of workers or on
+their timing, and no array of a call spans all of its rows but the halves'
+moments and the results. Training and prediction both write the (B, sum K)
+logits column-major, so that a task's softmax reduces over contiguous columns
+and both sum a row in the same order. Apart from that reordered mask, a pass's
+float operations are those of :func:`_forward` over its block, so its outputs
+are byte-identical to per-block training outputs, which the tests stack and
+reduce as two halves (their reference).
 
 All computation is float64 numpy, the output activations included (the
 max-shifted softmax and log-softmax below); training is plain minibatch SGD
@@ -601,52 +600,31 @@ def _predict_passes(net: MtShlNetwork, x: np.ndarray, rng: Optional[np.random.Ge
     the half copied; (mean, m2) for a regression task, each (B,), by
     :func:`_welford`. :func:`mc_predict` merges the halves.
 
-    Dropout-free when `rng` is None or p = 0, else every pass makes the draw
-    of :func:`sample_dropout_masks`, pass t the (t // 2)-th from stream
-    t % 2: `rng` for the even passes, a generator jumped from it for the odd
-    ones (module docstring). Computes what :func:`_forward` does (a @ W,
-    then + b), to the bit, in buffers reused across passes. Of the
-    :func:`_mc_workers` workers (the caller's thread, and for two one more
-    thread), worker w runs passes w, w + workers, ..., so with two workers
-    each runs one half, and one worker runs both. They run under the
-    caller's numpy error state, which a new thread does not inherit; the
-    first exception one raises stops the others at their next pass and is
-    raised here once all have ended. Workers call only private helpers,
-    none that perfbench/traced.py wraps: its span stack is not thread-safe.
+    Dropout-free when `rng` is None or p = 0, else per row block of
+    :func:`_blocks` and per pass t, in that order, pass t makes the draw of
+    :func:`sample_dropout_masks` for the block's rows from stream t % 2
+    (module docstring). Computes what :func:`_forward` does over a block
+    (a @ W, then + b), to the bit. Worker w of the :func:`_mc_workers` workers
+    (the caller's thread, and for two one more) runs passes w, w + workers,
+    ... of each block. They run under the caller's numpy error state, which a
+    new thread does not inherit; the first exception one raises stops the
+    others at their next pass and is raised here once all have ended. Workers
+    call only private helpers, none that perfbench/traced.py wraps: its span
+    stack is not thread-safe.
     """
     p = net.config.dropout
     akind, rows, scale = net.config.activation, x.shape[0], 1.0 / (1.0 - p)
     drawn = rng is not None and p > 0.0
+    masked = bool(net.trunk) and drawn
     hi, lo = _threshold(p)
     blocks = _blocks(rows)
     size = max((b - a for a, b in blocks), default=0)
     widths, logits = [b - a for a, b in net.spans], net.groups[-1][1].stop
-    # dropout never touches the inputs, so the first trunk layer's activation
-    # is the same in every pass, and with a draw it is scaled once here
-    first = _act(_dense(x, net.trunk[0], np.empty((rows, widths[0]))), akind) if net.trunk else x
-    masked = bool(net.trunk) and drawn
-    if masked:
-        first *= scale
     # a classification sum column-major, in the layout of the logits, so that
     # the entropy of the mean sums over K in order
     halves = [[(np.empty(rows), np.empty(rows)) if t.kind == REGRESSION
                else (np.empty((head_output_size(t), rows)).T,)
                for t in net.tasks] for _ in range(min(passes, 2))]
-
-    def worker_state():
-        """A worker's keep buffer (None without a draw) and, per row block, its
-        rows, layer masks, per-layer buffers and column-major logits, a block's
-        buffers being contiguous views of storage for the largest block."""
-        keep = np.empty(rows * net.units, dtype=bool) if drawn else None
-        masks = _layer_masks(keep, rows, net.spans) if drawn else [None] * len(widths)
-        flats, zflat = [np.empty(size * w) for w in widths], np.empty(size * logits)
-        state = []
-        for r0, r1 in blocks:
-            b = r1 - r0
-            bufs = [f[:b * w].reshape(b, w) for f, w in zip(flats, widths)]
-            z = zflat[:b * logits].reshape((b, logits), order="F")
-            state.append((r0, r1, [m if m is None else m[r0:r1] for m in masks], bufs, z))
-        return keep, state
 
     def hidden(a, layers, j, masks, bufs):
         for layer in layers:
@@ -654,10 +632,10 @@ def _predict_passes(net: MtShlNetwork, x: np.ndarray, rng: Optional[np.random.Ge
             j += 1
         return a
 
-    def one_pass(t, r0, r1, masks, bufs, z) -> None:
-        """Pass t over the rows r0:r1 into its half's moments, as the half's
-        (t // 2)-th pass."""
-        top = np.multiply(first[r0:r1], masks[0], out=bufs[0]) if masked else first[r0:r1]
+    def one_pass(t, r0, r1, first, masks, bufs, z) -> None:
+        """Pass t over the rows r0:r1, whose first trunk activation is
+        `first`, into its half's moments, as the half's (t // 2)-th pass."""
+        top = np.multiply(first, masks[0], out=bufs[0]) if masked else first
         top = hidden(top, net.trunk[1:], 1, masks, bufs)
         j = len(net.trunk)
         for layers, cs in net.groups:
@@ -679,26 +657,39 @@ def _predict_passes(net: MtShlNetwork, x: np.ndarray, rng: Optional[np.random.Ge
     streams = [rng, np.random.Generator(rng.bit_generator.jumped())] if drawn else None
     errors, err = [], np.geterr()
 
-    def work(w, keep, state):
+    def work(w):
+        """Worker w: per row block, its first trunk activation, then passes
+        w, w + workers, ... over it, in buffers sized to the largest block."""
         try:
             with np.errstate(**err):  # a new thread starts at numpy's defaults
-                for t in range(w, passes, workers):
-                    if errors:  # the other worker failed
-                        return
-                    if drawn:
-                        _draw(streams[t % 2], keep.size, hi, lo, keep)
-                    for block in state:
-                        one_pass(t, *block)
+                keep = np.empty(size * net.units, dtype=bool) if drawn else None
+                head = np.empty((size, widths[0])) if net.trunk else None
+                flats, zflat = [np.empty((size, n)) for n in widths], np.empty(size * logits)
+                for r0, r1 in blocks:
+                    b = r1 - r0
+                    bufs = [f[:b] for f in flats]  # C-order: a block's rows are contiguous
+                    z = zflat[:b * logits].reshape((b, logits), order="F")
+                    # views of `keep`, which each of the block's draws refills
+                    masks = _layer_masks(keep, b, net.spans) if drawn else [None] * len(widths)
+                    first = x[r0:r1]
+                    if net.trunk:
+                        first = _act(_dense(first, net.trunk[0], head[:b]), akind)
+                        if masked:
+                            first *= scale
+                    for t in range(w, passes, workers):
+                        if errors:  # the other worker failed
+                            return
+                        if drawn:
+                            _draw(streams[t % 2], b * net.units, hi, lo, keep)
+                        one_pass(t, r0, r1, first, masks, bufs, z)
         except BaseException as exc:  # noqa: BLE001 - raised by the caller
             errors.append(exc)
 
     workers = min(_mc_workers(), passes)
-    states = [worker_state() for _ in range(workers)]
-    threads = [threading.Thread(target=work, args=(w, *state), daemon=True)
-               for w, state in enumerate(states) if w]
+    threads = [threading.Thread(target=work, args=(w,), daemon=True) for w in range(1, workers)]
     for thread in threads:
         thread.start()
-    work(0, *states[0])
+    work(0)
     for thread in threads:
         thread.join()
     if errors:
@@ -933,20 +924,19 @@ def mc_predict(net: MtShlNetwork, x: np.ndarray,
                rng: Optional[np.random.Generator] = None) -> list[TaskPredictionBatch]:
     """Monte-Carlo dropout prediction with per-row confidences.
 
-    Runs config.mc_passes stochastic forward passes, the even ones drawn
-    from `rng` and the odd ones from ``Generator(rng.bit_generator.jumped())``
-    made on entry, so `rng` ends ceil(T/2) draws on; with `rng` None or
-    dropout 0 it runs one dropout-free pass instead, and the confidences come
-    from that point distribution. Classification: mean
-    output distribution, decoded as its argmax (an exact tie to the lower
-    class), confidence is the negated Shannon entropy of that mean.
-    Regression: mean output, confidence is the negated unbiased sample
-    variance across passes (0 for a single pass). The T passes come as the
-    moments of two halves from :func:`_predict_passes`, n0 = ceil(T/2) even
-    passes and n1 = floor(T/2) odd ones. A classification mean is
-    (S0 + S1) / T of the halves' sums. A regression task merges the halves'
-    Welford moments by Chan's pairwise update: with d = mean1 - mean0, the
-    mean is mean0 + d * (n1 / T) and the variance m2 / (T - 1), where
+    Runs config.mc_passes stochastic forward passes over each row block
+    (:func:`_predict_passes`), so `rng` ends n_blocks * ceil(T/2) draws on: the
+    even passes draw from it, the odd ones from a jump of it made on entry.
+    With `rng` None or dropout 0 it runs one dropout-free pass instead, and the
+    confidences come from that point distribution. Classification: mean output
+    distribution, decoded as its argmax (an exact tie to the lower class),
+    confidence is the negated Shannon entropy of that mean. Regression: mean
+    output, confidence is the negated unbiased sample variance across passes
+    (0 for a single pass). The halves' moments, n0 = ceil(T/2) even passes
+    and n1 = floor(T/2) odd ones, merge in place: a classification mean is
+    (S0 + S1) / T of their sums; a regression task takes Chan's pairwise
+    update of their Welford moments: with d = mean1 - mean0, the mean is
+    mean0 + d * (n1 / T) and the variance m2 / (T - 1), where
     m2 = m2_0 + m2_1 + d * d * (n0 * n1 / T), a sum of terms >= 0.
     """
     x = _as_rows(net, x)
@@ -961,13 +951,20 @@ def mc_predict(net: MtShlNetwork, x: np.ndarray,
             var = m2[0]  # the even half's m2, all 0 for a single pass
             if odd:  # Chan's merge
                 mean1, m2_1 = odd[0]
-                d = mean1 - mean
-                mean = mean + d * (n1 / passes)
-                var = (var + m2_1 + d * d * (n0 * n1 / passes)) / (passes - 1)
-            results.append(TaskPredictionBatch(mean, -var))
+                d = np.subtract(mean1, mean, out=mean1)
+                mean += d * (n1 / passes)
+                var += m2_1
+                var += np.multiply(d, d, out=d) * (n0 * n1 / passes)
+                var /= passes - 1
+            results.append(TaskPredictionBatch(mean, np.negative(var, out=var)))
         else:
             if odd:
                 mean += odd[0][0]
             mean /= passes
-            results.append(TaskPredictionBatch(mean.argmax(axis=1), -shannon_entropy(mean)))
+            # by row block, as both copy or derive (B, K) temporaries
+            decoded, confidence = np.empty(len(mean), dtype=np.intp), np.empty(len(mean))
+            for r0, r1 in _blocks(len(mean)):
+                np.argmax(mean[r0:r1], axis=1, out=decoded[r0:r1])
+                confidence[r0:r1] = -shannon_entropy(mean[r0:r1])
+            results.append(TaskPredictionBatch(decoded, confidence))
     return results

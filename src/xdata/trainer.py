@@ -148,7 +148,8 @@ def run_cdlc(ds: MultiTargetDataset, config: CdlcConfig,
             metrics = evaluate(net, eval_set, standardizer)
 
         ui = view.incomplete_indices
-        rng = np.random.default_rng(net.config.seed)
+        # the MC masks' own stream: `train` draws from default_rng(seed)
+        rng = np.random.default_rng([net.config.seed, 1])
         preds = mc_predict(net, work.features[ui], rng)
 
         filled: dict[str, int] = {}

@@ -659,6 +659,16 @@ class TestTwoProcesses:
         assert_no_child_left()
 
     def test_one_cpu_and_two_write_the_same_files(self, tmp_path):
+        self.same_files_on_one_cpu_and_two(tmp_path)
+
+    def test_one_cpu_and_two_write_the_same_files_over_row_blocks(self, tmp_path):
+        # 7-row blocks: every MC call of the run takes several row blocks
+        self.same_files_on_one_cpu_and_two(tmp_path, "model._BLOCK = 7; ")
+
+    @staticmethod
+    def same_files_on_one_cpu_and_two(tmp_path, setup=""):
+        """The CLI's output files on one CPU and on two are the same bytes;
+        `setup` runs first in the launched interpreter."""
         # pinned to one CPU the CLI forks no ARFF child and runs one MC worker;
         # unpinned it forks and, with BLAS control, runs two
         cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
@@ -669,7 +679,7 @@ class TestTwoProcesses:
         runs = []
         for pin in (f"os.sched_setaffinity(0, {{{cpus[0]}}}); assert not cli._can_fork(); ",
                     "assert cli._can_fork(); "):
-            code = f"import os; from xdata import cli; {pin}cli.entry()"
+            code = f"import os; from xdata import cli, model; {setup}{pin}cli.entry()"
             done = run_entry(cfg, "--quiet", launch=("-c", code), capture_output=True,
                              text=True)
             assert done.returncode == 0, done.stderr

@@ -782,28 +782,30 @@ def halves_mean_and_variance(stack):
 
 
 def stacked_mc_predict(net, x, rng=None):
-    """Reference for mc_predict: one list of per-task outputs per pass through
-    the training forward :func:`_forward` under the masks of one
-    :func:`raw_draw` per pass, pass t's from `rng` for an even t and from a
-    jump of it, made before `rng` draws, for an odd t, then ``np.stack`` per
-    task, each stack reduced by :func:`halves_mean` or, for a regression
-    task, :func:`halves_mean_and_variance`."""
-    def one_pass(pass_rng):
-        masks = None
-        if pass_rng is not None:
-            kept, _ = raw_draw(pass_rng, x.shape[0] * sum(widths), net.config.dropout)
-            masks = layer_major(kept, x.shape[0], widths)
-        return training_outputs(net, x, masks)
-
+    """Reference for mc_predict: per row block of ``model._blocks`` in order,
+    and per pass t in order, the block's rows through the training forward
+    :func:`_forward` under the masks of one :func:`raw_draw` of the block's
+    units, from `rng` for an even t and from a jump of it, made before `rng`
+    draws, for an odd t. Each pass's blocks are concatenated, then
+    ``np.stack``-ed per task and each stack reduced by :func:`halves_mean`
+    or, for a regression task, :func:`halves_mean_and_variance`."""
     widths, x = hidden_widths(net), np.atleast_2d(np.asarray(x, dtype=float))
-    if rng is None or net.config.dropout == 0.0:
-        passes = [one_pass(None)]
-    else:
+    passes, streams = 1, None
+    if rng is not None and net.config.dropout > 0.0:
+        passes = net.config.mc_passes
         streams = [rng, np.random.Generator(rng.bit_generator.jumped())]
-        passes = [one_pass(streams[t % 2]) for t in range(net.config.mc_passes)]
+    outputs = [[[] for _ in net.tasks] for _ in range(passes)]  # per pass and task, its blocks
+    for r0, r1 in model._blocks(len(x)) or [(0, 0)]:  # zero rows: one empty block, no words
+        for t in range(passes):
+            masks = None
+            if streams is not None:
+                kept, _ = raw_draw(streams[t % 2], (r1 - r0) * sum(widths), net.config.dropout)
+                masks = layer_major(kept, r1 - r0, widths)
+            for blocks, y in zip(outputs[t], training_outputs(net, x[r0:r1], masks)):
+                blocks.append(y)
     results = []
     for m, task in enumerate(net.tasks):
-        stack = np.stack([p[m] for p in passes])
+        stack = np.stack([np.concatenate(blocks[m]) for blocks in outputs])
         if task.kind == "regression":
             mean, var = halves_mean_and_variance(stack)
             results.append((mean, -var))
@@ -998,6 +1000,25 @@ class TestTwoWorkers:
             assert pred.confidence.tobytes() == confidence.tobytes()
         assert rng.random() == ref_rng.random()
 
+    # 7-row blocks: 8 rows are two blocks of 4, 20 rows blocks of 6, 7 and 7
+    @pytest.mark.parametrize("rows", [1, 7, 8, 20])
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("shared,heads", NET_SHAPES)
+    def test_row_blocks_draw_in_block_then_pass_order(self, monkeypatch, shared, heads, workers,
+                                                      rows):
+        monkeypatch.setattr(model, "_BLOCK", 7)
+        monkeypatch.setattr(model, "_mc_workers", lambda: workers)
+        net = micro_net(seed=76, shared=shared, heads=heads, dropout=0.3, mc_passes=5,
+                        tasks=WIDE_TASKS)
+        x = np.random.default_rng(77).normal(size=(rows, 5))
+        rng, ref_rng = np.random.default_rng(78), np.random.default_rng(78)
+        for pred, (decoded, confidence) in zip(mc_predict(net, x, rng),
+                                               stacked_mc_predict(net, x, ref_rng)):
+            assert pred.decoded.tobytes() == decoded.tobytes()
+            assert pred.confidence.tobytes() == confidence.tobytes()
+        # the caller's generator ends n_blocks * ceil(T/2) draws on
+        assert rng.random() == ref_rng.random()
+
     def test_draws_in_small_pieces_equal_the_one_call_reference(self, monkeypatch):
         # 80 units a row: each pass's draw is 1500 random_raw calls of 8 words
         monkeypatch.setattr(model, "_PIECE", 8)
@@ -1018,18 +1039,21 @@ class TestTwoWorkers:
 
     def test_two_workers_under_frequent_thread_switches(self, monkeypatch):
         # each worker adds into its own half; a lost or reordered add would
-        # change the bytes
+        # change the bytes. With 7-row blocks each worker runs its passes
+        # over 6 blocks.
         net = micro_net(seed=70, shared=(6,), heads={"cat": (3,)}, dropout=0.3, mc_passes=9,
                         tasks=WIDE_TASKS)
         x = np.random.default_rng(71).normal(size=(40, 5))
-        expected = pass_outputs(net, x, 72, 1, monkeypatch)
         interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(20):
-                assert pass_outputs(net, x, 72, 2, monkeypatch) == expected
-        finally:
-            sys.setswitchinterval(interval)
+        for block in (model._BLOCK, 7):
+            monkeypatch.setattr(model, "_BLOCK", block)
+            expected = pass_outputs(net, x, 72, 1, monkeypatch)
+            sys.setswitchinterval(1e-6)
+            try:
+                for _ in range(20):
+                    assert pass_outputs(net, x, 72, 2, monkeypatch) == expected
+            finally:
+                sys.setswitchinterval(interval)
 
     def test_worker_exception_is_raised_after_the_workers_end(self, monkeypatch):
         net = micro_net(shared=(6,), heads={"cat": (3,)}, dropout=0.3, mc_passes=8)
@@ -1115,8 +1139,8 @@ class TestTwoWorkers:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_workers_run_under_the_callers_error_state(self, monkeypatch, workers):
-        # the first trunk layer, computed by the caller, stays finite; the
-        # second overflows in a worker's matmul
+        # the first trunk layer stays finite; the second overflows in a
+        # worker's matmul
         net = micro_net(shared=(6, 4), dropout=0.3, mc_passes=4, activation="relu")
         net.params *= 1e200
         monkeypatch.setattr(model, "_mc_workers", lambda: workers)
@@ -1194,6 +1218,9 @@ class TestRegressionMoments:
         var = stack.var(axis=0, ddof=1)
         mean = np.abs(stack.mean(axis=0))
         bound = 8 * len(stack) * np.finfo(float).eps * (var + mean * np.sqrt(var))
+        # and by a few steps where the variance is subnormal, which the
+        # relative bound underflows to 0 at
+        bound += len(stack) * np.finfo(float).smallest_subnormal
         assert (np.abs(-pred.confidence - var) <= bound).all()
 
     @pytest.mark.parametrize("value", [0.0, -2.5, 1e12])
@@ -1216,3 +1243,30 @@ class TestRegressionMoments:
             finally:
                 tracemalloc.stop()
         assert abs(peaks[1] - peaks[0]) < 64 * 1024, peaks
+
+
+class TestPeakMemory:
+    """An MC call holds no array over all of its rows but the two halves'
+    moments and its results: the rest is sized to one row block."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_mc_predict_peak_per_added_row_is_the_moments(self, monkeypatch, workers):
+        monkeypatch.setattr(model, "_mc_workers", lambda: workers)
+        net = micro_net(seed=79, shared=(16,), heads={"cat": (8,)}, dropout=0.3, mc_passes=6,
+                        tasks=WIDE_TASKS)
+        # per row, per half: a (K,) sum or a regression task's mean and m2
+        moments = 2 * 8 * sum(t.num_classes or 2 for t in net.tasks)
+        # the slack: a classification task's decoded class and confidence,
+        # 16 B a row; a regression task's results are its merged moments
+        slack = 16 * sum(t.kind != "regression" for t in net.tasks)
+        peaks = []
+        for blocks in (3, 6):
+            x = np.random.default_rng(80).normal(size=(blocks * model._BLOCK, 5))
+            tracemalloc.start()
+            try:
+                mc_predict(net, x, np.random.default_rng(81))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        per_row = (peaks[1] - peaks[0]) / (3 * model._BLOCK)
+        assert per_row <= moments + slack, (per_row, moments, slack)

@@ -198,6 +198,24 @@ class TestRunCdlc:
         result = run_cdlc(complete, cfg, complete)
         assert result.records == [] and result.final_metrics is None
 
+    def test_mc_masks_draw_no_word_that_training_drew(self, monkeypatch):
+        import xdata.trainer
+        states, real = [], xdata.trainer.mc_predict
+
+        def recording(net, x, rng=None):
+            states.append((net.config.seed, rng.bit_generator.state))
+            return real(net, x, rng)
+
+        monkeypatch.setattr(xdata.trainer, "mc_predict", recording)
+        run_cdlc(grid_dataset([60], seed=13), CdlcConfig(network=FAST_NET, select_per_task=20))
+        assert len(states) == 3
+        for seed, state in states:
+            bits = np.random.PCG64()
+            bits.state = state
+            # training shuffles and draws its dropout masks from default_rng(seed)
+            trained = np.random.default_rng(seed).bit_generator.random_raw(10**5)
+            assert not np.isin(bits.random_raw(10**4), trained).any()
+
     def test_no_defined_labels_errors(self):
         ds = grid_dataset([50], seed=10)
         ds.defined[:] = False
