@@ -10,15 +10,14 @@ defined and 0.0 elsewhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .arff import NOMINAL, NUMERIC, STRING, ArffRelation, AttributeDecl
 
-BINARY = "binary"
-MULTICLASS = "multiclass"
+MULTICLASS = "multiclass"  # every nominal target, of any category count >= 2
 REGRESSION = "regression"
 
 
@@ -29,13 +28,13 @@ class DatasetError(ValueError):
 @dataclass(frozen=True)
 class TaskSchema:
     name: str
-    kind: str  # BINARY, MULTICLASS or REGRESSION
+    kind: str  # MULTICLASS or REGRESSION
     classes: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
-        if self.kind not in (BINARY, MULTICLASS, REGRESSION):
+        if self.kind not in (MULTICLASS, REGRESSION):
             raise DatasetError(f"task {self.name!r}: unknown kind {self.kind!r} "
-                               f"(expected {BINARY}, {MULTICLASS} or {REGRESSION})")
+                               f"(expected {MULTICLASS} or {REGRESSION})")
         if self.kind == REGRESSION:
             if self.classes is not None:
                 raise DatasetError(f"regression task {self.name!r} cannot have classes")
@@ -43,10 +42,6 @@ class TaskSchema:
         n = len(self.classes or ())
         if n < 2:
             raise DatasetError(f"task {self.name!r} needs at least two categories, got {n}")
-        if self.kind == BINARY and n != 2:
-            raise DatasetError(f"binary task {self.name!r} must have exactly 2 classes")
-        if self.kind == MULTICLASS and n < 3:
-            raise DatasetError(f"multiclass task {self.name!r} must have >= 3 classes")
 
     @property
     def num_classes(self) -> int:
@@ -126,8 +121,7 @@ def _task_from_attr(attr: AttributeDecl) -> TaskSchema:
         return TaskSchema(attr.name, REGRESSION)
     if attr.kind == STRING:
         raise DatasetError(f"string attribute {attr.name!r} cannot be a target")
-    kind = BINARY if len(attr.categories) == 2 else MULTICLASS
-    return TaskSchema(attr.name, kind, tuple(attr.categories))
+    return TaskSchema(attr.name, MULTICLASS, tuple(attr.categories))
 
 
 def _check_agreement(task: TaskSchema, other: TaskSchema, where: str) -> None:
@@ -324,11 +318,14 @@ def drop_labels(ds: MultiTargetDataset, fraction: float, seed: int) -> MultiTarg
 
 @dataclass
 class Standardizer:
-    """Feature and regression-target standardization (population statistics)."""
+    """Feature standardization and one affine map per label column (population
+    statistics). A regression column's map is over its defined cells; every
+    other column keeps the identity, mean 0.0 and divisor 1.0."""
 
     feature_mean: np.ndarray
     feature_std: np.ndarray  # effective divisor; 1.0 for constant columns
-    target_stats: dict[int, tuple[float, float]] = field(default_factory=dict)
+    target_mean: np.ndarray  # (M,)
+    target_std: np.ndarray  # (M,) effective divisor, as feature_std
 
     def transform_features(self, x: np.ndarray) -> np.ndarray:
         z = x - self.feature_mean
@@ -336,34 +333,22 @@ class Standardizer:
         return z
 
     def inverse_target(self, m: int, v):
-        if m not in self.target_stats:
-            return v
-        mean, std = self.target_stats[m]
-        return v * std + mean
+        return v * self.target_std[m] + self.target_mean[m]
 
 
 def standardize(ds: MultiTargetDataset) -> tuple[MultiTargetDataset, Standardizer]:
     """Zero-mean/unit-variance features (all instances) and regression targets
-    (defined cells only). Near-constant columns are shifted to zero."""
+    (defined cells only); class indices map to themselves and undefined cells
+    stay 0.0. Near-constant columns are shifted to zero."""
     if ds.n_instances < 1:
         raise DatasetError("cannot standardize an empty dataset")
-    mean = ds.features.mean(axis=0)
-    std = ds.features.std(axis=0)
-    eff_std = np.where(std < 1e-12, 1.0, std)
-    target_stats: dict[int, tuple[float, float]] = {}
+    t_mean, t_std = np.zeros(ds.n_tasks), np.ones(ds.n_tasks)
     for m, t in enumerate(ds.tasks):
-        if t.kind != REGRESSION:
-            continue
         vals = ds.labels[ds.defined[:, m], m]
-        if len(vals) == 0:
-            target_stats[m] = (0.0, 1.0)
-            continue
-        t_mean = float(vals.mean())
-        t_std = float(vals.std())
-        target_stats[m] = (t_mean, 1.0 if t_std < 1e-12 else t_std)
-    stdzr = Standardizer(mean, eff_std, target_stats)
-    out = replace(ds.copy(), features=stdzr.transform_features(ds.features))
-    for m, (t_mean, t_std) in target_stats.items():
-        mask = out.defined[:, m]
-        out.labels[mask, m] = (out.labels[mask, m] - t_mean) / t_std
-    return out, stdzr
+        if t.kind == REGRESSION and len(vals):
+            t_mean[m], t_std[m] = vals.mean(), vals.std()
+    std, t_std = (np.where(s < 1e-12, 1.0, s) for s in (ds.features.std(axis=0), t_std))
+    stdzr = Standardizer(ds.features.mean(axis=0), std, t_mean, t_std)
+    labels = np.where(ds.defined, (ds.labels - t_mean) / t_std, 0.0)
+    return replace(ds.copy(), features=stdzr.transform_features(ds.features),
+                   labels=labels), stdzr

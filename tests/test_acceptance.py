@@ -52,7 +52,7 @@ def test_reference_numbers_recorded_not_reproduced():
 
 
 THREE_TASKS = [
-    TaskSchema("flag", "binary", ("no", "yes")),
+    TaskSchema("flag", "multiclass", ("no", "yes")),
     TaskSchema("cat", "multiclass", ("a", "b", "c", "d")),
     TaskSchema("value", "regression"),
 ]
@@ -165,7 +165,7 @@ def _grid_dataset(undefined_counts, seed=0):
     rng = np.random.default_rng(seed)
     n = max(undefined_counts) + 100
     m = len(undefined_counts)
-    tasks = [TaskSchema(f"t{j}", "binary", ("no", "yes")) for j in range(m)]
+    tasks = [TaskSchema(f"t{j}", "multiclass", ("no", "yes")) for j in range(m)]
     labels = rng.integers(0, 2, size=(n, m)).astype(float)
     defined = np.ones((n, m), dtype=bool)
     for j, undef in enumerate(undefined_counts):

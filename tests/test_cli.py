@@ -87,7 +87,7 @@ def run_entry(cfg: Path, *flags: str,
 
 
 def mixed_task_config(tmp_path: Path, out_dir: Path) -> Path:
-    """Two ARFF files over four features whose targets are a binary, a
+    """Two ARFF files over four features whose targets are a two-category, a
     three-class and a regression task, about a third of each file's labels
     missing; nine MC passes."""
     rng = np.random.default_rng(11)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xdata.arff import NOMINAL, NUMERIC, STRING, ArffRelation, AttributeDecl
-from xdata.dataset import (BINARY, MULTICLASS, REGRESSION, DatasetError,
+from xdata.dataset import (MULTICLASS, REGRESSION, DatasetError,
                            MultiTargetDataset, TaskSchema, assemble, assemble_eval,
                            drop_labels, split, standardize, to_relation)
 from xdata.arff import parse_arff, write_arff
@@ -100,15 +100,28 @@ class TestAssemble:
         # file B's index 0 is "z" which is index 2 in the merged order
         assert ds.labels[1, 0] == 2
 
-    def test_binary_detection(self):
-        a = _rel("A", ["f1"], [("flag", ("no", "yes"))], [[0.0, 1]])
+    def test_two_category_nominal_is_multiclass(self):
+        # one classification kind, whatever the category count
+        a = _rel("A", ["f1"], [("flag", ("no", "yes")), ("e", EMOTIONS)], [[0.0, 1, 3]])
         ds = assemble([a])
-        assert ds.tasks[0].kind == BINARY
+        assert [(t.kind, t.num_classes) for t in ds.tasks] == [(MULTICLASS, 2), (MULTICLASS, 4)]
 
-    def test_unknown_task_kind_is_rejected_naming_task_and_kind(self):
+    @pytest.mark.parametrize("kind", ["Regression", "binary"])
+    def test_unknown_task_kind_is_rejected_naming_task_and_kind(self, kind):
         # the network treats every kind but regression as classification
-        with pytest.raises(DatasetError, match=r"^task 'v': unknown kind 'Regression' "):
-            TaskSchema("v", "Regression")
+        with pytest.raises(DatasetError, match=rf"^task 'v': unknown kind '{kind}' "
+                                               r"\(expected multiclass or regression\)$"):
+            TaskSchema("v", kind, ("x", "y"))
+
+    @pytest.mark.parametrize("classes", [None, (), ("x",)])
+    def test_nominal_task_needs_two_categories(self, classes):
+        with pytest.raises(DatasetError,
+                           match=rf"^task 'v' needs at least two categories, got {len(classes or ())}$"):
+            TaskSchema("v", MULTICLASS, classes)
+
+    def test_regression_task_cannot_have_classes(self):
+        with pytest.raises(DatasetError, match=r"^regression task 'v' cannot have classes$"):
+            TaskSchema("v", REGRESSION, ("x", "y"))
 
     def test_row_permutation_stability(self):
         files = four_file_corpus()
@@ -210,6 +223,19 @@ class TestStandardize:
         assert np.allclose(out.labels[:2, 0], [-1.0, 1.0])
         assert abs(sz.inverse_target(0, out.labels[0, 0]) - 2.0) < 1e-12
         assert abs(sz.inverse_target(0, out.labels[1, 0]) - 4.0) < 1e-12
+
+    def test_every_other_column_keeps_the_identity_map(self):
+        # a nominal column, and a regression column without a defined cell,
+        # map through mean 0.0 and divisor 1.0; undefined cells stay 0.0
+        rel, nt = _rel("A", ["f1"], [("e", EMOTIONS), ("r", None), ("s", None)],
+                       [[0.0, 3, None, 5.0], [1.0, None, None, 7.0], [2.0, 0, None, None]])
+        ds = assemble([(rel, nt)])
+        out, sz = standardize(ds)
+        assert sz.target_mean.tolist() == [0.0, 0.0, 6.0]
+        assert sz.target_std.tolist() == [1.0, 1.0, 1.0]
+        assert out.labels.tolist() == [[3.0, 0.0, -1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]
+        assert np.array_equal(out.defined, ds.defined)
+        assert sz.inverse_target(0, out.labels[:, 0]).tolist() == [3.0, 0.0, 0.0]
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=30))

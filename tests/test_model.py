@@ -22,7 +22,7 @@ from xdata.model import (MtShlNetwork, NetworkConfig, _activate_output, _forward
                          sample_dropout_masks, shannon_entropy, train)
 
 THREE_TASKS = [
-    TaskSchema("flag", "binary", ("no", "yes")),
+    TaskSchema("flag", "multiclass", ("no", "yes")),
     TaskSchema("cat", "multiclass", ("a", "b", "c", "d")),
     TaskSchema("value", "regression"),
 ]
@@ -616,7 +616,7 @@ class TestConfidence:
 class TestDecoding:
     def test_binary_half_ties_to_class_zero(self):
         net = init_network(NetworkConfig(shared_layers=(), seed=0, dropout=0.0), 2,
-                           [TaskSchema("b", "binary", ("n", "p"))])
+                           [TaskSchema("b", "multiclass", ("n", "p"))])
         w, b = net.heads[0][0]
         w[...], b[...] = 0.0, 0.0  # equal logits: the distribution (0.5, 0.5)
         preds = mc_predict(net, np.zeros((3, 2)))

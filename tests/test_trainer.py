@@ -55,7 +55,7 @@ def grid_dataset(undefined_counts, n_features=4, seed=0):
     labels = np.zeros((n, m))
     defined = np.ones((n, m), dtype=bool)
     for t_idx, undef in enumerate(undefined_counts):
-        tasks.append(TaskSchema(f"t{t_idx}", "binary", ("no", "yes")))
+        tasks.append(TaskSchema(f"t{t_idx}", "multiclass", ("no", "yes")))
         labels[:, t_idx] = rng.integers(0, 2, n)
         undef_rows = rng.choice(n, size=undef, replace=False)
         defined[undef_rows, t_idx] = False
