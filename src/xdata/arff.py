@@ -3,10 +3,12 @@
 Supported dialect: ``%`` comment lines, ``@relation``, ``@attribute`` with
 ``numeric``/``real``/``integer`` (all stored as 64-bit float), ``string``, or a
 ``{v1,v2,...}`` nominal specification, then ``@data`` with comma-separated
-rows. An unquoted ``?`` denotes a missing value. Keywords are case-insensitive;
-names and values may be single-quoted (embedded commas and spaces preserved,
-``\\'`` and ``\\\\`` are escapes inside quotes, any other backslash is literal).
-Whitespace outside quotes at the edges of a value is dropped. Lines split at
+rows. An unquoted ``?`` denotes a missing value. Keywords are case-insensitive,
+and a declaration's keyword ends at whitespace, a quote or the end of the line
+(``@relationx`` is no ``@relation``). Names and values may be single-quoted
+(embedded commas and spaces preserved, ``\\'`` and ``\\\\`` are escapes inside
+quotes, any other backslash is literal). Whitespace outside quotes at the
+edges of a value is dropped. Lines split at
 ``\n`` only (a ``\r`` before it is dropped, any other ``\r`` is an error);
 the writer rejects text holding ``\n`` or ``\r``, which the dialect cannot
 escape. Date, relational and sparse-ARFF syntax are rejected as unsupported.
@@ -62,6 +64,8 @@ _MISSING_AS_NAN = {"?": "nan"}
 _UNSAFE = re.compile(r"[\s,'%{}]")
 # A \r that does not end its line (the one ending a line is half of \r\n).
 _LONE_CR = re.compile(r"\r(?!\n?\Z)")
+# A declaration's keyword, which ends at whitespace, a quote or the end of the line.
+_KEYWORD = re.compile(r"@(relation|attribute|data)(?=[\s']|\Z)", re.IGNORECASE)
 
 
 class ArffError(ValueError):
@@ -309,28 +313,29 @@ def parse_arff(text: str) -> ArffRelation:
         line = raw.strip()
         if not line or line.startswith("%"):
             continue
-        lower = line.lower()
-        if lower.startswith("@relation"):
+        keyword = _KEYWORD.match(line)
+        declared, rest = (keyword[1].lower(), line[keyword.end():]) if keyword else (None, "")
+        if declared == "relation":
             if relation_name is not None:
                 raise ArffError("duplicate @relation declaration", lineno)
-            name, rest = _parse_name_and_rest(line[len("@relation"):], lineno)
+            name, rest = _parse_name_and_rest(rest, lineno)
             if rest.strip():
                 raise ArffError(f"unexpected text after relation name: {rest.strip()!r}", lineno)
             relation_name = name
-        elif lower.startswith("@attribute"):
+        elif declared == "attribute":
             if relation_name is None:
                 raise ArffError("@attribute before @relation", lineno)
-            attr = _parse_attribute(line[len("@attribute"):], lineno)
+            attr = _parse_attribute(rest, lineno)
             if attr.name in names:
                 raise ArffError(f"duplicate attribute name {attr.name!r}", lineno)
             attributes.append(attr)
             names.add(attr.name)
-        elif lower.startswith("@data"):
+        elif declared == "data":
             if relation_name is None:
                 raise ArffError("@data before @relation", lineno)
             if not attributes:
                 raise ArffError("@data with no attributes declared", lineno)
-            if line[len("@data"):].strip():
+            if rest.strip():
                 raise ArffError("unexpected text after @data", lineno)
             columns = _parse_data(lines[lineno:], lineno + 1, attributes)
             return ArffRelation(relation_name, attributes, columns)

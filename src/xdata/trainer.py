@@ -137,9 +137,12 @@ def run_cdlc(ds: MultiTargetDataset, config: CdlcConfig,
             break
         started = time.perf_counter()
 
+        # the round's seed keys its training and MC streams, warm-started or not
+        net_cfg = replace(config.network, seed=config.network.seed + iteration)
         if net is None or config.retrain_from_scratch:
-            net_cfg = replace(config.network, seed=config.network.seed + iteration)
             net = init_network(net_cfg, work.n_features, work.tasks)
+        else:
+            net.config = net_cfg
         li = view.labeled_indices
         net = train(net, work.features[li], work.labels[li], work.defined[li])
 

@@ -229,6 +229,59 @@ def test_bad_cell_errors_are_pinned(row, message):
     assert (str(exc.value), exc.value.line) == (f"line 8: {message}", 8)
 
 
+_NUM = "@attribute a numeric\n"
+
+
+# each header error's message and line, exactly; line None where no line is at fault
+@pytest.mark.parametrize("text,message,line", [
+    # @relation
+    ("@relation t\n@relation u\n" + _NUM + "@data\n", "duplicate @relation declaration", 2),
+    ("@relation t u\n" + _NUM + "@data\n", "unexpected text after relation name: 'u'", 1),
+    ("@relation 't'x\n" + _NUM + "@data\n", "unexpected text after relation name: 'x'", 1),
+    (_NUM + "@relation t\n@data\n", "@attribute before @relation", 1),
+    ("% no relation\n", "missing @relation declaration", None),
+    ("", "missing @relation declaration", None),
+    # @data
+    ("@relation t\n@data\n1\n", "@data with no attributes declared", 2),
+    ("@relation t\n" + _NUM + "@data 1\n", "unexpected text after @data", 3),
+    ("@relation t\n" + _NUM + "@data'x'\n", "unexpected text after @data", 3),
+    ("@relation t\n" + _NUM, "missing @data section", None),
+    # names
+    ("@relation 'open\n", "unterminated quote", 1),
+    ("@relation t\n@attribute 'a numeric\n", "unterminated quote", 2),
+    ("@relation\n", "expected a name", 1),
+    ("@relation t\n@attribute\n", "expected a name", 2),
+    ("@relation t\n@attribute '' numeric\n", "empty attribute name", 2),
+    # types
+    ("@relation t\n@attribute a\n", "attribute 'a' has no type", 2),
+    ("@relation t\n@attribute c {x,y\n", "attribute 'c': unterminated nominal specification", 2),
+    ("@relation t\n@attribute c {x,,y}\n", "attribute 'c': empty nominal category", 2),
+    ("@relation t\n@attribute c {x,y,x}\n", "attribute 'c': duplicate nominal categories", 2),
+    ("@relation t\n@attribute r relational\n",
+     "attribute 'r': relational attributes are unsupported", 2),
+    ("@relation t\n@attribute a numbers\n", "attribute 'a': unknown type 'numbers'", 2),
+    # a keyword ends at whitespace, a quote or the end of the line
+    ("@relationfoo\n", "unrecognized declaration: '@relationfoo'", 1),
+    ("@relation t\n@attributebar numeric\n",
+     "unrecognized declaration: '@attributebar numeric'", 2),
+    ("@relation t\n@attributes x numeric\n",
+     "unrecognized declaration: '@attributes x numeric'", 2),
+    ("@relation t\n" + _NUM + "@database\n", "unrecognized declaration: '@database'", 3),
+])
+def test_header_errors_are_pinned(text, message, line):
+    with pytest.raises(ArffError) as exc:
+        parse_arff(text)
+    assert (str(exc.value), exc.value.line) == (
+        message if line is None else f"line {line}: {message}", line)
+
+
+def test_a_keyword_may_end_at_a_quote_or_the_line_end():
+    rel = parse_arff("@RELATION'r'\n@ATTRIBUTE'q' numeric\n@Attribute\ttab {x}\n@DATA\n1,x\n")
+    assert rel.relation_name == "r"
+    assert [(a.name, a.kind) for a in rel.attributes] == [("q", NUMERIC), ("tab", NOMINAL)]
+    assert rel.n_rows == 1
+
+
 # ---------------------------------------------------------------------------
 # property tests
 

@@ -149,6 +149,32 @@ class TestParseConfig:
             parse_config(f"dataset.1.file = a\noutput.dir = o\n{line}\n")
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("text,message", [
+        ("dataset.1.file = a\noutput.dir = o\nnet.seed\n",
+         "line 3: expected 'key = value', got 'net.seed'"),
+        ("dataset.1.file = a\noutput.dir = o # x\ndataset.1.file = b\n",
+         "line 3: duplicate key 'dataset.1.file'"),
+        ("dataset.1.file = a\ndataset.3.file = c\noutput.dir = o\n",
+         "dataset indices must be contiguous starting at 1"),
+        ("dataset.1.file = a\ndataset.2.num_targets = 1\noutput.dir = o\n",
+         "dataset.2.num_targets given without dataset.2.file"),
+        ("dataset.1.file = a\noutput.dir = o\ndrop.fraction = -0.5\n",
+         "drop.fraction must be in [0, 1]"),
+        ("dataset.1.file = a\noutput.dir = o\ndrop.fraction = nan\n",
+         "drop.fraction must be in [0, 1]"),
+    ])
+    def test_malformed_config_errors_are_pinned_and_exit_1(self, tmp_path, capsys,
+                                                            monkeypatch, text, message):
+        monkeypatch.chdir(tmp_path)  # output.dir "o" would be made here
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        assert str(exc.value) == message
+        cfg = tmp_path / "run.conf"
+        cfg.write_text(text, encoding="utf-8")
+        assert main(["--config", str(cfg), "--quiet"]) == 1
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_missing_mandatory_keys(self):
         with pytest.raises(ConfigError, match="dataset.1.file"):
             parse_config("output.dir = o\n")

@@ -216,6 +216,33 @@ class TestRunCdlc:
             trained = np.random.default_rng(seed).bit_generator.random_raw(10**5)
             assert not np.isin(bits.random_raw(10**4), trained).any()
 
+    def test_warm_started_rounds_draw_from_their_own_streams(self, monkeypatch):
+        # every generator that train opens, and every one that mc_predict gets,
+        # starts in a state of its own over three warm-started rounds
+        import xdata.trainer
+        states = []
+        real_rng, real_train, real_mc = (np.random.default_rng, xdata.trainer.train,
+                                         xdata.trainer.mc_predict)
+
+        def note(rng):
+            state = rng.bit_generator.state["state"]
+            states.append((state["state"], state["inc"]))
+            return rng
+
+        def recording_train(*args):
+            monkeypatch.setattr(np.random, "default_rng", lambda *a: note(real_rng(*a)))
+            try:
+                return real_train(*args)
+            finally:
+                monkeypatch.setattr(np.random, "default_rng", real_rng)
+
+        monkeypatch.setattr(xdata.trainer, "train", recording_train)
+        monkeypatch.setattr(xdata.trainer, "mc_predict",
+                            lambda net, x, rng=None: real_mc(net, x, note(rng)))
+        cfg = CdlcConfig(network=FAST_NET, select_per_task=20, retrain_from_scratch=False)
+        assert len(run_cdlc(grid_dataset([60], seed=13), cfg).records) == 3
+        assert len(states) == 6 and len(set(states)) == 6
+
     def test_no_defined_labels_errors(self):
         ds = grid_dataset([50], seed=10)
         ds.defined[:] = False
