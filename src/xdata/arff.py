@@ -7,11 +7,11 @@ rows. An unquoted ``?`` denotes a missing value. Keywords are case-insensitive,
 and a declaration's keyword ends at whitespace, a quote or the end of the line
 (``@relationx`` is no ``@relation``). Names and values may be single-quoted
 (embedded commas and spaces preserved, ``\\'`` and ``\\\\`` are escapes inside
-quotes, any other backslash is literal). Whitespace outside quotes at the
-edges of a value is dropped. Lines split at
-``\n`` only (a ``\r`` before it is dropped, any other ``\r`` is an error);
-the writer rejects text holding ``\n`` or ``\r``, which the dialect cannot
-escape. Date, relational and sparse-ARFF syntax are rejected as unsupported.
+quotes, any other backslash is literal). Whitespace outside quotes at the edges
+of a value is dropped. Lines split at ``\n`` only (a ``\r`` before it is
+dropped, any other ``\r`` is an error); the writer rejects text holding ``\n``
+or ``\r``, which the dialect cannot escape. Date, relational and sparse-ARFF
+syntax are rejected as unsupported.
 
 Tokenizing: a data row is split at every comma with ``str.split`` when that
 is provably what the dialect's one regular expression finds: the row holds no

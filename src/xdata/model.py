@@ -22,8 +22,8 @@ group's (write through them, ``w[...] = ...``) and ``cols[m]`` its slice of
 the logits' columns. As a layer's bias follows its weights, ``stacked`` views
 each trunk and group layer as one (in_dim + 1, out_dim) array [W; b].
 Gradients share the layout, so an SGD step is one vector operation. Initial
-weights are drawn per layer in the order trunk, then each head's layers in
-task order, whatever the layout.
+weights are drawn from ``default_rng([seed, INIT_STREAM])`` per layer in the
+order trunk, then each head's layers in task order, whatever the layout.
 
 Dropout is inverted, applied to hidden units of trunk and heads, never to
 inputs or outputs. One draw (:func:`_draw`) covers every hidden unit of a
@@ -45,10 +45,11 @@ without a tie), and is kept iff that word is >= lo. So a unit is kept iff its
 32-bit (word, tie word) is >= t, and P(keep) = 1 - t/2**32 exactly, within
 2**-33 of 1 - p, independently of every other unit; the clamp stops a p just
 below 1 from wrapping t to 0, which would keep every unit. p = 0 draws
-nothing. Prediction makes one draw per pass and row block. Training makes one
-draw of the N*U units of an epoch's N rows after its shuffle, and the
-minibatch of rows s..s+B of that order takes the units s*U..(s+B)*U as its
-own draw of B rows.
+nothing. Prediction makes one draw per pass and row block, from the
+generator its caller passes. Training makes one draw of the N*U units of an
+epoch's N rows after its shuffle, both from ``default_rng([seed,
+TRAIN_STREAM])``, and the minibatch of rows s..s+B of that order takes the
+units s*U..(s+B)*U as its own draw of B rows.
 Prediction applies its bool mask as (h * keep) * scale with scale = 1/(1-p);
 training pre-scales each step's mask once to keep * scale, so that its forward
 and backward each take one float multiply, h * (keep * scale), which is equal
@@ -169,6 +170,10 @@ class NetworkConfig:
             raise ValueError("net.seed must be >= 0")
 
 
+# A seed's streams are default_rng([seed, key]), one key per use; no key is 0,
+# as default_rng([seed, 0]) reads the words of default_rng(seed)
+MC_STREAM, INIT_STREAM, TRAIN_STREAM = 1, 2, 3
+
 Layer = tuple[np.ndarray, np.ndarray]  # (weights in_dim x out_dim, bias out_dim)
 
 
@@ -284,7 +289,7 @@ class MtShlNetwork:
 
 def init_network(config: NetworkConfig, feature_dim: int,
                  tasks: list[TaskSchema]) -> MtShlNetwork:
-    """Fan-in scaled uniform weights, zero biases; deterministic in config.seed."""
+    """Fan-in scaled uniform weights, zero biases; from config.seed's INIT_STREAM."""
     config.validate()
     if not tasks:
         raise ValueError("at least one task required")
@@ -292,7 +297,7 @@ def init_network(config: NetworkConfig, feature_dim: int,
         raise ValueError("feature_dim must be >= 1")
     net = MtShlNetwork(np.zeros(_param_count(*_layout(config, feature_dim, tasks))),
                        list(tasks), config, feature_dim)
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng([config.seed, INIT_STREAM])
     # drawn per layer in the order trunk, then each head's layers, whatever the layout
     for w, _ in (*net.trunk, *(layer for head in net.heads for layer in head)):
         scale = np.sqrt(6.0 / sum(w.shape))
@@ -838,9 +843,10 @@ def train(net: MtShlNetwork, x: np.ndarray, y: np.ndarray,
           defined: np.ndarray) -> MtShlNetwork:
     """Minibatch SGD on the masked loss with sampled-dropout forward passes.
 
-    Runs exactly config.epochs epochs of seeded shuffles; returns a new
-    network, the input is unchanged. Tasks without a single defined cell are
-    effectively frozen (their gradients vanish) and a warning is logged.
+    Runs exactly config.epochs epochs of shuffles and dropout draws from
+    default_rng([config.seed, TRAIN_STREAM]); returns a new network, the
+    input is unchanged. Tasks without a single defined cell are effectively
+    frozen (their gradients vanish) and a warning is logged.
     Raises FloatingPointError naming the epoch after which a parameter is
     non-finite.
     """
@@ -874,7 +880,7 @@ def train(net: MtShlNetwork, x: np.ndarray, y: np.ndarray,
         rows = slice(start, start + b)
         steps.append((xs[rows], (ts[rows], ws[rows]),
                       keep[start * units:(start + b) * units] if drawn else None, bufs[b]))
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng([cfg.seed, TRAIN_STREAM])
     # overflow is expected while diverging; the per-epoch check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):

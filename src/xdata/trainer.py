@@ -21,7 +21,7 @@ import numpy as np
 
 from .dataset import MultiTargetDataset, split, standardize
 from .metrics import MetricReport, evaluate
-from .model import NetworkConfig, init_network, mc_predict, train
+from .model import MC_STREAM, NetworkConfig, init_network, mc_predict, train
 
 logger = logging.getLogger(__name__)
 
@@ -106,13 +106,14 @@ def run_cdlc(ds: MultiTargetDataset, config: CdlcConfig,
     assignments' confidences.
 
     The loop works on a standardized copy of `ds` (`dataset.standardize`);
-    `evaluate` scores `eval_set` with the same statistics. Each iteration
-    trains a fresh network seeded with network.seed + iteration (or
-    warm-starts the previous one), evaluates on `eval_set` if
-    cdlc.eval_every_iteration is on (so record 0 reflects training on the
-    original labels only), then assigns up to select_per_task pseudo-labels
-    per task. Terminates when the grid is
-    complete, max_iterations is reached, or an iteration assigns nothing.
+    `evaluate` scores `eval_set` with the same statistics. Iteration i has
+    the round seed s = network.seed + i: it trains a fresh network
+    initialised from s (or warm-starts the previous one) on s's training
+    stream, evaluates on `eval_set` if cdlc.eval_every_iteration is on (so
+    record 0 reflects training on the original labels only), then assigns
+    up to select_per_task pseudo-labels per task, ranked by MC dropout on
+    s's MC stream (`model.MC_STREAM`). Terminates when the grid is complete,
+    max_iterations is reached, or an iteration assigns nothing.
     Raises FloatingPointError if a candidate's prediction or confidence is
     non-finite.
     """
@@ -137,7 +138,7 @@ def run_cdlc(ds: MultiTargetDataset, config: CdlcConfig,
             break
         started = time.perf_counter()
 
-        # the round's seed keys its training and MC streams, warm-started or not
+        # the round seed keys its streams, warm-started or not
         net_cfg = replace(config.network, seed=config.network.seed + iteration)
         if net is None or config.retrain_from_scratch:
             net = init_network(net_cfg, work.n_features, work.tasks)
@@ -151,9 +152,8 @@ def run_cdlc(ds: MultiTargetDataset, config: CdlcConfig,
             metrics = evaluate(net, eval_set, standardizer)
 
         ui = view.incomplete_indices
-        # the MC masks' own stream: `train` draws from default_rng(seed)
-        rng = np.random.default_rng([net.config.seed, 1])
-        preds = mc_predict(net, work.features[ui], rng)
+        preds = mc_predict(net, work.features[ui],
+                           np.random.default_rng([net.config.seed, MC_STREAM]))
 
         filled: dict[str, int] = {}
         boundary: dict[str, Optional[float]] = {}

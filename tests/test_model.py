@@ -89,7 +89,7 @@ class TestInit:
         net = micro_net(seed=8, shared=shared, heads=heads)
         layers = [*net.trunk, *(layer for head in net.heads for layer in head)]
         assert len(layers) == len(shapes)
-        rng = np.random.default_rng(8)
+        rng = np.random.default_rng([8, model.INIT_STREAM])
         for (w, b), (n_in, n_out) in zip(layers, shapes):
             s = np.sqrt(6.0 / (n_in + n_out))
             assert np.array_equal(w, rng.uniform(-s, s, n_in * n_out).reshape(n_in, n_out))
@@ -439,13 +439,13 @@ def epoch_masks(rng, net, n):
 
 
 def per_step_train(net, x, y, mask):
-    """Reference for train: per epoch a seeded shuffle and, with dropout, its
+    """Reference for train: per epoch a shuffle and, with dropout, its
     :func:`epoch_masks`, then per minibatch of its order one loss_and_grads
     call on the raw labels under its masks and the heavy-ball update. Returns
     the trained network and the minibatch index of every tie its draws met."""
     cfg = net.config
     ref, v, ties = net.copy(), np.zeros_like(net.params), []
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng([cfg.seed, model.TRAIN_STREAM])
     for _ in range(cfg.epochs):
         order = rng.permutation(len(x))
         masks, at = epoch_masks(rng, ref, len(x)) if cfg.dropout else (None, [])
@@ -509,7 +509,7 @@ class TestTrain:
         # per epoch a seeded shuffle, then minibatches of 8, 8 and 4 rows in its
         # order, each under its share of the epoch's dropout draw
         oracle, v = net.copy(), np.zeros_like(net.params)
-        step_rng = np.random.default_rng(net.config.seed)
+        step_rng = np.random.default_rng([net.config.seed, model.TRAIN_STREAM])
         for _ in range(3):
             order = step_rng.permutation(len(x))
             masks = epoch_masks(step_rng, oracle, len(x))[0] if dropout else [None] * 3

@@ -9,7 +9,7 @@ from xdata.arff import NOMINAL, NUMERIC, ArffRelation, AttributeDecl
 from xdata.dataset import (REGRESSION, MultiTargetDataset, TaskSchema, assemble, assemble_eval,
                            drop_labels)
 from xdata.metrics import pseudo_label_accuracy
-from xdata.model import NetworkConfig
+from xdata.model import TRAIN_STREAM, NetworkConfig
 from xdata.synthetic import QUADRANT_CLASSES, generate, make_corpus
 from xdata.trainer import (STATUS_COMPLETED, STATUS_MAX_ITERATIONS,
                            STATUS_STALLED, CdlcConfig, apply_assignments, run_cdlc,
@@ -212,8 +212,8 @@ class TestRunCdlc:
         for seed, state in states:
             bits = np.random.PCG64()
             bits.state = state
-            # training shuffles and draws its dropout masks from default_rng(seed)
-            trained = np.random.default_rng(seed).bit_generator.random_raw(10**5)
+            # training shuffles and draws its dropout masks from its own stream
+            trained = np.random.default_rng([seed, TRAIN_STREAM]).bit_generator.random_raw(10**5)
             assert not np.isin(bits.random_raw(10**4), trained).any()
 
     def test_warm_started_rounds_draw_from_their_own_streams(self, monkeypatch):
@@ -242,6 +242,34 @@ class TestRunCdlc:
         cfg = CdlcConfig(network=FAST_NET, select_per_task=20, retrain_from_scratch=False)
         assert len(run_cdlc(grid_dataset([60], seed=13), cfg).records) == 3
         assert len(states) == 6 and len(set(states)) == 6
+
+    @pytest.mark.parametrize("seed", [0, 1, 21])
+    def test_a_rounds_streams_share_no_word(self, monkeypatch, seed):
+        # one round opens three generators: initialisation, training and MC
+        opened, real_rng = [], np.random.default_rng
+
+        def recording(*args):
+            rng = real_rng(*args)
+            bits = np.random.PCG64()
+            bits.state = rng.bit_generator.state
+            opened.append(bits)
+            return rng
+
+        ds = grid_dataset([60], seed=13)
+        cfg = CdlcConfig(network=replace(FAST_NET, seed=seed), select_per_task=20,
+                         max_iterations=1)
+        monkeypatch.setattr(np.random, "default_rng", recording)
+        run_cdlc(ds, cfg)
+        monkeypatch.undo()
+        assert len(opened) == 3
+        # and the label drop of drop.seed = seed + 1, or any seed near the round's
+        plain = [real_rng(s).bit_generator for s in range(max(seed - 2, 0), seed + 3)]
+        long = [bits.random_raw(10**5) for bits in opened + plain]
+        for i in range(len(opened)):
+            head = long[i][:10**4]
+            for j, words in enumerate(long):
+                if j != i:
+                    assert not np.isin(head, words).any(), (i, j)
 
     def test_no_defined_labels_errors(self):
         ds = grid_dataset([50], seed=10)
