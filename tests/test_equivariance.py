@@ -156,7 +156,9 @@ def test_equal_confidences_go_to_the_lower_instance():
     # fills the k open cells of the lowest instance indices, so which rows
     # a round fills follows the file order
     files = [[f"{i},0.5,?,n,1" for i in range(3)], [f"{i},0.5,?,p,2" for i in range(3, 6)]]
-    tied = lambda net, x, rng=None: stub_predictions(net, x, rng, confidence=-0.5)  # noqa: E731
+    def tied(net, x, rng=None):
+        return stub_predictions(net, x, rng, confidence=-0.5)
+
     runs = [run_outputs(files, order, 2, False, tied) for order in ([0, 1], [1, 0])]
     for out in runs:
         rows = list(csv.DictReader(out["assignments.csv"].splitlines()))
