@@ -2,10 +2,11 @@
 
 Supported dialect: ``%`` comment lines, ``@relation``, ``@attribute`` with
 ``numeric``/``real``/``integer`` (all stored as 64-bit float), ``string``, or a
-``{v1,v2,...}`` nominal specification, then ``@data`` with comma-separated
-rows. An unquoted ``?`` denotes a missing value. Keywords are case-insensitive,
-and a declaration's keyword ends at whitespace, a quote or the end of the line
-(``@relationx`` is no ``@relation``). Names and values may be single-quoted
+``{v1,v2,...}`` nominal specification, with no text after the type, then
+``@data`` with comma-separated rows. An unquoted ``?`` denotes a missing
+value. Keywords are case-insensitive, and a declaration's keyword ends at
+whitespace, a quote or the end of the line (``@relationx`` is no
+``@relation``). Names and values may be single-quoted
 (embedded commas and spaces preserved, ``\\'`` and ``\\\\`` are escapes inside
 quotes, any other backslash is literal). Whitespace outside quotes at the edges
 of a value is dropped. Lines split at ``\n`` only (a ``\r`` before it is
@@ -64,6 +65,8 @@ _MISSING_AS_NAN = {"?": "nan"}
 _UNSAFE = re.compile(r"[\s,'%{}]")
 # A \r that does not end its line (the one ending a line is half of \r\n).
 _LONE_CR = re.compile(r"\r(?!\n?\Z)")
+# The attribute type keywords this dialect reads, and the kind each declares.
+_KINDS = {"numeric": NUMERIC, "real": NUMERIC, "integer": NUMERIC, "string": STRING}
 # A declaration's keyword, which ends at whitespace, a quote or the end of the line.
 _KEYWORD = re.compile(r"@(relation|attribute|data)(?=[\s']|\Z)", re.IGNORECASE)
 
@@ -206,11 +209,14 @@ def _parse_attribute(rest: str, lineno: int) -> AttributeDecl:
         if len(set(cats)) != len(cats):
             raise ArffError(f"attribute {name!r}: duplicate nominal categories", lineno)
         return AttributeDecl(name, NOMINAL, tuple(cats))
-    keyword = type_text.split()[0].lower()
-    if keyword in ("numeric", "real", "integer"):
-        return AttributeDecl(name, NUMERIC)
-    if keyword == "string":
-        return AttributeDecl(name, STRING)
+    written, *trailing = type_text.split(None, 1)
+    keyword = written.lower()
+    kind = _KINDS.get(keyword)
+    if kind is not None:
+        if trailing:
+            raise ArffError(f"attribute {name!r}: unexpected text after type {written!r}: "
+                            f"{trailing[0]!r}", lineno)
+        return AttributeDecl(name, kind)
     if keyword == "date":
         raise ArffError(f"attribute {name!r}: date attributes are unsupported", lineno)
     if keyword == "relational":

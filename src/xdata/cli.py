@@ -255,7 +255,7 @@ def _can_fork() -> bool:
 
 
 @contextmanager
-def _in_child(stage: str, fn, *args):
+def _in_child(stage: str, fn, *args, gated: bool = False):
     """Run ``fn(*args)`` in a forked child while the caller works on; yields a
     callable that waits for the child and returns what `fn` returned or raises
     what it raised (pickled over a pipe). A child that ends without a result,
@@ -263,16 +263,23 @@ def _in_child(stage: str, fn, *args):
     reaped: one still running when the block exits early is killed. Without
     fork or a second usable CPU, the callable runs ``fn(*args)`` in this process.
 
+    With `gated`, `fn` is called with a keyword ``wait`` as well: in the child
+    a callable that returns once the caller has called the yielded callable
+    (and ends the child without a result if the block exits first), in this
+    process None, since `fn` then runs only when its result is asked for.
+
     `fn` must not call BLAS: the child holds only the forking thread, so the
     BLAS thread pool it inherits is unusable.
     """
+    kwargs = {"wait": None} if gated else {}
     if not _can_fork():
-        yield lambda: fn(*args)
+        yield lambda: fn(*args, **kwargs)
         return
     import pickle
     import signal
 
-    read_fd, write_fd = os.pipe()
+    read_fd, write_fd = os.pipe()  # the outcome, child to caller
+    go_fds = os.pipe() if gated else ()  # the go, caller to child
     with warnings.catch_warnings():
         # Python 3.12+ warns that a process with threads (BLAS's) may deadlock
         # in a forked child; the child here never calls into them
@@ -281,15 +288,23 @@ def _in_child(stage: str, fn, *args):
         try:
             pid = os.fork()
         except OSError:
-            os.close(read_fd)
-            os.close(write_fd)
+            for fd in (read_fd, write_fd, *go_fds):
+                os.close(fd)
             raise
     if pid == 0:
         code = 1
         try:
             os.close(read_fd)
+            if gated:
+                os.close(go_fds[1])
+
+                def wait():
+                    if not os.read(go_fds[0], 1):  # end of file: the caller gave up
+                        os._exit(1)
+
+                kwargs["wait"] = wait
             try:
-                outcome = (True, fn(*args))
+                outcome = (True, fn(*args, **kwargs))
             except Exception as exc:  # noqa: BLE001 - re-raised by the parent
                 outcome = (False, exc)
             with open(write_fd, "wb") as pipe:
@@ -299,10 +314,20 @@ def _in_child(stage: str, fn, *args):
             os._exit(code)
     os.close(write_fd)
     pipe = open(read_fd, "rb")
+    go = None
+    if gated:
+        os.close(go_fds[0])
+        go = open(go_fds[1], "wb", buffering=0)
     reaped = False
 
     def result():
         nonlocal reaped
+        if go is not None:
+            with go:
+                try:
+                    go.write(b"\1")
+                except BrokenPipeError:  # the child has ended: its status says how
+                    pass
         with pipe:
             data = pipe.read()
         code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
@@ -319,6 +344,8 @@ def _in_child(stage: str, fn, *args):
         yield result
     finally:
         pipe.close()
+        if go is not None:
+            go.close()
         if not reaped:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
@@ -370,18 +397,31 @@ def _chunks(relation, start: int, stop: int):
         yield format_rows(relation, a, min(a + _CHUNK_ROWS, stop))
 
 
+def _append_rows(path: Path, relation, start: int, stop: int, wait=None) -> None:
+    """Append ``format_rows`` of rows `start` to `stop` of `relation` to `path`:
+    streamed chunk by chunk, or, given `wait` (see `_in_child`), all formatted
+    into memory first and appended once ``wait()`` returns."""
+    chunks = _chunks(relation, start, stop)
+    if wait is not None:
+        chunks = list(chunks)
+        wait()
+    with open(path, "a", encoding="utf-8") as f:
+        f.writelines(chunks)
+
+
 def _write_arff_file(path: Path, relation) -> None:
-    """Write ``write_arff(relation)`` to `path`; a forked child formats the
-    second half of the data rows while this process formats the first and
-    writes it chunk by chunk."""
+    """Write ``write_arff(relation)`` to `path`. This process writes the header
+    and the first half of the data rows chunk by chunk; a forked child formats
+    the second half meanwhile and, once this process has closed the file,
+    appends it there itself, so only its outcome crosses the pipe."""
     relation.validate()  # so that no invalid value reaches the child
     n, half = relation.n_rows, relation.n_rows // 2
-    with _in_child(f"formatting {path.name}",
-                   lambda: "".join(_chunks(relation, half, n))) as tail, \
-            open(path, "w", encoding="utf-8") as f:
-        f.write(format_header(relation))
-        f.writelines(_chunks(relation, 0, half))
-        f.write(tail())
+    with _in_child(f"formatting {path.name}", _append_rows, path, relation, half, n,
+                   gated=True) as tail:
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(format_header(relation))
+            f.writelines(_chunks(relation, 0, half))
+        tail()
 
 
 def _check_task_keys(config: RunConfig, ds: MultiTargetDataset) -> None:

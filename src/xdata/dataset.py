@@ -327,9 +327,12 @@ class Standardizer:
     target_mean: np.ndarray  # (M,)
     target_std: np.ndarray  # (M,) effective divisor, as feature_std
 
-    def transform_features(self, x: np.ndarray) -> np.ndarray:
-        z = x - self.feature_mean
-        z /= self.feature_std  # in place: one new matrix, not two
+    def transform_features(self, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Rows `x` standardized: ``(x - feature_mean) / feature_std``, into a
+        new array, or into `out` (which may be `x`, a row gather the caller
+        owns, say). Element-wise, so a row's bits do not depend on the others."""
+        z = np.subtract(x, self.feature_mean, out=out)
+        z /= self.feature_std
         return z
 
     def inverse_target(self, m: int, v):
@@ -337,9 +340,15 @@ class Standardizer:
 
 
 def standardize(ds: MultiTargetDataset) -> tuple[MultiTargetDataset, Standardizer]:
-    """Zero-mean/unit-variance features (all instances) and regression targets
-    (defined cells only); class indices map to themselves and undefined cells
-    stay 0.0. Near-constant columns are shifted to zero."""
+    """The statistics of `ds` and its label grid standardized by them: zero
+    mean and unit variance for the features (all instances) and regression
+    targets (defined cells only); class indices map to themselves and
+    undefined cells stay 0.0. Near-constant columns are shifted to zero.
+
+    The returned dataset shares the read-only features of `ds`, in original
+    units, and holds new labels; rows to standardize go through
+    ``Standardizer.transform_features``, so no standardized copy of the whole
+    feature matrix is made."""
     if ds.n_instances < 1:
         raise DatasetError("cannot standardize an empty dataset")
     t_mean, t_std = np.zeros(ds.n_tasks), np.ones(ds.n_tasks)
@@ -350,5 +359,4 @@ def standardize(ds: MultiTargetDataset) -> tuple[MultiTargetDataset, Standardize
     std, t_std = (np.where(s < 1e-12, 1.0, s) for s in (ds.features.std(axis=0), t_std))
     stdzr = Standardizer(ds.features.mean(axis=0), std, t_mean, t_std)
     labels = np.where(ds.defined, (ds.labels - t_mean) / t_std, 0.0)
-    return replace(ds.copy(), features=stdzr.transform_features(ds.features),
-                   labels=labels), stdzr
+    return replace(ds.copy(), labels=labels), stdzr

@@ -105,8 +105,11 @@ def run_cdlc(ds: MultiTargetDataset, config: CdlcConfig,
     both are in original units, and so is everything returned but the
     assignments' confidences.
 
-    The loop works on a standardized copy of `ds` (`dataset.standardize`);
-    `evaluate` scores `eval_set` with the same statistics. Iteration i has
+    The loop works on a standardized copy of the label grid of `ds`
+    (`dataset.standardize`) and reads the features of `ds`, shared and
+    unchanged: the rows it trains on and the rows it predicts are gathered
+    and standardized in place, with the same bits as rows of a standardized
+    matrix. `evaluate` scores `eval_set` with the same statistics. Iteration i has
     the round seed s = network.seed + i: it trains a fresh network
     initialised from s (or warm-starts the previous one) on s's training
     stream, evaluates on `eval_set` if cdlc.eval_every_iteration is on (so
@@ -114,15 +117,20 @@ def run_cdlc(ds: MultiTargetDataset, config: CdlcConfig,
     up to select_per_task pseudo-labels per task, ranked by MC dropout on
     s's MC stream (`model.MC_STREAM`). Terminates when the grid is complete,
     max_iterations is reached, or an iteration assigns nothing.
-    Raises FloatingPointError if a candidate's prediction or confidence is
-    non-finite.
+    Raises FloatingPointError naming the iteration if training diverges or
+    a candidate's prediction or confidence is non-finite.
     """
     config.validate()
     if eval_set is not None and [t.name for t in eval_set.tasks] != [t.name for t in ds.tasks]:
         raise ValueError("evaluation set task schemas do not match the dataset")
     if not ds.defined.any():
         raise ValueError("dataset has no defined labels; nothing to train on")
-    work, standardizer = standardize(ds)  # a new label grid over new features
+    work, standardizer = standardize(ds)  # a new label grid over the shared features
+
+    def gather(index):
+        """The features of rows `index`, standardized in a new array."""
+        x = work.features[index]
+        return standardizer.transform_features(x, out=x)
 
     records: list[IterationRecord] = []
     chunks = [(np.zeros(0, int),) * 3 + (np.zeros(0),) * 2]  # Assignments field order
@@ -145,14 +153,17 @@ def run_cdlc(ds: MultiTargetDataset, config: CdlcConfig,
         else:
             net.config = net_cfg
         li = view.labeled_indices
-        net = train(net, work.features[li], work.labels[li], work.defined[li])
+        try:
+            net = train(net, gather(li), work.labels[li], work.defined[li])
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"iteration {iteration}: {exc}") from None
 
         metrics = None
         if eval_set is not None and config.eval_every_iteration:
             metrics = evaluate(net, eval_set, standardizer)
 
         ui = view.incomplete_indices
-        preds = mc_predict(net, work.features[ui],
+        preds = mc_predict(net, gather(ui),
                            np.random.default_rng([net.config.seed, MC_STREAM]))
 
         filled: dict[str, int] = {}

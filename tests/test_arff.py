@@ -260,6 +260,10 @@ _NUM = "@attribute a numeric\n"
     ("@relation t\n@attribute r relational\n",
      "attribute 'r': relational attributes are unsupported", 2),
     ("@relation t\n@attribute a numbers\n", "attribute 'a': unknown type 'numbers'", 2),
+    ("@relation t\n@attribute a numeric garbage here\n",
+     "attribute 'a': unexpected text after type 'numeric': 'garbage here'", 2),
+    ("@relation t\n@attribute s string {x}\n",
+     "attribute 's': unexpected text after type 'string': '{x}'", 2),
     # a keyword ends at whitespace, a quote or the end of the line
     ("@relationfoo\n", "unrecognized declaration: '@relationfoo'", 1),
     ("@relation t\n@attributebar numeric\n",

@@ -6,6 +6,7 @@ import re
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ import xdata
 import xdata.cli as cli
 import xdata.model as model
 from xdata.arff import (NOMINAL, NUMERIC, STRING, ArffError, ArffRelation, AttributeDecl,
-                        parse_arff, write_arff)
+                        format_header, parse_arff, write_arff)
 from xdata.cli import ConfigError, RunConfig, _format, _keys, main, parse_config
 from xdata.synthetic import make_corpus
 
@@ -395,7 +396,7 @@ class TestMain:
                        encoding="utf-8")
         assert main(["--config", str(cfg), "--quiet"]) == 3
         err = capsys.readouterr().err
-        assert err == "runtime failure: epoch 2: non-finite network parameters\n"
+        assert err == "runtime failure: iteration 0: epoch 2: non-finite network parameters\n"
         assert not (out / "completed.arff").exists()
 
     def _tiny_run(self, tmp_path, data: str) -> Path:
@@ -761,22 +762,60 @@ class TestTwoProcesses:
             f"data error: input file not found: {tmp_path / 'test.arff'}\n"
         assert_no_child_left()
 
+    @staticmethod
+    def mixed_relation(n):
+        """`n` rows of a string, a nominal and a numeric column, some missing."""
+        rng = np.random.default_rng(n)
+        values = rng.normal(size=n) * 10.0 ** rng.integers(-8, 8, n)
+        values[::7] = np.nan
+        return ArffRelation("t", [AttributeDecl("name", STRING),
+                                  AttributeDecl("c", NOMINAL, ("a", "b c", "?")),
+                                  AttributeDecl("v", NUMERIC)],
+                            [[None if i % 5 == 0 else f"row {i}" for i in range(n)],
+                             rng.integers(-1, 3, n), values])
+
     @pytest.mark.parametrize("can_fork", [True, False])
     @pytest.mark.parametrize("n", [0, 1, cli._CHUNK_ROWS - 1, cli._CHUNK_ROWS,
                                    cli._CHUNK_ROWS + 1, 2 * cli._CHUNK_ROWS + 1])
     def test_chunked_completed_arff_is_write_arff(self, tmp_path, monkeypatch, n, can_fork):
-        rng = np.random.default_rng(n)
-        values = rng.normal(size=n) * 10.0 ** rng.integers(-8, 8, n)
-        values[::7] = np.nan
-        rel = ArffRelation("t", [AttributeDecl("name", STRING),
-                                 AttributeDecl("c", NOMINAL, ("a", "b c", "?")),
-                                 AttributeDecl("v", NUMERIC)],
-                           [[None if i % 5 == 0 else f"row {i}" for i in range(n)],
-                            rng.integers(-1, 3, n), values])
+        rel = self.mixed_relation(n)
         monkeypatch.setattr(cli, "_can_fork", lambda: can_fork)
         path = tmp_path / "completed.arff"
         cli._write_arff_file(path, rel)
         assert path.read_bytes() == write_arff(rel).encode("utf-8")
+        assert_no_child_left()
+
+    def test_child_appends_nothing_when_this_half_raises(self, tmp_path, monkeypatch):
+        rel = self.mixed_relation(2 * cli._CHUNK_ROWS + 1)
+        original, parent = cli.format_rows, os.getpid()
+
+        def fail_in_parent(*args):
+            if os.getpid() == parent:
+                time.sleep(0.2)  # time enough for a child that did not wait to append
+                raise OSError("no space left")
+            return original(*args)
+
+        monkeypatch.setattr(cli, "format_rows", fail_in_parent)
+        path = tmp_path / "completed.arff"
+        with pytest.raises(OSError, match="^no space left$"):
+            cli._write_arff_file(path, rel)
+        assert_no_child_left()
+        assert path.read_text(encoding="utf-8") == format_header(rel)
+
+    def test_only_the_outcome_crosses_the_pipe(self, tmp_path, monkeypatch):
+        import pickle
+        rel = self.mixed_relation(2 * cli._CHUNK_ROWS + 1)
+        original, payloads = pickle.loads, []
+
+        def loads(data, *args, **kwargs):
+            payloads.append(len(data))
+            return original(data, *args, **kwargs)
+
+        monkeypatch.setattr(pickle, "loads", loads)
+        path = tmp_path / "completed.arff"
+        cli._write_arff_file(path, rel)
+        assert path.read_bytes() == write_arff(rel).encode("utf-8")
+        assert len(payloads) == 1 and payloads[0] < 32, payloads
         assert_no_child_left()
 
     def test_invalid_value_in_second_half_raises_before_the_fork(self, tmp_path, monkeypatch):

@@ -205,15 +205,15 @@ class TestStandardize:
     def test_constant_column_zeroed(self):
         rel, nt = _rel("A", ["f1"], [("t", None)], [[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]])
         ds = assemble([(rel, nt)])
-        out, sz = standardize(ds)
-        assert np.allclose(out.features[:, 0], 0.0)
+        _, sz = standardize(ds)
+        assert np.allclose(sz.transform_features(ds.features)[:, 0], 0.0)
         assert sz.feature_std[0] == 1.0
 
     def test_two_point_column(self):
         rel, nt = _rel("A", ["f1"], [("t", None)], [[0.0, 0.0], [2.0, 1.0]])
         ds = assemble([(rel, nt)])
-        out, _ = standardize(ds)
-        assert np.allclose(out.features[:, 0], [-1.0, 1.0])
+        _, sz = standardize(ds)
+        assert np.allclose(sz.transform_features(ds.features)[:, 0], [-1.0, 1.0])
 
     def test_regression_target_standardized_over_defined_cells(self):
         rel, nt = _rel("A", ["f1"], [("t", None)],
@@ -243,9 +243,36 @@ class TestStandardize:
         rows = [[v, 0.0] for v in col]
         rel, nt = _rel("A", ["f1"], [("t", None)], rows)
         ds = assemble([(rel, nt)])
-        out, sz = standardize(ds)
-        back = out.features * sz.feature_std + sz.feature_mean
+        _, sz = standardize(ds)
+        back = sz.transform_features(ds.features) * sz.feature_std + sz.feature_mean
         assert np.allclose(back[:, 0], ds.features[:, 0], atol=1e-9)
+
+
+# columns of one feature matrix: any finite values, constant columns (the
+# divisor 1.0), signed zeros and magnitudes far apart
+_feature_column = st.one_of(
+    st.lists(st.floats(min_value=-1e150, max_value=1e150), min_size=1, max_size=12),
+    st.tuples(st.sampled_from([0.0, -0.0, 5e-324, -7.5, 1e150]), st.integers(1, 12))
+    .map(lambda t: [t[0]] * t[1]),
+    st.lists(st.sampled_from([0.0, -0.0]), min_size=1, max_size=12),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_feature_column, min_size=1, max_size=5), st.data())
+def test_standardizing_gathered_rows_in_place_is_gathering_standardized_rows(columns, data):
+    n = min(map(len, columns))
+    x = np.array([c[:n] for c in columns]).T
+    rows = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+    ds = MultiTargetDataset(x, np.zeros((n, 1)), np.ones((n, 1), dtype=bool),
+                            [TaskSchema("t", REGRESSION)], np.ones(n, dtype=int),
+                            [f"f{j}" for j in range(x.shape[1])])
+    _, sz = standardize(ds)
+    whole = sz.transform_features(ds.features)
+    gathered = ds.features[rows]
+    out = sz.transform_features(gathered, out=gathered)
+    assert out is gathered
+    assert out.tobytes() == whole[rows].tobytes()
 
 
 def test_merged_arff_roundtrip():
@@ -354,14 +381,14 @@ class TestSharedFeatures:
             assert not np.shares_memory(out.labels, ds.labels)
             assert not np.shares_memory(out.defined, ds.defined)
 
-    def test_standardized_features_are_new_labels_copied(self):
+    def test_standardize_shares_the_features_and_copies_the_labels(self):
         ds = assemble(four_file_corpus())
-        before = ds.labels.copy()
+        before = ds.labels.copy(), ds.defined.copy()
         std, _ = standardize(ds)
-        assert not np.shares_memory(std.features, ds.features)
-        assert np.shares_memory(std.origin, ds.origin)
+        assert std.features is ds.features and std.origin is ds.origin
         assert not np.shares_memory(std.labels, ds.labels)
-        assert np.array_equal(ds.labels, before)
+        assert not np.shares_memory(std.defined, ds.defined)
+        assert np.array_equal(ds.labels, before[0]) and np.array_equal(ds.defined, before[1])
 
     def test_to_relation_views_the_features_and_writes_the_same_text(self):
         ds = assemble(four_file_corpus())

@@ -291,6 +291,57 @@ class TestRunCdlc:
         with pytest.raises(FloatingPointError, match=r"^iteration 0: .* task 't1'$"):
             run_cdlc(ds, CdlcConfig(network=FAST_NET, select_per_task=10))
 
+    def test_divergence_names_its_round(self, monkeypatch):
+        import xdata.trainer
+        real, calls = xdata.trainer.train, []
+
+        def diverge_at_round_1(net, x, y, defined):
+            calls.append(len(x))
+            if len(calls) == 2:
+                raise FloatingPointError("epoch 3: non-finite network parameters")
+            return real(net, x, y, defined)
+
+        monkeypatch.setattr(xdata.trainer, "train", diverge_at_round_1)
+        ds = grid_dataset([40, 40], seed=11)
+        with pytest.raises(FloatingPointError) as exc:
+            run_cdlc(ds, CdlcConfig(network=FAST_NET, select_per_task=10))
+        assert str(exc.value) == "iteration 1: epoch 3: non-finite network parameters"
+        assert len(calls) == 2
+
+    def test_train_and_mc_predict_read_standardized_row_gathers(self, monkeypatch):
+        """Each round trains on the standardized rows of its labeled instances
+        and predicts those of its incomplete ones, bit for bit the rows of the
+        whole standardized matrix, without writing to the input's features."""
+        import xdata.trainer
+        from xdata.dataset import standardize
+        seen = {"train": [], "mc": []}
+
+        def recorder(name, fn):
+            def wrapped(net, x, *args):
+                seen[name].append(x.copy())
+                return fn(net, x, *args)
+            return wrapped
+
+        monkeypatch.setattr(xdata.trainer, "train", recorder("train", xdata.trainer.train))
+        monkeypatch.setattr(xdata.trainer, "mc_predict",
+                            recorder("mc", xdata.trainer.mc_predict))
+        ds = grid_dataset([60, 30], n_features=5, seed=12)
+        ds = replace(ds, features=ds.features * 10.0 ** np.arange(-2, 3) + 3.0)
+        before = ds.features.tobytes()
+        result = run_cdlc(ds, CdlcConfig(network=FAST_NET, select_per_task=20))
+        assert ds.features.tobytes() == before
+        whole = standardize(ds)[1].transform_features(ds.features)
+        defined = ds.defined.copy()
+        a = result.assignments
+        assert len(seen["train"]) == len(seen["mc"]) == len(result.records) == 3
+        for i in range(len(result.records)):
+            li = np.flatnonzero(defined.any(axis=1))
+            ui = np.flatnonzero(~defined.all(axis=1))
+            assert seen["train"][i].tobytes() == whole[li].tobytes()
+            assert seen["mc"][i].tobytes() == whole[ui].tobytes()
+            done = a.iteration == i
+            defined[a.instance[done], a.task_index[done]] = True
+
 
 def two_category_run(seed):
     """The synthetic corpus of 3000 rows with a two-category target `pos`
