@@ -19,6 +19,7 @@ import csv
 import logging
 import os
 import re
+import shutil
 import sys
 import warnings
 from contextlib import contextmanager
@@ -255,7 +256,7 @@ def _can_fork() -> bool:
 
 
 @contextmanager
-def _in_child(stage: str, fn, *args, gated: bool = False):
+def _in_child(stage: str, fn, *args):
     """Run ``fn(*args)`` in a forked child while the caller works on; yields a
     callable that waits for the child and returns what `fn` returned or raises
     what it raised (pickled over a pipe). A child that ends without a result,
@@ -263,23 +264,16 @@ def _in_child(stage: str, fn, *args, gated: bool = False):
     reaped: one still running when the block exits early is killed. Without
     fork or a second usable CPU, the callable runs ``fn(*args)`` in this process.
 
-    With `gated`, `fn` is called with a keyword ``wait`` as well: in the child
-    a callable that returns once the caller has called the yielded callable
-    (and ends the child without a result if the block exits first), in this
-    process None, since `fn` then runs only when its result is asked for.
-
     `fn` must not call BLAS: the child holds only the forking thread, so the
     BLAS thread pool it inherits is unusable.
     """
-    kwargs = {"wait": None} if gated else {}
     if not _can_fork():
-        yield lambda: fn(*args, **kwargs)
+        yield lambda: fn(*args)
         return
     import pickle
     import signal
 
     read_fd, write_fd = os.pipe()  # the outcome, child to caller
-    go_fds = os.pipe() if gated else ()  # the go, caller to child
     with warnings.catch_warnings():
         # Python 3.12+ warns that a process with threads (BLAS's) may deadlock
         # in a forked child; the child here never calls into them
@@ -288,23 +282,15 @@ def _in_child(stage: str, fn, *args, gated: bool = False):
         try:
             pid = os.fork()
         except OSError:
-            for fd in (read_fd, write_fd, *go_fds):
-                os.close(fd)
+            os.close(read_fd)
+            os.close(write_fd)
             raise
     if pid == 0:
         code = 1
         try:
             os.close(read_fd)
-            if gated:
-                os.close(go_fds[1])
-
-                def wait():
-                    if not os.read(go_fds[0], 1):  # end of file: the caller gave up
-                        os._exit(1)
-
-                kwargs["wait"] = wait
             try:
-                outcome = (True, fn(*args, **kwargs))
+                outcome = (True, fn(*args))
             except Exception as exc:  # noqa: BLE001 - re-raised by the parent
                 outcome = (False, exc)
             with open(write_fd, "wb") as pipe:
@@ -314,20 +300,10 @@ def _in_child(stage: str, fn, *args, gated: bool = False):
             os._exit(code)
     os.close(write_fd)
     pipe = open(read_fd, "rb")
-    go = None
-    if gated:
-        os.close(go_fds[0])
-        go = open(go_fds[1], "wb", buffering=0)
     reaped = False
 
     def result():
         nonlocal reaped
-        if go is not None:
-            with go:
-                try:
-                    go.write(b"\1")
-                except BrokenPipeError:  # the child has ended: its status says how
-                    pass
         with pipe:
             data = pipe.read()
         code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
@@ -344,8 +320,6 @@ def _in_child(stage: str, fn, *args, gated: bool = False):
         yield result
     finally:
         pipe.close()
-        if go is not None:
-            go.close()
         if not reaped:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
@@ -397,31 +371,35 @@ def _chunks(relation, start: int, stop: int):
         yield format_rows(relation, a, min(a + _CHUNK_ROWS, stop))
 
 
-def _append_rows(path: Path, relation, start: int, stop: int, wait=None) -> None:
-    """Append ``format_rows`` of rows `start` to `stop` of `relation` to `path`:
-    streamed chunk by chunk, or, given `wait` (see `_in_child`), all formatted
-    into memory first and appended once ``wait()`` returns."""
-    chunks = _chunks(relation, start, stop)
-    if wait is not None:
-        chunks = list(chunks)
-        wait()
-    with open(path, "a", encoding="utf-8") as f:
-        f.writelines(chunks)
+def _write_rows(path: Path, relation, start: int, stop: int) -> None:
+    """Write ``format_rows`` of rows `start` to `stop` of `relation` to `path`,
+    chunk by chunk."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.writelines(_chunks(relation, start, stop))
 
 
 def _write_arff_file(path: Path, relation) -> None:
-    """Write ``write_arff(relation)`` to `path`. This process writes the header
-    and the first half of the data rows chunk by chunk; a forked child formats
-    the second half meanwhile and, once this process has closed the file,
-    appends it there itself, so only its outcome crosses the pipe."""
+    """Write ``write_arff(relation)`` to `path`. A forked child (see
+    `_in_child`) writes the second half of the data rows to ``<path>.part``
+    while this process writes the header and the first half to `path`; this
+    process then appends the part file, so only the child's outcome crosses
+    the pipe. Without the child this process writes the part file itself, by
+    the same code. The part file is removed however the write ends."""
     relation.validate()  # so that no invalid value reaches the child
     n, half = relation.n_rows, relation.n_rows // 2
-    with _in_child(f"formatting {path.name}", _append_rows, path, relation, half, n,
-                   gated=True) as tail:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(format_header(relation))
-            f.writelines(_chunks(relation, 0, half))
-        tail()
+    part = path.with_name(path.name + ".part")
+    try:
+        # the block reaps the child before the part file is removed
+        with _in_child(f"formatting {path.name}", _write_rows, part, relation, half,
+                       n) as tail:
+            with open(path, "w", encoding="utf-8") as f:
+                f.write(format_header(relation))
+                f.writelines(_chunks(relation, 0, half))
+            tail()
+        with open(part, "rb") as src, open(path, "ab") as dst:
+            shutil.copyfileobj(src, dst)
+    finally:
+        part.unlink(missing_ok=True)
 
 
 def _check_task_keys(config: RunConfig, ds: MultiTargetDataset) -> None:

@@ -10,7 +10,7 @@ defined and 0.0 elsewhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -359,4 +359,5 @@ def standardize(ds: MultiTargetDataset) -> tuple[MultiTargetDataset, Standardize
     std, t_std = (np.where(s < 1e-12, 1.0, s) for s in (ds.features.std(axis=0), t_std))
     stdzr = Standardizer(ds.features.mean(axis=0), std, t_mean, t_std)
     labels = np.where(ds.defined, (ds.labels - t_mean) / t_std, 0.0)
-    return replace(ds.copy(), labels=labels), stdzr
+    return MultiTargetDataset(ds.features, labels, ds.defined.copy(), list(ds.tasks),
+                              ds.origin, list(ds.feature_names)), stdzr

@@ -618,6 +618,10 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def assert_no_part_file(directory: Path):
+    assert not list(directory.glob("*.part"))
+
+
 def die_in_child(monkeypatch, name):
     """Replace ``cli.<name>`` by a function that kills a forked child
     (SIGKILL, so it leaves no result) and runs the original in this process."""
@@ -671,6 +675,7 @@ class TestTwoProcesses:
                                            f"killed by signal {int(signal.SIGKILL)} "
                                            "without a result\n")
         assert_no_child_left()
+        assert_no_part_file(tmp_path / "out")
 
     def test_outputs_do_not_depend_on_forking(self, tmp_path, monkeypatch):
         out = tmp_path / "out"
@@ -679,6 +684,7 @@ class TestTwoProcesses:
         for can_fork in (True, False):
             monkeypatch.setattr(cli, "_can_fork", lambda: can_fork)
             assert main(["--config", str(cfg), "--quiet"]) == 0
+            assert_no_part_file(out)
             runs.append({p.name: p.read_bytes() for p in out.iterdir()})
             for p in out.iterdir():
                 p.unlink()
@@ -791,7 +797,7 @@ class TestTwoProcesses:
 
         def fail_in_parent(*args):
             if os.getpid() == parent:
-                time.sleep(0.2)  # time enough for a child that did not wait to append
+                time.sleep(0.2)  # time enough for the child to write its part file
                 raise OSError("no space left")
             return original(*args)
 
@@ -801,6 +807,25 @@ class TestTwoProcesses:
             cli._write_arff_file(path, rel)
         assert_no_child_left()
         assert path.read_text(encoding="utf-8") == format_header(rel)
+        assert_no_part_file(tmp_path)
+
+    @pytest.mark.parametrize("can_fork", [True, False])
+    def test_no_part_file_is_left_when_the_second_half_raises(self, tmp_path, monkeypatch,
+                                                              can_fork):
+        rel = self.mixed_relation(2 * cli._CHUNK_ROWS + 1)
+        original = cli.format_rows
+
+        def fail_on_the_second_half(relation, start, stop):
+            if start >= rel.n_rows // 2:
+                raise OSError("no space left")
+            return original(relation, start, stop)
+
+        monkeypatch.setattr(cli, "_can_fork", lambda: can_fork)
+        monkeypatch.setattr(cli, "format_rows", fail_on_the_second_half)
+        with pytest.raises(OSError, match="^no space left$"):
+            cli._write_arff_file(tmp_path / "completed.arff", rel)
+        assert_no_child_left()
+        assert_no_part_file(tmp_path)
 
     def test_only_the_outcome_crosses_the_pipe(self, tmp_path, monkeypatch):
         import pickle
