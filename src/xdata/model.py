@@ -67,12 +67,16 @@ it there; :func:`one_blas_thread`). Pass t draws from stream t % 2: the even
 half from the caller's generator, the odd half from
 ``Generator(rng.bit_generator.jumped())``, made when the call starts (a call of
 one pass reads the caller's alone). Worker w takes the row blocks
-(:func:`_blocks`, at most 4096 rows) in order. Per block it computes the first
-trunk layer's activation once (dropout never touches the inputs), scaled once
-when the passes draw masks, as (h * scale) * keep equals (h * keep) * scale for
-keep in {0, 1}, signed zeros included; then for t = w, w + workers, ... it
-draws the block's masks from stream t % 2 and runs pass t over the block, in
-buffers of its own sized to the largest block. So each stream is read block by
+(:func:`_blocks`) in order. A block is at most 4096 rows, and at most as many
+as fit ``_BLOCK_BYTES`` at the bytes a worker allocates per row
+(:func:`_row_bytes`), so a worker's buffers are bounded in bytes, not rows,
+however wide the net (one row where a single row exceeds the budget). Per
+block it computes the first trunk layer's activation once (dropout never
+touches the inputs), scaled once when the passes draw masks, as
+(h * scale) * keep equals (h * keep) * scale for keep in {0, 1}, signed
+zeros included; then for t = w, w + workers, ... it draws the block's masks
+from stream t % 2 and runs pass t over the block, in buffers of its own sized
+to the largest block. So each stream is read block by
 block and in pass order within a block, however many workers run, and no worker
 waits for the other. Pass t adds into the block's rows of half t % 2 of the
 running moments: per half, a classification task has a (B, K) sum, its first
@@ -573,12 +577,31 @@ def _mc_workers() -> int:
 
 
 _BLOCK = 4096  # most rows of a pass computed at once
+# most bytes of an MC worker's buffers for one row block (:func:`_row_bytes`
+# a row): 2048 rows of a 64-unit trunk with three 16-unit heads (1568 B a row),
+# which run no slower than 4096 (fewer rows do), while a 32-unit trunk with
+# linear heads (592 B a row) keeps _BLOCK's 4096
+_BLOCK_BYTES = 3_211_264
 
 
-def _blocks(rows: int) -> list[tuple[int, int]]:
-    """`rows` split into ceil(rows / _BLOCK) contiguous (start, stop) blocks of
+def _row_bytes(net: MtShlNetwork) -> int:
+    """Bytes an MC worker allocates per row of a block: the first trunk
+    activation, every hidden layer's buffer and the logits, all float64, and
+    the bool keep word of each hidden unit."""
+    first = net.trunk[0][0].shape[1] if net.trunk else 0
+    return 8 * (first + net.units + net.groups[-1][1].stop) + net.units
+
+
+def _block_rows(net: MtShlNetwork) -> int:
+    """Most rows of an MC row block of `net`: as many as _BLOCK_BYTES holds,
+    at least one and at most _BLOCK."""
+    return max(1, min(_BLOCK, _BLOCK_BYTES // _row_bytes(net)))
+
+
+def _blocks(rows: int, size: int) -> list[tuple[int, int]]:
+    """`rows` split into ceil(rows / size) contiguous (start, stop) blocks of
     near-equal size, so that no block is a single row unless `rows` is."""
-    n = -(-rows // _BLOCK)
+    n = -(-rows // size)
     return [(rows * i // n, rows * (i + 1) // n) for i in range(n)]
 
 
@@ -606,7 +629,9 @@ def _predict_passes(net: MtShlNetwork, x: np.ndarray, rng: Optional[np.random.Ge
     :func:`_welford`. :func:`mc_predict` merges the halves.
 
     Dropout-free when `rng` is None or p = 0, else per row block of
-    :func:`_blocks` and per pass t, in that order, pass t makes the draw of
+    :func:`_blocks` (at most :func:`_block_rows` rows, so that a worker's
+    buffers hold at most ``_BLOCK_BYTES`` unless a block is one row) and per
+    pass t, in that order, pass t makes the draw of
     :func:`sample_dropout_masks` for the block's rows from stream t % 2
     (module docstring). Computes what :func:`_forward` does over a block
     (a @ W, then + b), to the bit. Worker w of the :func:`_mc_workers` workers
@@ -622,7 +647,7 @@ def _predict_passes(net: MtShlNetwork, x: np.ndarray, rng: Optional[np.random.Ge
     drawn = rng is not None and p > 0.0
     masked = bool(net.trunk) and drawn
     hi, lo = _threshold(p)
-    blocks = _blocks(rows)
+    blocks = _blocks(rows, _block_rows(net))
     size = max((b - a for a, b in blocks), default=0)
     widths, logits = [b - a for a, b in net.spans], net.groups[-1][1].stop
     # a classification sum column-major, in the layout of the logits, so that
@@ -931,8 +956,10 @@ def mc_predict(net: MtShlNetwork, x: np.ndarray,
     """Monte-Carlo dropout prediction with per-row confidences.
 
     Runs config.mc_passes stochastic forward passes over each row block
-    (:func:`_predict_passes`), so `rng` ends n_blocks * ceil(T/2) draws on: the
-    even passes draw from it, the odd ones from a jump of it made on entry.
+    (:func:`_predict_passes`), so `rng` ends n_blocks * ceil(T/2) draws on,
+    n_blocks = ceil(rows / :func:`_block_rows`) (which depends on the net's
+    widths): the even passes draw from it, the odd ones from a jump of it made
+    on entry.
     With `rng` None or dropout 0 it runs one dropout-free pass instead, and the
     confidences come from that point distribution. Classification: mean output
     distribution, decoded as its argmax (an exact tie to the lower class),
@@ -969,7 +996,7 @@ def mc_predict(net: MtShlNetwork, x: np.ndarray,
             mean /= passes
             # by row block, as both copy or derive (B, K) temporaries
             decoded, confidence = np.empty(len(mean), dtype=np.intp), np.empty(len(mean))
-            for r0, r1 in _blocks(len(mean)):
+            for r0, r1 in _blocks(len(mean), _BLOCK):
                 np.argmax(mean[r0:r1], axis=1, out=decoded[r0:r1])
                 confidence[r0:r1] = -shannon_entropy(mean[r0:r1])
             results.append(TaskPredictionBatch(decoded, confidence))

@@ -7,6 +7,7 @@ import time
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -782,11 +783,12 @@ def halves_mean_and_variance(stack):
 
 
 def stacked_mc_predict(net, x, rng=None):
-    """Reference for mc_predict: per row block of ``model._blocks`` in order,
-    and per pass t in order, the block's rows through the training forward
-    :func:`_forward` under the masks of one :func:`raw_draw` of the block's
-    units, from `rng` for an even t and from a jump of it, made before `rng`
-    draws, for an odd t. Each pass's blocks are concatenated, then
+    """Reference for mc_predict: per row block of ``model._blocks`` in order
+    (at most ``model._block_rows(net)`` rows), and per pass t in order, the
+    block's rows through the training forward :func:`_forward` under the
+    masks of one :func:`raw_draw` of the block's units, from `rng` for an
+    even t and from a jump of it, made before `rng` draws, for an odd t.
+    Each pass's blocks are concatenated, then
     ``np.stack``-ed per task and each stack reduced by :func:`halves_mean`
     or, for a regression task, :func:`halves_mean_and_variance`."""
     widths, x = hidden_widths(net), np.atleast_2d(np.asarray(x, dtype=float))
@@ -795,7 +797,8 @@ def stacked_mc_predict(net, x, rng=None):
         passes = net.config.mc_passes
         streams = [rng, np.random.Generator(rng.bit_generator.jumped())]
     outputs = [[[] for _ in net.tasks] for _ in range(passes)]  # per pass and task, its blocks
-    for r0, r1 in model._blocks(len(x)) or [(0, 0)]:  # zero rows: one empty block, no words
+    blocks = model._blocks(len(x), model._block_rows(net))
+    for r0, r1 in blocks or [(0, 0)]:  # zero rows: one empty block, no words
         for t in range(passes):
             masks = None
             if streams is not None:
@@ -813,6 +816,68 @@ def stacked_mc_predict(net, x, rng=None):
             mean = halves_mean(stack)
             results.append((mean.argmax(axis=1), -shannon_entropy(mean)))
     return results
+
+
+# the tasks of the perfbench workloads
+BENCH_TASKS = [
+    TaskSchema("quadrant", "multiclass", ("q1", "q2", "q3", "q4")),
+    TaskSchema("coord_a", "regression"),
+    TaskSchema("coord_v", "regression"),
+]
+
+
+def worker_row_bytes(shared, heads, tasks):
+    """Reference for the bytes an MC worker's buffers take per block row, from
+    the layer sizes: the first trunk layer's activation, every hidden layer's
+    output and the logits, float64, and a bool keep word per hidden unit."""
+    hidden = sum(shared) + sum(sum(heads.get(t.name, ())) for t in tasks)
+    logits = sum(t.num_classes or 1 for t in tasks)
+    return 8 * (shared[0] if shared else 0) + 8 * (hidden + logits) + hidden
+
+
+class TestBlockRows:
+    """An MC row block holds as many rows as fit the per-worker byte budget
+    ``model._BLOCK_BYTES``, at least one and at most ``model._BLOCK``."""
+
+    def test_a_narrow_net_keeps_the_row_cap(self):
+        # cdlc-train's and ingest-wide's net: a 32-unit tanh trunk, linear heads
+        net = init_network(NetworkConfig(shared_layers=(32,), activation="tanh"), 5,
+                           BENCH_TASKS)
+        assert model._row_bytes(net) == 8 * (32 + 32 + 6) + 32 == 592
+        assert model._block_rows(net) == model._BLOCK == 4096
+
+    def test_a_wide_net_gets_the_budgets_rows(self):
+        # cdlc-mc-heads' net: a 64-unit relu trunk, a 16-unit hidden layer a head
+        heads = {t.name: (16,) for t in BENCH_TASKS}
+        net = init_network(NetworkConfig(shared_layers=(64,), head_layers=heads,
+                                         activation="relu"), 5, BENCH_TASKS)
+        assert model._row_bytes(net) == 8 * (64 + 112 + 6) + 112 == 1568
+        assert model._block_rows(net) == model._BLOCK_BYTES // 1568 == 2048
+
+    @settings(max_examples=60, deadline=None)
+    @given(shared=st.lists(st.integers(1, 300), max_size=3),
+           tasks=st.lists(st.tuples(st.sampled_from([0, 2, 3, 10]),  # 0: regression
+                                    st.lists(st.integers(1, 64), max_size=2)),
+                          min_size=1, max_size=4),
+           budget=st.one_of(st.just(model._BLOCK_BYTES), st.integers(1, 2**23)),
+           rows=st.integers(0, 20000))
+    def test_block_buffers_fit_the_budget(self, shared, tasks, budget, rows):
+        schemas = [TaskSchema(f"t{m}", "multiclass", tuple(map(str, range(k)))) if k
+                   else TaskSchema(f"t{m}", "regression") for m, (k, _) in enumerate(tasks)]
+        heads = {f"t{m}": tuple(h) for m, (_, h) in enumerate(tasks) if h}
+        net = init_network(NetworkConfig(shared_layers=tuple(shared), head_layers=heads),
+                           5, schemas)
+        per_row = worker_row_bytes(shared, heads, schemas)
+        with mock.patch.object(model, "_BLOCK_BYTES", budget):
+            size = model._block_rows(net)
+        assert model._row_bytes(net) == per_row
+        assert 1 <= size <= model._BLOCK
+        assert size == 1 or size * per_row <= budget
+        assert size == model._BLOCK or (size + 1) * per_row > budget  # the most that fit
+        blocks = model._blocks(rows, size)
+        assert len(blocks) == -(-rows // size)
+        assert all(0 < b - a <= size for a, b in blocks)
+        assert [r for a, b in blocks for r in range(a, b)] == list(range(rows))
 
 
 # with a K = 10 multiclass task: from K = 8 on numpy sums a C-order row
@@ -1006,18 +1071,22 @@ class TestTwoWorkers:
     @pytest.mark.parametrize("shared,heads", NET_SHAPES)
     def test_row_blocks_draw_in_block_then_pass_order(self, monkeypatch, shared, heads, workers,
                                                       rows):
-        monkeypatch.setattr(model, "_BLOCK", 7)
         monkeypatch.setattr(model, "_mc_workers", lambda: workers)
         net = micro_net(seed=76, shared=shared, heads=heads, dropout=0.3, mc_passes=5,
                         tasks=WIDE_TASKS)
         x = np.random.default_rng(77).normal(size=(rows, 5))
-        rng, ref_rng = np.random.default_rng(78), np.random.default_rng(78)
-        for pred, (decoded, confidence) in zip(mc_predict(net, x, rng),
-                                               stacked_mc_predict(net, x, ref_rng)):
-            assert pred.decoded.tobytes() == decoded.tobytes()
-            assert pred.confidence.tobytes() == confidence.tobytes()
-        # the caller's generator ends n_blocks * ceil(T/2) draws on
-        assert rng.random() == ref_rng.random()
+        # 7 rows set by the row cap, then by the byte budget under a cap of 4096
+        for cap, budget in ((7, model._BLOCK_BYTES), (4096, 8 * model._row_bytes(net) - 1)):
+            monkeypatch.setattr(model, "_BLOCK", cap)
+            monkeypatch.setattr(model, "_BLOCK_BYTES", budget)
+            assert model._block_rows(net) == 7
+            rng, ref_rng = np.random.default_rng(78), np.random.default_rng(78)
+            for pred, (decoded, confidence) in zip(mc_predict(net, x, rng),
+                                                   stacked_mc_predict(net, x, ref_rng)):
+                assert pred.decoded.tobytes() == decoded.tobytes()
+                assert pred.confidence.tobytes() == confidence.tobytes()
+            # the caller's generator ends n_blocks * ceil(T/2) draws on
+            assert rng.random() == ref_rng.random()
 
     def test_draws_in_small_pieces_equal_the_one_call_reference(self, monkeypatch):
         # 80 units a row: each pass's draw is 1500 random_raw calls of 8 words
@@ -1247,7 +1316,8 @@ class TestRegressionMoments:
 
 class TestPeakMemory:
     """An MC call holds no array over all of its rows but the two halves'
-    moments and its results: the rest is sized to one row block."""
+    moments and its results: the rest is sized to one row block, whose
+    buffers take at most ``model._BLOCK_BYTES`` a worker."""
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_mc_predict_peak_per_added_row_is_the_moments(self, monkeypatch, workers):
@@ -1270,3 +1340,28 @@ class TestPeakMemory:
                 tracemalloc.stop()
         per_row = (peaks[1] - peaks[0]) / (3 * model._BLOCK)
         assert per_row <= moments + slack, (per_row, moments, slack)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_mc_predict_peak_of_a_wide_net_is_the_byte_budget(self, monkeypatch, workers):
+        monkeypatch.setattr(model, "_mc_workers", lambda: workers)
+        # 3096 B a row: 4096-row blocks would take 12.7 MB a worker
+        net = micro_net(seed=82, shared=(128,), heads={t.name: (32,) for t in THREE_TASKS},
+                        dropout=0.3, mc_passes=4)
+        assert model._BLOCK * model._row_bytes(net) > 3 * model._BLOCK_BYTES
+        rows = 2 * model._BLOCK
+        x = np.random.default_rng(83).normal(size=(rows, 5))  # allocated before the trace
+        # per half, a (K,) sum or a regression task's mean and m2; a
+        # classification task's decoded class and confidence
+        moments = 2 * 8 * rows * sum(t.num_classes or 2 for t in net.tasks)
+        results = 16 * rows * sum(t.kind != "regression" for t in net.tasks)
+        # per worker, the draw's piece of random words and the passes'
+        # temporaries over a block (softmax's row max and sum, Welford's deltas)
+        slack = workers * (8 * model._PIECE + 64 * 1024)
+        tracemalloc.start()
+        try:
+            mc_predict(net, x, np.random.default_rng(84))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = peak - moments - results
+        assert held <= workers * model._BLOCK_BYTES + slack, (held, workers, slack)
