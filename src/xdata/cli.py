@@ -28,12 +28,12 @@ from pathlib import Path
 from typing import Any, NamedTuple, Optional, Union, get_args, get_origin, get_type_hints
 
 from .arff import ArffError, format_header, format_rows, parse_arff
-from .dataset import (REGRESSION, DatasetError, MultiTargetDataset, assemble,
-                      assemble_eval, drop_labels, to_relation)
+from .dataset import (REGRESSION, DatasetError, assemble, assemble_eval, drop_labels,
+                      to_relation)
 from .metrics import MetricReport, pseudo_label_accuracy
 from .model import one_blas_thread, usable_cpus
-from .trainer import (CdlcConfig, CdlcResult, run_cdlc, write_assignments_csv,
-                      write_iterations_csv)
+from .trainer import (CdlcConfig, CdlcResult, check_task_keys, run_cdlc,
+                      write_assignments_csv, write_iterations_csv)
 
 
 class ConfigError(ValueError):
@@ -402,15 +402,6 @@ def _write_arff_file(path: Path, relation) -> None:
         part.unlink(missing_ok=True)
 
 
-def _check_task_keys(config: RunConfig, ds: MultiTargetDataset) -> None:
-    """Every task named in a per-task key must be an assembled task."""
-    names = {t.name for t in ds.tasks}
-    for k in _keys(config):
-        for task in sorted(k.value) if k.per_task else ():
-            if task not in names:
-                raise ConfigError(f"unknown task {task!r} in key '{k.key}.{task}'")
-
-
 def _write_scatter(out_dir: Path, metrics: MetricReport, tasks) -> None:
     """One true-vs-predicted CSV per task with defined test cells."""
     for task in tasks:
@@ -489,7 +480,10 @@ def run(config: RunConfig, quiet: bool = False) -> None:
     if not ds.defined.any():
         raise DatasetError("no input file defines a label: "
                            + ", ".join(path for path, _ in config.datasets))
-    _check_task_keys(config, ds)
+    try:
+        check_task_keys(config.cdlc, ds.tasks)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if config.test_file is not None:
         for t in ds.tasks:
             if "/" in t.name or "\0" in t.name or len(os.fsencode(f"scatter_{t.name}.csv")) > 255:

@@ -196,6 +196,9 @@ def assemble(
         feat_attrs, target_attrs = attrs[:split_at], attrs[split_at:]
         names = [a.name for a in feat_attrs]
         if feature_names is None:
+            if not names:  # later files must match this one
+                raise DatasetError(f"file {d}: no feature attribute: the network needs "
+                                   "at least one input")
             feature_names = names
         elif names != feature_names:
             raise DatasetError(

@@ -87,9 +87,9 @@ their timing, and no array of a call spans all of its rows but the halves'
 moments and the results. Training and prediction both write the (B, sum K)
 logits column-major, so that a task's softmax reduces over contiguous columns
 and both sum a row in the same order. Apart from that reordered mask, a pass's
-float operations are those of :func:`_forward` over its block, so its outputs
-are byte-identical to per-block training outputs, which the tests stack and
-reduce as two halves (their reference).
+float operations are those of the training forward over its block with each
+layer computed as a @ W then + b, so its outputs are byte-identical to that
+form's, which the tests stack and reduce as two halves (their reference).
 
 All computation is float64 numpy, the output activations included (the
 max-shifted softmax and log-softmax below); training is plain minibatch SGD
@@ -102,20 +102,19 @@ rows. Each hidden layer writes its masked output into an array that also ends
 in a ones column, so a training step computes every layer, forward and
 backward, as one GEMM over the layer's [W; b]: z = [a, 1] @ [W; b], and
 [a, 1].T @ d into the gradient's [gW; gb] view, whose ones row, the bias
-gradient, sums d's rows in order as a row sum did. Prediction, and the
-training forward without a ones column (:func:`_forward`, the tests'
-reference for it), compute a @ W then + b: a prediction pass would have to
-write each masked layer into a strided ones-column array, which costs more
-than the bias add. The two forms agree to the bit on the layer shapes of the
-perfbench workloads at up to 64 rows, not on every shape (an output width of
-1 or 4 often differs in the last bit). A :func:`train` call allocates each
-step's arrays (:class:`_Buffers`, for the full batch and for a ragged last
-one) and binds each step's views (its rows of the gather, its units of the
-draw, its buffers, every layer's [W; b], W.T and [gW; gb]) once, so a step
-allocates nothing; its backward pass stops at the first trunk layer's
-gradient. Without momentum the update is params -= lr * grad, with no
-velocity, and the structural zeros' gradient is zeroed only in a layout that
-has them.
+gradient, sums d's rows in order as a row sum did; :func:`mt_loss` runs the
+same forward. Prediction computes a @ W then + b (:func:`_dense`): a
+prediction pass would have to write each masked layer into a strided
+ones-column array, which costs more than the bias add. The two forms agree to
+the bit on the layer shapes of the perfbench workloads at up to 64 rows, not
+on every shape (an output width of 1 or 4 often differs in the last bit). A
+:func:`train` call allocates each step's arrays (:class:`_Buffers`, for the
+full batch and for a ragged last one) and binds each step's views (its rows of
+the gather, its units of the draw, its buffers, every layer's [W; b], W.T and
+[gW; gb]) once, so a step allocates nothing; its backward pass stops at the
+first trunk layer's gradient. Without momentum the update is
+params -= lr * grad, with no velocity, and the structural zeros' gradient is
+zeroed only in a layout that has them.
 """
 
 from __future__ import annotations
@@ -318,15 +317,11 @@ def _act(z: np.ndarray, kind: str) -> np.ndarray:
     return np.tanh(z, out=z) if kind == "tanh" else np.maximum(z, 0.0, out=z)
 
 
-def _dense(a: np.ndarray, op, out: np.ndarray) -> np.ndarray:
-    """out = a @ W + b, in place: a @ W then + b for the pair `op` = (W, b),
-    one GEMM [a, 1] @ [W; b] for `op` = [W; b] (``a`` then ends in a ones
-    column)."""
-    if type(op) is tuple:
-        np.matmul(a, op[0], out=out)
-        out += op[1]
-        return out
-    return np.matmul(a, op, out=out)
+def _dense(a: np.ndarray, layer: Layer, out: np.ndarray) -> np.ndarray:
+    """out = a @ W + b for the `layer` (W, b), in place: a @ W then + b."""
+    np.matmul(a, layer[0], out=out)
+    out += layer[1]
+    return out
 
 
 def _drop(h: np.ndarray, keep: Optional[np.ndarray], scale: float, out=None) -> np.ndarray:
@@ -380,21 +375,14 @@ def _layer_masks(keep: np.ndarray, rows: int, spans) -> list[np.ndarray]:
 
 def sample_dropout_masks(net: MtShlNetwork, batch: int,
                          rng: np.random.Generator) -> Optional[list[np.ndarray]]:
-    """The bool keep masks of one dropout draw for a batch, one (batch, W) per
-    hidden layer (trunk layers, then each group's), or None if p = 0."""
-    if net.config.dropout == 0.0:
+    """The masks of one dropout draw for a batch in the training form
+    keep * scale, scale = 1/(1-p), one (batch, W) float array per hidden layer
+    (trunk layers, then each group's), or None if p = 0."""
+    p = net.config.dropout
+    if p == 0.0:
         return None
-    keep = _draw(rng, batch * net.units, *_threshold(net.config.dropout))
-    return _layer_masks(keep, batch, net.spans)
-
-
-def _scaled(net: MtShlNetwork, masks: Optional[list]) -> Optional[list]:
-    """`masks` in the training form keep * scale, scale = 1/(1-p): bool masks
-    are converted, float ones are taken to be in that form already."""
-    if not masks or masks[0].dtype != bool:
-        return masks
-    scale = 1.0 / (1.0 - net.config.dropout)
-    return [np.multiply(keep, scale) for keep in masks]
+    keep = _draw(rng, batch * net.units, *_threshold(p))
+    return _layer_masks(keep * (1.0 / (1.0 - p)), batch, net.spans)
 
 
 def _with_ones(rows: int, width: int) -> np.ndarray:
@@ -417,10 +405,9 @@ class _Buffers:
     (row-major); `z_tasks`, each task with its view of the logits; `top`, a
     later group's share of the trunk output's gradient. `grad` is where the
     gradient goes (a fresh one if None). `stacks`, per stack of layers (the
-    trunk, then each group): its layers as (W, b) pairs, as [W; b] views,
-    their W.T and their [gW; gb] views of `grad`; `groups`, per group, its
-    logits' and their gradient's views and the index of its first hidden
-    layer."""
+    trunk, then each group): its layers' [W; b] views, their W.T and their
+    [gW; gb] views of `grad`; `groups`, per group, its logits' and their
+    gradient's views and the index of its first hidden layer."""
 
     def __init__(self, net: MtShlNetwork, rows: int, grad: Optional[MtShlNetwork] = None):
         widths = [b - a for a, b in net.spans]
@@ -439,41 +426,45 @@ class _Buffers:
                     if net.trunk and len(net.groups) > 1 else None)
         self.grad = net.like(np.zeros_like(net.params)) if grad is None else grad
         wbs, grads = iter(net.stacked), iter(self.grad.stacked)
-        self.stacks = [(layers, [next(wbs) for _ in layers], [w.T for w, _ in layers],
+        self.stacks = [([next(wbs) for _ in layers], [w.T for w, _ in layers],
                         [next(grads) for _ in layers])
                        for layers in (net.trunk, *(layers for layers, _ in net.groups))]
         firsts = accumulate((len(layers) - 1 for layers, _ in net.groups), initial=len(net.trunk))
         self.groups = [(self.z[:, cs], self.dz[:, cs], j) for (_, cs), j in zip(net.groups, firsts)]
 
 
-def _hidden_forward(ops, a: np.ndarray, j: int, masks, buf: _Buffers, akind: str, read):
-    """Pass `a` through hidden layers j, j+1, ... (their operands `ops`,
-    :func:`_dense`) into `buf`, each masked by its mask if `masks` is not
-    None; returns the last output as the next layer reads it, ``read[j]``."""
-    for op in ops:
-        h = _act(_dense(a, op, buf.a[j] if masks is None else buf.h[j]), akind)
+def _hidden_forward(wbs, a1: np.ndarray, j: int, masks, buf: _Buffers, akind: str):
+    """Pass `a1` (ending in a ones column) through hidden layers j, j+1, ...
+    (their [W; b] `wbs`) into `buf`, each masked by its mask if `masks` is not
+    None; returns the last output with its ones column, ``buf.a1``."""
+    for wb in wbs:
+        h = _act(np.matmul(a1, wb, out=buf.a[j] if masks is None else buf.h[j]), akind)
         if masks is not None:
             np.multiply(h, masks[j], out=buf.a[j])
-        a = read[j]
+        a1 = buf.a1[j]
         j += 1
-    return a
+    return a1
 
 
-def _forward(net: MtShlNetwork, x: np.ndarray, masks: Optional[list],
-             buf: Optional[_Buffers] = None, ones: bool = False):
-    """The training forward of the batch `x` into `buf` (fresh buffers if None)
-    under `masks` (bool or pre-scaled, :func:`_scaled`): (buf, z), z the
-    (B, sum K) logits, ``buf.z``. Each layer is a @ W then + b, as prediction
-    computes it, or, with `ones` (`x` then ends in a ones column), one GEMM
-    [a, 1] @ [W; b]."""
-    akind, masks = net.config.activation, _scaled(net, masks)
-    buf = _Buffers(net, len(x)) if buf is None else buf
-    k, read = (1, buf.a1) if ones else (0, buf.a)
-    top = _hidden_forward(buf.stacks[0][k], x, 0, masks, buf, akind, read)
-    for stack, (z, _, j) in zip(buf.stacks[1:], buf.groups):
-        ops = stack[k]
-        _dense(_hidden_forward(ops[:-1], top, j, masks, buf, akind, read), ops[-1], z)
-    return buf, buf.z
+def _forward(net: MtShlNetwork, x1: np.ndarray, masks: Optional[list],
+             buf: _Buffers) -> np.ndarray:
+    """The training forward of the batch `x1` (ending in a ones column) into
+    `buf` under the training-form `masks` (keep * scale, or None): each layer
+    one GEMM [a, 1] @ [W; b]. Returns the (B, sum K) logits, ``buf.z``."""
+    akind = net.config.activation
+    top = _hidden_forward(buf.stacks[0][0], x1, 0, masks, buf, akind)
+    for (wbs, _, _), (z, _, j) in zip(buf.stacks[1:], buf.groups):
+        np.matmul(_hidden_forward(wbs[:-1], top, j, masks, buf, akind), wbs[-1], out=z)
+    return buf.z
+
+
+def _step_batch(net: MtShlNetwork, x, grad: Optional[MtShlNetwork] = None):
+    """(x1, buf): the batch `x` copied into an array with a ones column, and
+    fresh :class:`_Buffers` for its rows writing the gradient into `grad`."""
+    x = np.asarray(x, dtype=float)
+    x1 = _with_ones(*x.shape)
+    x1[:, :-1] = x
+    return x1, _Buffers(net, len(x), grad)
 
 
 def _logits(net: MtShlNetwork, rows: int) -> np.ndarray:
@@ -633,14 +624,14 @@ def _predict_passes(net: MtShlNetwork, x: np.ndarray, rng: Optional[np.random.Ge
     buffers hold at most ``_BLOCK_BYTES`` unless a block is one row) and per
     pass t, in that order, pass t makes the draw of
     :func:`sample_dropout_masks` for the block's rows from stream t % 2
-    (module docstring). Computes what :func:`_forward` does over a block
-    (a @ W, then + b), to the bit. Worker w of the :func:`_mc_workers` workers
-    (the caller's thread, and for two one more) runs passes w, w + workers,
-    ... of each block. They run under the caller's numpy error state, which a
-    new thread does not inherit; the first exception one raises stops the
-    others at their next pass and is raised here once all have ended. Workers
-    call only private helpers, none that perfbench/traced.py wraps: its span
-    stack is not thread-safe.
+    (module docstring). Computes, to the bit, the training forward over a
+    block with each layer as a @ W then + b. Worker w of the
+    :func:`_mc_workers` workers (the caller's thread, and for two one more)
+    runs passes w, w + workers, ... of each block. They run under the
+    caller's numpy error state, which a new thread does not inherit; the
+    first exception one raises stops the others at their next pass and is
+    raised here once all have ended. Workers call only private helpers, none
+    that perfbench/traced.py wraps: its span stack is not thread-safe.
     """
     p = net.config.dropout
     akind, rows, scale = net.config.activation, x.shape[0], 1.0 / (1.0 - p)
@@ -771,8 +762,10 @@ def _encode_targets(net: MtShlNetwork, y: np.ndarray,
 
 def mt_loss(net: MtShlNetwork, x: np.ndarray, y: np.ndarray, defined: np.ndarray,
             masks: Optional[list] = None) -> float:
-    """Masked multi-task loss: sum over defined cells of the per-task loss."""
-    z = _forward(net, np.asarray(x, dtype=float), masks)[-1]
+    """Masked multi-task loss: sum over defined cells of the per-task loss,
+    through the training forward under the training-form `masks`."""
+    x1, buf = _step_batch(net, x)
+    z = _forward(net, x1, masks, buf)
     total = 0.0
     for m, task in enumerate(net.tasks):
         sel = defined[:, m]
@@ -814,26 +807,20 @@ def loss_and_grads(net: MtShlNetwork, x: np.ndarray, y: np.ndarray,
 
     Written into ``grad.params`` (every entry overwritten) when `grad` is
     given, else into a fresh array; the structural zeros get exactly 0.0.
-    `masks` are bool (:func:`sample_dropout_masks`) or pre-scaled
-    (:func:`_scaled`). `encoded`, the :func:`_encode_targets` of these rows,
-    stands in for `y` and `defined` (which are then not read). `buf`,
-    :class:`_Buffers` of len(x) rows built for `net` and `grad`, holds the
-    step's arrays and views, and `x` then carries a trailing ones column;
-    :func:`train` encodes its labels, builds its buffers and gathers its
-    inputs that way once per call. The loss itself is :func:`mt_loss`; the
-    name stays because the benchmark times the ``model.grad`` stage and
-    ``micro.grad_us`` under it.
+    `masks` are in the training form keep * scale
+    (:func:`sample_dropout_masks`). `encoded`, the :func:`_encode_targets` of
+    these rows, stands in for `y` and `defined` (which are then not read).
+    `buf`, :class:`_Buffers` of len(x) rows built for `net` and the gradient,
+    holds the step's arrays and views, and `x` then carries a trailing ones
+    column, and `grad` is not read; :func:`train` encodes its labels, builds
+    its buffers and gathers its inputs that way once per call. The loss
+    itself is :func:`mt_loss`; the name stays because the benchmark times the
+    ``model.grad`` stage and ``micro.grad_us`` under it.
     """
-    akind, masks = net.config.activation, _scaled(net, masks)
+    akind = net.config.activation
     targets, weights = _encode_targets(net, y, defined) if encoded is None else encoded
-    if buf is None:
-        x = np.asarray(x, dtype=float)
-        x1 = _with_ones(*x.shape)
-        x1[:, :-1] = x
-        buf = _Buffers(net, len(x), grad)
-    else:
-        x1 = x
-    buf, z = _forward(net, x1, masks, buf, ones=True)
+    x1, buf = _step_batch(net, x, grad) if buf is None else (x, buf)
+    z = _forward(net, x1, masks, buf)
     # the logits are activated in place (a regression output is its logit)
     for task, z_task in buf.z_tasks:
         _activate_output(task, z_task)
@@ -841,7 +828,7 @@ def loss_and_grads(net: MtShlNetwork, x: np.ndarray, y: np.ndarray,
     buf.dz *= weights
     n_trunk = len(net.trunk)
     top = buf.a1[n_trunk - 1] if n_trunk else x1
-    for k, ((_, _, wt, grads), (_, d, j)) in enumerate(zip(buf.stacks[1:], buf.groups)):
+    for k, ((_, wt, grads), (_, d, j)) in enumerate(zip(buf.stacks[1:], buf.groups)):
         hidden = len(wt) - 1
         np.matmul((buf.a1[j + hidden - 1] if hidden else top).T, d, out=grads[-1])
         if hidden:
@@ -853,7 +840,7 @@ def loss_and_grads(net: MtShlNetwork, x: np.ndarray, y: np.ndarray,
             else:
                 buf.d[n_trunk - 1] += np.matmul(d, wt[0], out=buf.top)
     if n_trunk:  # stops at the first layer's gradient: x needs none
-        _, _, wt, grads = buf.stacks[0]
+        _, wt, grads = buf.stacks[0]
         _hidden_backward(wt, grads, n_trunk, x1, 0, masks, buf, akind)
     if net.zeros.size:
         buf.grad.params[net.zeros] = 0.0
@@ -921,8 +908,7 @@ def train(net: MtShlNetwork, x: np.ndarray, y: np.ndarray,
                 if step_keep is not None:
                     np.multiply(step_keep, scale, out=buf.mask)
                     masks = buf.masks
-                g = loss_and_grads(out, x1, None, None, masks, grad=grad, encoded=encoded,
-                                   buf=buf)
+                g = loss_and_grads(out, x1, None, None, masks, encoded=encoded, buf=buf)
                 if velocity is not None:
                     velocity *= cfg.momentum
                     g = np.add(velocity, g, out=velocity)

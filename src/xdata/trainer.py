@@ -88,6 +88,18 @@ class CdlcResult:
     final_metrics: Optional[MetricReport] = None
 
 
+def check_task_keys(config: CdlcConfig, tasks) -> None:
+    """Every task named in a per-task key must be one of `tasks`: raises
+    ValueError naming the first key that names another, checking
+    cdlc.min_confidence, then net.head_layers, each in sorted task order."""
+    names = {t.name for t in tasks}
+    for key, values in (("cdlc.min_confidence", config.min_confidence),
+                        ("net.head_layers", config.network.head_layers)):
+        for task in sorted(values):
+            if task not in names:
+                raise ValueError(f"unknown task {task!r} in key '{key}.{task}'")
+
+
 def select_top_k(confidence: np.ndarray, instance: np.ndarray, k: int,
                  min_confidence: Optional[float] = None) -> np.ndarray:
     """Positions of the k highest confidences of one task, ties to the lower
@@ -117,10 +129,12 @@ def run_cdlc(ds: MultiTargetDataset, config: CdlcConfig,
     up to select_per_task pseudo-labels per task, ranked by MC dropout on
     s's MC stream (`model.MC_STREAM`). Terminates when the grid is complete,
     max_iterations is reached, or an iteration assigns nothing.
-    Raises FloatingPointError naming the iteration if training diverges or
-    a candidate's prediction or confidence is non-finite.
+    Raises ValueError if a per-task key names no task of `ds`
+    (:func:`check_task_keys`), and FloatingPointError naming the iteration if
+    training diverges or a candidate's prediction or confidence is non-finite.
     """
     config.validate()
+    check_task_keys(config, ds.tasks)
     if eval_set is not None and [t.name for t in eval_set.tasks] != [t.name for t in ds.tasks]:
         raise ValueError("evaluation set task schemas do not match the dataset")
     if not ds.defined.any():

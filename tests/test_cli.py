@@ -433,6 +433,27 @@ class TestMain:
             "data error: task 'y' needs at least two categories, got 1\n"
         assert not (tmp_path / "out" / "completed.arff").exists()
 
+    # every attribute a target, or a target and the ignored first one
+    @pytest.mark.parametrize("ignore_first", [False, True])
+    def test_input_without_a_feature_attribute_exits_2_before_training(self, tmp_path, capsys,
+                                                                       ignore_first):
+        arff = tmp_path / "bare.arff"
+        name, rows = ("@attribute name string\n", "r1,p\nr2,?\n") if ignore_first else (
+            "", "p\n?\n")
+        arff.write_text(f"@relation bare\n{name}@attribute y {{p,q}}\n@data\n{rows}",
+                        encoding="utf-8")
+        cfg = tmp_path / "c.conf"
+        cfg.write_text(f"dataset.1.file = {arff}\ndataset.1.num_targets = 1\n"
+                       f"output.dir = {tmp_path}/out\n"
+                       f"data.ignore_first_attribute = {str(ignore_first).lower()}\n",
+                       encoding="utf-8")
+        assert main(["--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.endswith("\ndata error: file 1: no feature attribute: the network needs "
+                            "at least one input\n"), err
+        assert "running cross-data label completion" not in err
+        assert not (tmp_path / "out" / "completed.arff").exists()
+
     def test_scatter_truth_is_the_test_files_cells(self, tmp_path):
         out = tmp_path / "out"
         assert main(["--config", str(small_config(tmp_path, out)), "--quiet"]) == 0

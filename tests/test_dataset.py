@@ -49,6 +49,20 @@ class TestAssemble:
         with pytest.raises(DatasetError, match="at least one task"):
             assemble([(rel, 0)])
 
+    @pytest.mark.parametrize("ignore_first", [False, True])
+    def test_no_feature_attribute_is_error_naming_file_1(self, ignore_first):
+        # every attribute a target, or a target and the ignored first one;
+        # file 2's features would not match file 1's either way
+        attrs = [AttributeDecl("y", NOMINAL, ("p", "q"))]
+        if ignore_first:
+            attrs.insert(0, AttributeDecl("name", STRING))
+        rel = relation("A", attrs, [])
+        other, _ = _rel("B", ["f1"], [("y", ("p", "q"))], [])
+        for files in ([(rel, 1)], [(rel, 1), (other, 1)]):
+            with pytest.raises(DatasetError, match="^file 1: no feature attribute: the "
+                                                   "network needs at least one input$"):
+                assemble(files, ignore_first_attribute=ignore_first)
+
     def test_category_set_conflict(self):
         a = _rel("A", ["f1"], [("emotion", ("x", "y", "z"))], [])
         b = _rel("B", ["f1"], [("emotion", ("x", "y", "q"))], [])

@@ -430,10 +430,12 @@ def epoch_masks(rng, net, n):
     """Reference for the dropout masks of one epoch of train on n rows: one
     :func:`raw_draw` of every row's units, the minibatch at rows s..s+b of the
     epoch's order taking the U units of each of its rows, s*U..(s+b)*U, layer
-    by layer. Returns each minibatch's masks and the minibatch of each tie."""
+    by layer, in the training form keep * (1/(1-p)). Returns each minibatch's
+    masks and the minibatch of each tie."""
     widths = hidden_widths(net)
-    units, size = sum(widths), net.config.batch_size
-    kept, ties = raw_draw(rng, n * units, net.config.dropout)
+    units, size, p = sum(widths), net.config.batch_size, net.config.dropout
+    kept, ties = raw_draw(rng, n * units, p)
+    kept = kept * (1.0 / (1.0 - p))
     masks = [layer_major(kept[s * units:(s + b) * units], b, widths)
              for s, b in ((s, min(size, n - s)) for s in range(0, n, size))]
     return masks, (ties // (size * units)).tolist()
@@ -655,7 +657,9 @@ class TestDropoutDraw:
         assert len(masks) == 1  # the heads have no hidden layers
         mask = masks[0]
         n = mask.size  # odd, so the last 64-bit word is half used
-        assert n >= 10**6 and mask.dtype == bool
+        # the training form: keep * scale
+        assert n >= 10**6 and mask.dtype == np.float64
+        assert np.isin(mask, (0.0, 1.0 / (1.0 - p))).all()
         kept = np.count_nonzero(mask)
         assert abs(kept - n * (1 - p)) <= 5 * math.sqrt(n * p * (1 - p))
 
@@ -690,7 +694,8 @@ class TestDropoutDraw:
             assert 0 < np.count_nonzero(kept[ties]) < ties.size
         assert len(masks) == len(widths)
         for mask, ref in zip(masks, layer_major(kept, batch, widths)):
-            assert mask.dtype == bool and np.array_equal(mask, ref)
+            # the training form: keep * scale
+            assert mask.dtype == np.float64 and np.array_equal(mask, ref * (1.0 / (1.0 - p)))
         assert rng.random() == ref_rng.random()  # nothing else was drawn
 
     def test_draw_in_pieces_equals_one_call_with_ties_at_piece_edges(self, monkeypatch):
@@ -732,9 +737,31 @@ class ScriptedBits:
         return self.words[self.at - size:self.at].copy()
 
 
-def training_outputs(net, x, masks):
-    """Activated per-task outputs of the training forward :func:`_forward`."""
-    z = _forward(net, x, masks)[-1]
+def pair_form_outputs(net, x, masks):
+    """Activated per-task outputs of the training forward with each layer
+    computed as a @ W then + b (prediction's form; training's is one GEMM over
+    [W; b]), a hidden layer's activation times its mask under the training-form
+    `masks` (keep * scale; None: none dropped), into (B, sum K) logits written
+    column-major as training and prediction write them."""
+    akind, j = net.config.activation, 0
+
+    def hidden(a, layers):
+        nonlocal j
+        for w, b in layers:
+            h = np.matmul(a, w)
+            h += b
+            a = model._act(h, akind)
+            if masks is not None:
+                a = a * masks[j]
+            j += 1
+        return a
+
+    top = hidden(x, net.trunk)
+    z = np.empty((len(x), net.groups[-1][1].stop), order="F")
+    for layers, cs in net.groups:
+        w, b = layers[-1]
+        np.matmul(hidden(top, layers[:-1]), w, out=z[:, cs])
+        z[:, cs] += b
     return [_activate_output(t, z[:, cs]) for t, cs in zip(net.tasks, net.cols)]
 
 
@@ -785,13 +812,14 @@ def halves_mean_and_variance(stack):
 def stacked_mc_predict(net, x, rng=None):
     """Reference for mc_predict: per row block of ``model._blocks`` in order
     (at most ``model._block_rows(net)`` rows), and per pass t in order, the
-    block's rows through the training forward :func:`_forward` under the
-    masks of one :func:`raw_draw` of the block's units, from `rng` for an
-    even t and from a jump of it, made before `rng` draws, for an odd t.
+    block's rows through :func:`pair_form_outputs` under the masks of one
+    :func:`raw_draw` of the block's units, from `rng` for an even t and from
+    a jump of it, made before `rng` draws, for an odd t.
     Each pass's blocks are concatenated, then
     ``np.stack``-ed per task and each stack reduced by :func:`halves_mean`
     or, for a regression task, :func:`halves_mean_and_variance`."""
     widths, x = hidden_widths(net), np.atleast_2d(np.asarray(x, dtype=float))
+    scale = 1.0 / (1.0 - net.config.dropout)
     passes, streams = 1, None
     if rng is not None and net.config.dropout > 0.0:
         passes = net.config.mc_passes
@@ -803,8 +831,8 @@ def stacked_mc_predict(net, x, rng=None):
             masks = None
             if streams is not None:
                 kept, _ = raw_draw(streams[t % 2], (r1 - r0) * sum(widths), net.config.dropout)
-                masks = layer_major(kept, r1 - r0, widths)
-            for blocks, y in zip(outputs[t], training_outputs(net, x[r0:r1], masks)):
+                masks = layer_major(kept * scale, r1 - r0, widths)
+            for blocks, y in zip(outputs[t], pair_form_outputs(net, x[r0:r1], masks)):
                 blocks.append(y)
     results = []
     for m, task in enumerate(net.tasks):
@@ -917,12 +945,11 @@ class TestForwardReference:
         for _, b in (*net.trunk, *(layer for head in net.heads for layer in head)):
             b[...] = rng.normal(size=b.shape)  # init_network's biases are all zero
         x = rng.normal(size=(70, 5))
-        z = _forward(net, x, None)[-1]
         # the training step's form: x with a ones column, one GEMM a layer
-        z1 = _forward(net, np.hstack([x, np.ones((len(x), 1))]), None, ones=True)[-1]
+        x1, buf = model._step_batch(net, x)
+        z1 = _forward(net, x1, None, buf)
         for cs, out, (ref_z, ref_out) in zip(net.cols, forward(net, x),
                                              reference_outputs(net, x)):
-            np.testing.assert_allclose(z[:, cs], ref_z, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(z1[:, cs], ref_z, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(out, ref_out, rtol=1e-12, atol=1e-12)
 
@@ -955,7 +982,7 @@ class TestPredictionPath:
         x = np.random.default_rng(44).normal(size=(50, 5))
         masks = sample_dropout_masks(net, len(x), np.random.default_rng(45))
         for out, ref in zip(forward(net, x, np.random.default_rng(45)),
-                            training_outputs(net, x, masks)):
+                            pair_form_outputs(net, x, masks)):
             assert np.array_equal(out, ref)
 
     @pytest.mark.parametrize("rows", [1, 2])

@@ -277,6 +277,26 @@ class TestRunCdlc:
         with pytest.raises(ValueError):
             run_cdlc(ds, CdlcConfig(network=FAST_NET, select_per_task=10))
 
+    # each key family, then the order: cdlc.min_confidence before
+    # net.head_layers, sorted task names within a key
+    @pytest.mark.parametrize("min_confidence,head_layers,key", [
+        ({"t0": -1.0, "nope": 0.0}, {}, "cdlc.min_confidence.nope"),
+        ({}, {"t1": (3,), "typo": (4,)}, "net.head_layers.typo"),
+        ({"zz": 0.0, "aa": 0.0}, {"bb": (4,)}, "cdlc.min_confidence.aa"),
+    ])
+    def test_per_task_key_naming_no_task_errors_before_training(self, monkeypatch,
+                                                                 min_confidence, head_layers,
+                                                                 key):
+        import xdata.trainer
+        monkeypatch.setattr(xdata.trainer, "train", lambda *args: pytest.fail("trained"))
+        ds = grid_dataset([40, 40], seed=12)
+        cfg = CdlcConfig(network=replace(FAST_NET, head_layers=head_layers),
+                         select_per_task=10, min_confidence=min_confidence)
+        task = key.rsplit(".", 1)[1]
+        with pytest.raises(ValueError) as raised:
+            run_cdlc(ds, cfg)
+        assert str(raised.value) == f"unknown task '{task}' in key '{key}'"
+
     def test_non_finite_confidence_stops_the_run(self, monkeypatch):
         import xdata.trainer
         real = xdata.trainer.mc_predict
