@@ -46,7 +46,7 @@ without a tie), and is kept iff that word is >= lo. So a unit is kept iff its
 2**-33 of 1 - p, independently of every other unit; the clamp stops a p just
 below 1 from wrapping t to 0, which would keep every unit. p = 0 draws
 nothing. Prediction makes one draw per pass and row block, from the
-generator its caller passes. Training makes one draw of the N*U units of an
+block's stream (below). Training makes one draw of the N*U units of an
 epoch's N rows after its shuffle, both from ``default_rng([seed,
 TRAIN_STREAM])``, and the minibatch of rows s..s+B of that order takes the
 units s*U..(s+B)*U as its own draw of B rows.
@@ -61,35 +61,37 @@ variance of the outputs.
 
 Prediction (:func:`forward`, :func:`mc_predict`) runs all passes of one call
 through one function, separate from the training forward, which keeps each
-layer's activation for backprop. Its passes run on one or two worker threads,
-two where a second CPU is usable and BLAS is held at one thread (the CLI holds
-it there; :func:`one_blas_thread`). Pass t draws from stream t % 2: the even
-half from the caller's generator, the odd half from
-``Generator(rng.bit_generator.jumped())``, made when the call starts (a call of
-one pass reads the caller's alone). Worker w takes the row blocks
-(:func:`_blocks`) in order. A block is at most 4096 rows, and at most as many
-as fit ``_BLOCK_BYTES`` at the bytes a worker allocates per row
-(:func:`_row_bytes`), so a worker's buffers are bounded in bytes, not rows,
-however wide the net (one row where a single row exceeds the budget). Per
-block it computes the first trunk layer's activation once (dropout never
-touches the inputs), scaled once when the passes draw masks, as
-(h * scale) * keep equals (h * keep) * scale for keep in {0, 1}, signed
-zeros included; then for t = w, w + workers, ... it draws the block's masks
-from stream t % 2 and runs pass t over the block, in buffers of its own sized
-to the largest block. So each stream is read block by
-block and in pass order within a block, however many workers run, and no worker
-waits for the other. Pass t adds into the block's rows of half t % 2 of the
-running moments: per half, a classification task has a (B, K) sum, its first
-pass copied, and a regression task Welford's running mean and sum of squared
-deviations m2. :func:`mc_predict` merges the two halves in place once the
-workers have ended. So the outputs do not depend on the number of workers or on
-their timing, and no array of a call spans all of its rows but the halves'
-moments and the results. Training and prediction both write the (B, sum K)
+layer's activation for backprop. It splits the call's rows into row blocks
+(:func:`_blocks`): at most 4096 rows, and at most as many as fit
+``_BLOCK_BYTES`` at the bytes a worker allocates per row (:func:`_row_bytes`),
+so a worker's buffers are bounded in bytes, not rows, however wide the net
+(one row where a single row exceeds the budget); for two or more rows the
+block count is rounded up to an even one. Block i of n draws its masks from a
+stream of its own, ``default_rng(SeedSequence(words).spawn(n)[i])``, words
+the caller's generator's next two 64-bit words (``random_raw(2)``), all made
+when the call starts: a block's masks depend on the caller's generator and i
+alone, and every drawing call moves that generator two words on. The blocks run on one
+or two worker threads, two where a second CPU is usable and BLAS is held at
+one thread (the CLI holds it there; :func:`one_blas_thread`); each worker
+takes the next block from a shared counter and runs every pass over it in
+pass order, in buffers of its own sized to the largest block. Per block it
+computes the first trunk layer's activation once (dropout never touches the
+inputs), scaled once when the passes draw masks, as (h * scale) * keep
+equals (h * keep) * scale for keep in {0, 1}, signed zeros included; then per
+pass it draws the block's masks and runs the pass over the block into the
+block's moments: a classification task's (b, K) sum in the worker's buffer,
+its first pass copied, a regression task's Welford running mean and sum of
+squared deviations m2 in the block's rows of its results. After the last pass
+it writes the block's results, then takes the next block. The block count
+does not depend on the number of workers, so the outputs depend neither on
+it nor on which worker runs which block, and no array of a call spans its
+rows but the results. Training and prediction both write the (B, sum K)
 logits column-major, so that a task's softmax reduces over contiguous columns
-and both sum a row in the same order. Apart from that reordered mask, a pass's
+and both sum a row in the same order; a block's entropy terms go into its
+task's logits columns, so they too are summed over K in order. Apart from that reordered mask, a pass's
 float operations are those of the training forward over its block with each
 layer computed as a @ W then + b, so its outputs are byte-identical to that
-form's, which the tests stack and reduce as two halves (their reference).
+form's, which the tests stack and reduce block by block (their reference).
 
 All computation is float64 numpy, the output activations included (the
 max-shifted softmax and log-softmax below); training is plain minibatch SGD
@@ -126,7 +128,7 @@ import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, count
 from typing import Optional
 
 import numpy as np
@@ -362,6 +364,7 @@ def _draw(rng: np.random.Generator, n: int, hi, lo, keep=None) -> np.ndarray:
         if tied.size:
             ties.append(tied + start)
         np.greater(words, hi, out=piece)
+        del words  # freed before the next piece's words are read
     if ties:
         ties = np.concatenate(ties)
         keep[ties] = _words(rng, ties.size) >= lo
@@ -560,27 +563,29 @@ def one_blas_thread():
 
 
 def _mc_workers() -> int:
-    """Threads for the MC passes of one call: 2 when a second CPU is usable and
-    BLAS is observed at one thread, else 1 (a second BLAS thread spins on that
-    CPU between the passes' GEMMs)."""
+    """Threads for the MC row blocks of one call: 2 when a second CPU is
+    usable and BLAS is observed at one thread, else 1 (a second BLAS thread
+    spins on that CPU between the passes' GEMMs)."""
     control = _blas_threads()
     return 2 if usable_cpus() >= 2 and control is not None and control[0]() == 1 else 1
 
 
 _BLOCK = 4096  # most rows of a pass computed at once
 # most bytes of an MC worker's buffers for one row block (:func:`_row_bytes`
-# a row): 2048 rows of a 64-unit trunk with three 16-unit heads (1568 B a row),
-# which run no slower than 4096 (fewer rows do), while a 32-unit trunk with
-# linear heads (592 B a row) keeps _BLOCK's 4096
-_BLOCK_BYTES = 3_211_264
+# a row): 2048 rows of a 64-unit trunk with three 16-unit heads, one a 4-way
+# classifier (1600 B a row), which run no slower than 4096 (fewer rows do),
+# while a 32-unit trunk with linear heads (624 B a row) keeps _BLOCK's 4096
+_BLOCK_BYTES = 3_276_800
 
 
 def _row_bytes(net: MtShlNetwork) -> int:
     """Bytes an MC worker allocates per row of a block: the first trunk
-    activation, every hidden layer's buffer and the logits, all float64, and
-    the bool keep word of each hidden unit."""
+    activation, every hidden layer's buffer, the logits and each
+    classification task's (K,) sum, all float64, and the bool keep word of
+    each hidden unit."""
     first = net.trunk[0][0].shape[1] if net.trunk else 0
-    return 8 * (first + net.units + net.groups[-1][1].stop) + net.units
+    sums = sum(head_output_size(t) for t in net.tasks if t.kind != REGRESSION)
+    return 8 * (first + net.units + net.groups[-1][1].stop + sums) + net.units
 
 
 def _block_rows(net: MtShlNetwork) -> int:
@@ -590,9 +595,12 @@ def _block_rows(net: MtShlNetwork) -> int:
 
 
 def _blocks(rows: int, size: int) -> list[tuple[int, int]]:
-    """`rows` split into ceil(rows / size) contiguous (start, stop) blocks of
-    near-equal size, so that no block is a single row unless `rows` is."""
+    """`rows` split into contiguous (start, stop) blocks of near-equal size,
+    at most `size` rows each: ceil(rows / size) of them, rounded up to an even
+    count for two or more rows, so that two workers get equal shares (one
+    block is empty where `size` is 1 and `rows` odd)."""
     n = -(-rows // size)
+    n += n % 2 if rows > 1 else 0
     return [(rows * i // n, rows * (i + 1) // n) for i in range(n)]
 
 
@@ -611,23 +619,23 @@ def _welford(k: int, y: np.ndarray, mean: np.ndarray, m2: np.ndarray) -> None:
 
 
 def _predict_passes(net: MtShlNetwork, x: np.ndarray, rng: Optional[np.random.Generator],
-                    passes: int) -> list:
-    """Activated outputs of `passes` forward passes of the batch `x`, reduced
-    as two halves: pass t goes into half t % 2 (one half when `passes` is 1).
-    Per half, per task, its running moments over its passes in pass order:
-    (sum,) for a classification task, the (B, K) sum column-major, pass 0 of
-    the half copied; (mean, m2) for a regression task, each (B,), by
-    :func:`_welford`. :func:`mc_predict` merges the halves.
+                    passes: int, decode: bool = True) -> list[tuple]:
+    """Per task, the results of `passes` forward passes of the batch `x`:
+    (decoded, confidence) as :func:`mc_predict` documents, or without
+    `decode` a classification task's (B, K) mean distribution and None.
 
-    Dropout-free when `rng` is None or p = 0, else per row block of
-    :func:`_blocks` (at most :func:`_block_rows` rows, so that a worker's
-    buffers hold at most ``_BLOCK_BYTES`` unless a block is one row) and per
-    pass t, in that order, pass t makes the draw of
-    :func:`sample_dropout_masks` for the block's rows from stream t % 2
-    (module docstring). Computes, to the bit, the training forward over a
-    block with each layer as a @ W then + b. Worker w of the
+    Per row block of :func:`_blocks` (at most :func:`_block_rows` rows, so
+    that a worker's buffers hold at most ``_BLOCK_BYTES`` unless a block is
+    one row) it runs the passes in order; dropout-free when `rng` is None or
+    p = 0, else pass t makes the draw of :func:`sample_dropout_masks` for the
+    block's rows from the block's stream (module docstring). A pass computes,
+    to the bit, the training forward over the block with each layer as
+    a @ W then + b, and adds into the block's moments: a classification
+    task's (b, K) sum, its first pass copied, a regression task's
+    :func:`_welford` mean and m2 in the block's rows of its results. After
+    the last pass the block's results are written. The
     :func:`_mc_workers` workers (the caller's thread, and for two one more)
-    runs passes w, w + workers, ... of each block. They run under the
+    each take the next block from a shared counter. They run under the
     caller's numpy error state, which a new thread does not inherit; the
     first exception one raises stops the others at their next pass and is
     raised here once all have ended. Workers call only private helpers, none
@@ -641,11 +649,16 @@ def _predict_passes(net: MtShlNetwork, x: np.ndarray, rng: Optional[np.random.Ge
     blocks = _blocks(rows, _block_rows(net))
     size = max((b - a for a, b in blocks), default=0)
     widths, logits = [b - a for a, b in net.spans], net.groups[-1][1].stop
-    # a classification sum column-major, in the layout of the logits, so that
-    # the entropy of the mean sums over K in order
-    halves = [[(np.empty(rows), np.empty(rows)) if t.kind == REGRESSION
-               else (np.empty((head_output_size(t), rows)).T,)
-               for t in net.tasks] for _ in range(min(passes, 2))]
+    ks = [0 if t.kind == REGRESSION else head_output_size(t) for t in net.tasks]
+    # a regression task's mean and m2 (which becomes its confidence), a
+    # classification task's decoded class and confidence, or its mean
+    results = [(np.empty(rows), np.empty(rows)) if not k
+               else (np.empty(rows, dtype=np.intp), np.empty(rows)) if decode
+               else (np.empty((rows, k)), None) for k in ks]
+    if drawn:  # block i's stream: child i of a seed of the caller's next two words
+        seed = np.random.SeedSequence(rng.bit_generator.random_raw(2))
+        streams = [np.random.default_rng(child) for child in seed.spawn(len(blocks))]
+    claim, errors, err = count(), [], np.geterr()
 
     def hidden(a, layers, j, masks, bufs):
         for layer in layers:
@@ -653,43 +666,56 @@ def _predict_passes(net: MtShlNetwork, x: np.ndarray, rng: Optional[np.random.Ge
             j += 1
         return a
 
-    def one_pass(t, r0, r1, first, masks, bufs, z) -> None:
-        """Pass t over the rows r0:r1, whose first trunk activation is
-        `first`, into its half's moments, as the half's (t // 2)-th pass."""
+    def one_pass(k, first, masks, bufs, z, sums, out) -> None:
+        """Pass k over a block whose first trunk activation is `first`, into
+        the block's moments."""
         top = np.multiply(first, masks[0], out=bufs[0]) if masked else first
         top = hidden(top, net.trunk[1:], 1, masks, bufs)
         j = len(net.trunk)
         for layers, cs in net.groups:
             _dense(hidden(top, layers[:-1], j, masks, bufs), layers[-1], z[:, cs])
             j += len(layers) - 1
-        k, half = divmod(t, 2)
-        # acc: a classification task's sum, a regression task's mean
-        for task, cs, (acc, *m2) in zip(net.tasks, net.cols, halves[half]):
+        for task, cs, acc, (mean, m2) in zip(net.tasks, net.cols, sums, out):
             y = _activate_output(task, z[:, cs])
-            if m2:
-                _welford(k, y, acc[r0:r1], m2[0][r0:r1])
+            if acc is None:
+                _welford(k, y, mean, m2)
             elif k:
-                acc[r0:r1] += y
+                acc += y
             else:
-                acc[r0:r1] = y
+                np.copyto(acc, y)
 
-    # pass t draws from streams[t % 2]: the even half from `rng`, the odd half
-    # from a jump of it made before any draw, so that the halves share no state
-    streams = [rng, np.random.Generator(rng.bit_generator.jumped())] if drawn else None
-    errors, err = [], np.geterr()
+    def finish(sums, out, z) -> None:
+        """The block's results from its moments after the last pass; a
+        classification task's entropy terms in its columns of the logits."""
+        for acc, cs, (first, confidence) in zip(sums, net.cols, out):
+            if acc is None:  # confidence holds m2: -m2 / (T - 1), -0.0 for T = 1
+                confidence /= -max(passes - 1, 1)
+                continue
+            acc /= passes
+            if confidence is None:
+                np.copyto(first, acc)
+            else:
+                np.argmax(acc, axis=1, out=first)
+                np.negative(shannon_entropy(acc, z[:, cs]), out=confidence)
 
-    def work(w):
-        """Worker w: per row block, its first trunk activation, then passes
-        w, w + workers, ... over it, in buffers sized to the largest block."""
+    def work():
+        """Blocks from the shared counter until none is left, in buffers
+        sized to the largest block: per block its first trunk activation,
+        then every pass over it, then its results."""
         try:
             with np.errstate(**err):  # a new thread starts at numpy's defaults
                 keep = np.empty(size * net.units, dtype=bool) if drawn else None
                 head = np.empty((size, widths[0])) if net.trunk else None
                 flats, zflat = [np.empty((size, n)) for n in widths], np.empty(size * logits)
-                for r0, r1 in blocks:
+                sflats = [np.empty(size * k) for k in ks]
+                while (i := next(claim)) < len(blocks):  # next() of a count is atomic
+                    r0, r1 = blocks[i]
                     b = r1 - r0
                     bufs = [f[:b] for f in flats]  # C-order: a block's rows are contiguous
                     z = zflat[:b * logits].reshape((b, logits), order="F")
+                    sums = [f[:b * k].reshape(b, k) if k else None
+                            for f, k in zip(sflats, ks)]
+                    out = [(a[r0:r1], c if c is None else c[r0:r1]) for a, c in results]
                     # views of `keep`, which each of the block's draws refills
                     masks = _layer_masks(keep, b, net.spans) if drawn else [None] * len(widths)
                     first = x[r0:r1]
@@ -697,25 +723,26 @@ def _predict_passes(net: MtShlNetwork, x: np.ndarray, rng: Optional[np.random.Ge
                         first = _act(_dense(first, net.trunk[0], head[:b]), akind)
                         if masked:
                             first *= scale
-                    for t in range(w, passes, workers):
-                        if errors:  # the other worker failed
+                    for k in range(passes):
+                        if errors:  # another worker failed
                             return
                         if drawn:
-                            _draw(streams[t % 2], b * net.units, hi, lo, keep)
-                        one_pass(t, r0, r1, first, masks, bufs, z)
+                            _draw(streams[i], b * net.units, hi, lo, keep)
+                        one_pass(k, first, masks, bufs, z, sums, out)
+                    finish(sums, out, z)
         except BaseException as exc:  # noqa: BLE001 - raised by the caller
             errors.append(exc)
 
-    workers = min(_mc_workers(), passes)
-    threads = [threading.Thread(target=work, args=(w,), daemon=True) for w in range(1, workers)]
+    threads = [threading.Thread(target=work, daemon=True)
+               for _ in range(1, min(_mc_workers(), len(blocks)))]
     for thread in threads:
         thread.start()
-    work(0)
+    work()
     for thread in threads:
         thread.join()
     if errors:
         raise errors[0]
-    return halves
+    return results
 
 
 def forward(net: MtShlNetwork, x: np.ndarray,
@@ -723,13 +750,13 @@ def forward(net: MtShlNetwork, x: np.ndarray,
     """Activated per-task outputs for a batch.
 
     With `rng` given, hidden units are dropped stochastically (sampled-dropout
-    mode), the one pass making one draw as :func:`mc_predict`'s passes do;
-    without, the pass is deterministic. A classification task yields its
-    (B, K) class distribution, a regression task its raw (B,) output.
+    mode), the one pass making one draw per row block as :func:`mc_predict`'s
+    passes do; without, the pass is deterministic. A classification task
+    yields its (B, K) class distribution, a regression task its raw (B,) output.
     """
     x = _as_rows(net, x)
-    # over one pass, a sum or mean is a copy of its outputs
-    return [moments[0] for moments in _predict_passes(net, x, rng, 1)[0]]
+    # over one pass, a mean is its outputs
+    return [out for out, _ in _predict_passes(net, x, rng, 1, decode=False)]
 
 
 def _cell_losses(task: TaskSchema, z: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -922,10 +949,15 @@ def train(net: MtShlNetwork, x: np.ndarray, y: np.ndarray,
 # prediction and confidence
 
 
-def shannon_entropy(p: np.ndarray) -> np.ndarray:
-    """Entropy along the last axis, with 0 * ln 0 = 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(p > 0, p * np.log(p), 0.0)
+def shannon_entropy(p: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Entropy along the last axis: the sum of the terms ln(p) * p where
+    p > 0, else 0 (so 0 * ln 0 = 0), the terms in `out` (an array of p's
+    shape) if given."""
+    terms = np.empty_like(p) if out is None else out
+    terms.fill(0.0)
+    positive = p > 0
+    np.log(p, out=terms, where=positive)
+    np.multiply(terms, p, out=terms, where=positive)
     return -terms.sum(axis=-1)
 
 
@@ -942,48 +974,16 @@ def mc_predict(net: MtShlNetwork, x: np.ndarray,
     """Monte-Carlo dropout prediction with per-row confidences.
 
     Runs config.mc_passes stochastic forward passes over each row block
-    (:func:`_predict_passes`), so `rng` ends n_blocks * ceil(T/2) draws on,
-    n_blocks = ceil(rows / :func:`_block_rows`) (which depends on the net's
-    widths): the even passes draw from it, the odd ones from a jump of it made
-    on entry.
+    (:func:`_predict_passes`), the block's masks from a stream of its own
+    seeded by the next two 64-bit words of `rng`, which so ends two words on.
     With `rng` None or dropout 0 it runs one dropout-free pass instead, and the
     confidences come from that point distribution. Classification: mean output
-    distribution, decoded as its argmax (an exact tie to the lower class),
-    confidence is the negated Shannon entropy of that mean. Regression: mean
-    output, confidence is the negated unbiased sample variance across passes
-    (0 for a single pass). The halves' moments, n0 = ceil(T/2) even passes
-    and n1 = floor(T/2) odd ones, merge in place: a classification mean is
-    (S0 + S1) / T of their sums; a regression task takes Chan's pairwise
-    update of their Welford moments: with d = mean1 - mean0, the mean is
-    mean0 + d * (n1 / T) and the variance m2 / (T - 1), where
-    m2 = m2_0 + m2_1 + d * d * (n0 * n1 / T), a sum of terms >= 0.
+    distribution, the passes' sum over T, decoded as its argmax (an exact tie
+    to the lower class); confidence is the negated Shannon entropy of that
+    mean. Regression: Welford's running mean over the passes in order;
+    confidence is the negated unbiased sample variance m2 / (T - 1) (0 for a
+    single pass).
     """
     x = _as_rows(net, x)
     passes = 1 if rng is None or net.config.dropout == 0.0 else net.config.mc_passes
-    halves = _predict_passes(net, x, rng, passes)
-    n0, n1 = passes - passes // 2, passes // 2
-    results = []
-    for m, task in enumerate(net.tasks):
-        # the even half's moments of the task, and the odd half's if T > 1
-        (mean, *m2), *odd = (half[m] for half in halves)
-        if task.kind == REGRESSION:
-            var = m2[0]  # the even half's m2, all 0 for a single pass
-            if odd:  # Chan's merge
-                mean1, m2_1 = odd[0]
-                d = np.subtract(mean1, mean, out=mean1)
-                mean += d * (n1 / passes)
-                var += m2_1
-                var += np.multiply(d, d, out=d) * (n0 * n1 / passes)
-                var /= passes - 1
-            results.append(TaskPredictionBatch(mean, np.negative(var, out=var)))
-        else:
-            if odd:
-                mean += odd[0][0]
-            mean /= passes
-            # by row block, as both copy or derive (B, K) temporaries
-            decoded, confidence = np.empty(len(mean), dtype=np.intp), np.empty(len(mean))
-            for r0, r1 in _blocks(len(mean), _BLOCK):
-                np.argmax(mean[r0:r1], axis=1, out=decoded[r0:r1])
-                confidence[r0:r1] = -shannon_entropy(mean[r0:r1])
-            results.append(TaskPredictionBatch(decoded, confidence))
-    return results
+    return [TaskPredictionBatch(*pair) for pair in _predict_passes(net, x, rng, passes)]

@@ -765,85 +765,72 @@ def pair_form_outputs(net, x, masks):
     return [_activate_output(t, z[:, cs]) for t, cs in zip(net.tasks, net.cols)]
 
 
-def halves(stack):
-    """The two halves of a stack of pass outputs, even passes then odd ones:
-    stack[0::2] and stack[1::2], the second empty for one pass."""
-    return [half for half in (stack[0::2], stack[1::2]) if len(half)]
+def passes_mean(stack):
+    """The documented mean of a (T, B, K) stack of pass outputs: the sum of
+    its rows in pass order, the first row copied, over T; column-major, so
+    that its entropy's terms are too, as mc_predict's are in the logits."""
+    total = np.array(stack[0], order="F")
+    for y in stack[1:]:
+        total = total + y
+    return total / len(stack)
 
 
-def halves_mean(stack):
-    """The documented mean of a (T, B) or (T, B, K) stack of pass outputs:
-    (S0 + S1) / T, S_h the sum of half h's rows in pass order, its first row
-    copied; a (B, K) sum column-major, the layout of the logits."""
-    sums = []
-    for half in halves(stack):
-        total = np.array(half[0], order="F")
-        for y in half[1:]:
-            total = total + y
-        sums.append(total)
-    return (sums[0] + sums[1] if len(sums) == 2 else sums[0]) / len(stack)
-
-
-def halves_mean_and_variance(stack):
+def mean_and_variance(stack):
     """The documented regression mean and variance of a (T, B) stack of pass
-    outputs. Per half, Welford's update over its rows in pass order: mean and
-    m2 from (half[0], 0), its k-th row y adding d / (k + 1) to the mean and
-    d * (y - mean) to m2, d = y - the old mean. Then Chan's merge of the
-    halves' (n0, mean0, m2_0) and (n1, mean1, m2_1): d = mean1 - mean0, mean
-    mean0 + d * (n1 / T), variance (m2_0 + m2_1 + d * d * (n0 * n1 / T)) /
-    (T - 1); for T = 1, half 0's (mean, m2 = 0)."""
-    moments = []
-    for half in halves(stack):
-        mean, m2 = half[0].copy(), np.zeros(stack.shape[1])
-        for k in range(1, len(half)):
-            y = half[k]
-            d = y - mean
-            mean = mean + d / (k + 1)
-            m2 = m2 + d * (y - mean)
-        moments.append((len(half), mean, m2))
-    if len(moments) == 1:
-        return moments[0][1:]
-    (n0, mean0, m2_0), (n1, mean1, m2_1) = moments
-    t = n0 + n1
-    d = mean1 - mean0
-    return mean0 + d * (n1 / t), (m2_0 + m2_1 + d * d * (n0 * n1 / t)) / (t - 1)
+    outputs: Welford's update over its rows in pass order, mean and m2 from
+    (stack[0], 0), the k-th row y adding d / (k + 1) to the mean and
+    d * (y - mean) to m2, d = y - the old mean; the variance m2 / (T - 1),
+    or m2 = 0 for T = 1."""
+    mean, m2 = stack[0].copy(), np.zeros(stack.shape[1])
+    for k in range(1, len(stack)):
+        y = stack[k]
+        d = y - mean
+        mean = mean + d / (k + 1)
+        m2 = m2 + d * (y - mean)
+    return mean, m2 / max(len(stack) - 1, 1)
+
+
+def block_streams(rng, n):
+    """The n row blocks' mask streams of one MC call on `rng`, as documented:
+    the children of a SeedSequence of rng's next two 64-bit raw words."""
+    seed = np.random.SeedSequence(rng.bit_generator.random_raw(2))
+    return [np.random.Generator(np.random.PCG64(child)) for child in seed.spawn(n)]
 
 
 def stacked_mc_predict(net, x, rng=None):
-    """Reference for mc_predict: per row block of ``model._blocks`` in order
-    (at most ``model._block_rows(net)`` rows), and per pass t in order, the
-    block's rows through :func:`pair_form_outputs` under the masks of one
-    :func:`raw_draw` of the block's units, from `rng` for an even t and from
-    a jump of it, made before `rng` draws, for an odd t.
-    Each pass's blocks are concatenated, then
-    ``np.stack``-ed per task and each stack reduced by :func:`halves_mean`
-    or, for a regression task, :func:`halves_mean_and_variance`."""
+    """Reference for mc_predict: per row block of ``model._blocks`` (at most
+    ``model._block_rows(net)`` rows) and per pass t in order, the block's rows
+    through :func:`pair_form_outputs` under the masks of one
+    :func:`raw_draw` of the block's units from the block's
+    :func:`block_streams` stream. Per block and task the passes' outputs are
+    ``np.stack``-ed and reduced by :func:`passes_mean` or, for a regression
+    task, :func:`mean_and_variance`; the blocks' results are concatenated."""
     widths, x = hidden_widths(net), np.atleast_2d(np.asarray(x, dtype=float))
     scale = 1.0 / (1.0 - net.config.dropout)
+    blocks = model._blocks(len(x), model._block_rows(net))
     passes, streams = 1, None
     if rng is not None and net.config.dropout > 0.0:
-        passes = net.config.mc_passes
-        streams = [rng, np.random.Generator(rng.bit_generator.jumped())]
-    outputs = [[[] for _ in net.tasks] for _ in range(passes)]  # per pass and task, its blocks
-    blocks = model._blocks(len(x), model._block_rows(net))
-    for r0, r1 in blocks or [(0, 0)]:  # zero rows: one empty block, no words
-        for t in range(passes):
+        passes, streams = net.config.mc_passes, block_streams(rng, len(blocks) or 1)
+    results = [([], []) for _ in net.tasks]  # per task, its blocks' two results
+    for i, (r0, r1) in enumerate(blocks or [(0, 0)]):  # zero rows: one empty block
+        outputs = [[] for _ in net.tasks]  # per task, the block's passes
+        for _ in range(passes):
             masks = None
             if streams is not None:
-                kept, _ = raw_draw(streams[t % 2], (r1 - r0) * sum(widths), net.config.dropout)
+                kept, _ = raw_draw(streams[i], (r1 - r0) * sum(widths), net.config.dropout)
                 masks = layer_major(kept * scale, r1 - r0, widths)
-            for blocks, y in zip(outputs[t], pair_form_outputs(net, x[r0:r1], masks)):
-                blocks.append(y)
-    results = []
-    for m, task in enumerate(net.tasks):
-        stack = np.stack([np.concatenate(blocks[m]) for blocks in outputs])
-        if task.kind == "regression":
-            mean, var = halves_mean_and_variance(stack)
-            results.append((mean, -var))
-        else:
-            mean = halves_mean(stack)
-            results.append((mean.argmax(axis=1), -shannon_entropy(mean)))
-    return results
+            for ys, y in zip(outputs, pair_form_outputs(net, x[r0:r1], masks)):
+                ys.append(y)
+        for task, ys, (decoded, confidence) in zip(net.tasks, outputs, results):
+            if task.kind == "regression":
+                mean, var = mean_and_variance(np.stack(ys))
+                decoded.append(mean)
+                confidence.append(-var)
+            else:
+                mean = passes_mean(np.stack(ys))
+                decoded.append(mean.argmax(axis=1))
+                confidence.append(-shannon_entropy(mean))
+    return [tuple(map(np.concatenate, pair)) for pair in results]
 
 
 # the tasks of the perfbench workloads
@@ -857,10 +844,12 @@ BENCH_TASKS = [
 def worker_row_bytes(shared, heads, tasks):
     """Reference for the bytes an MC worker's buffers take per block row, from
     the layer sizes: the first trunk layer's activation, every hidden layer's
-    output and the logits, float64, and a bool keep word per hidden unit."""
+    output, the logits and each classification task's (K,) sum, float64, and
+    a bool keep word per hidden unit."""
     hidden = sum(shared) + sum(sum(heads.get(t.name, ())) for t in tasks)
     logits = sum(t.num_classes or 1 for t in tasks)
-    return 8 * (shared[0] if shared else 0) + 8 * (hidden + logits) + hidden
+    sums = sum(t.num_classes or 0 for t in tasks)
+    return 8 * (shared[0] if shared else 0) + 8 * (hidden + logits + sums) + hidden
 
 
 class TestBlockRows:
@@ -871,7 +860,7 @@ class TestBlockRows:
         # cdlc-train's and ingest-wide's net: a 32-unit tanh trunk, linear heads
         net = init_network(NetworkConfig(shared_layers=(32,), activation="tanh"), 5,
                            BENCH_TASKS)
-        assert model._row_bytes(net) == 8 * (32 + 32 + 6) + 32 == 592
+        assert model._row_bytes(net) == 8 * (32 + 32 + 6 + 4) + 32 == 624
         assert model._block_rows(net) == model._BLOCK == 4096
 
     def test_a_wide_net_gets_the_budgets_rows(self):
@@ -879,8 +868,8 @@ class TestBlockRows:
         heads = {t.name: (16,) for t in BENCH_TASKS}
         net = init_network(NetworkConfig(shared_layers=(64,), head_layers=heads,
                                          activation="relu"), 5, BENCH_TASKS)
-        assert model._row_bytes(net) == 8 * (64 + 112 + 6) + 112 == 1568
-        assert model._block_rows(net) == model._BLOCK_BYTES // 1568 == 2048
+        assert model._row_bytes(net) == 8 * (64 + 112 + 6 + 4) + 112 == 1600
+        assert model._block_rows(net) == model._BLOCK_BYTES // 1600 == 2048
 
     @settings(max_examples=60, deadline=None)
     @given(shared=st.lists(st.integers(1, 300), max_size=3),
@@ -903,9 +892,51 @@ class TestBlockRows:
         assert size == 1 or size * per_row <= budget
         assert size == model._BLOCK or (size + 1) * per_row > budget  # the most that fit
         blocks = model._blocks(rows, size)
-        assert len(blocks) == -(-rows // size)
-        assert all(0 < b - a <= size for a, b in blocks)
+        assert all(b - a <= size for a, b in blocks)
         assert [r for a, b in blocks for r in range(a, b)] == list(range(rows))
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.integers(0, 50000), size=st.integers(1, 5000))
+    def test_block_count_is_even_and_as_small_as_the_size_allows(self, rows, size):
+        blocks = model._blocks(rows, size)
+        n = -(-rows // size)  # the fewest blocks of at most `size` rows
+        assert len(blocks) == (n + n % 2 if rows > 1 else n)
+        assert rows < 2 or (len(blocks) % 2 == 0 and len(blocks) >= 2)
+        assert [r for a, b in blocks for r in range(a, b)] == list(range(rows))
+        assert all(b - a <= size for a, b in blocks)
+        sizes = [b - a for a, b in blocks]
+        assert not sizes or max(sizes) - min(sizes) <= 1  # near-equal
+        # an empty block only where one row is the most a block holds
+        assert min(sizes, default=1) > 0 or (size == 1 and rows % 2 == 1)
+
+    @settings(max_examples=25, deadline=None)
+    @given(rows=st.integers(0, 40), cap=st.integers(1, 9), passes=st.integers(1, 4))
+    def test_blocks_run_do_not_depend_on_the_workers(self, rows, cap, passes):
+        # the (stream, units) of every draw a call makes, per worker count:
+        # each block's passes draw from one stream, and the blocks and their
+        # streams are the same however many workers run them
+        net = micro_net(seed=85, shared=(6,), heads={"cat": (3,)}, dropout=0.3,
+                        mc_passes=max(passes, 2))
+        x = np.random.default_rng(86).normal(size=(rows, 5))
+        runs, draw = [], model._draw
+        with mock.patch.object(model, "_BLOCK", cap):
+            for workers in (1, 2, 3):
+                drawn = {}
+
+                def recording(rng, n, *args):
+                    drawn.setdefault(id(rng), (rng, []))[1].append(n)
+                    return draw(rng, n, *args)
+
+                with mock.patch.object(model, "_mc_workers", lambda: workers), \
+                        mock.patch.object(model, "_draw", recording):
+                    mc_predict(net, x, np.random.default_rng(87))
+                runs.append(sorted((rng.bit_generator.state["state"]["state"], ns)
+                                   for rng, ns in drawn.values()))
+        blocks = model._blocks(rows, cap)
+        assert len(runs[0]) == len(blocks)
+        assert sorted(ns for _, ns in runs[0]) == sorted(
+            [(b - a) * net.units] * net.config.mc_passes for a, b in blocks)
+        assert runs[0] == runs[1] == runs[2]
 
 
 # with a K = 10 multiclass task: from K = 8 on numpy sums a C-order row
@@ -978,12 +1009,17 @@ class TestPredictionPath:
     @pytest.mark.parametrize("shared,heads", NET_SHAPES)
     def test_forward_equals_training_forward_under_sampled_masks(self, activation, shared,
                                                                 heads):
+        # per row block, the training form's masks from the block's stream
         net = micro_net(seed=43, shared=shared, heads=heads, dropout=0.3, activation=activation)
         x = np.random.default_rng(44).normal(size=(50, 5))
-        masks = sample_dropout_masks(net, len(x), np.random.default_rng(45))
-        for out, ref in zip(forward(net, x, np.random.default_rng(45)),
-                            pair_form_outputs(net, x, masks)):
-            assert np.array_equal(out, ref)
+        blocks = model._blocks(len(x), model._block_rows(net))
+        assert len(blocks) == 2
+        refs = [pair_form_outputs(net, x[r0:r1], sample_dropout_masks(net, r1 - r0, stream))
+                for (r0, r1), stream in zip(blocks, block_streams(np.random.default_rng(45),
+                                                                  len(blocks)))]
+        for m, out in enumerate(forward(net, x, np.random.default_rng(45))):
+            ref = np.concatenate([block[m] for block in refs])
+            assert out.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("rows", [1, 2])
     def test_many_passes_over_few_rows_equal_stacked_reference(self, rows):
@@ -1031,50 +1067,57 @@ class TestPredictionPath:
 
 
 def pass_outputs(net, x, seed, workers, monkeypatch):
-    """The bytes of `_predict_passes` on `workers` workers (each array of each
-    half's moments of each task), and the next uniform of its generator."""
+    """The bytes of `_predict_passes` on `workers` workers (each result array
+    of each task), and the next uniform of its generator."""
     monkeypatch.setattr(model, "_mc_workers", lambda: workers)
     rng = np.random.default_rng(seed)
-    halves = model._predict_passes(net, x, rng, net.config.mc_passes)
-    return [a.tobytes() for half in halves for moments in half for a in moments], rng.random()
+    results = model._predict_passes(net, x, rng, net.config.mc_passes)
+    return [a.tobytes() for pair in results for a in pair], rng.random()
 
 
-def stall_pass(monkeypatch, n):
-    """Make the worker of pass n sleep 0.2 s at its first output activation
-    in that pass, while the other worker runs on. Pass n is found by its
-    stream: it makes the (n // 2)-th draw from stream n % 2, the call's
-    generator for an even n and the jumped one for an odd n. Returns the
-    list of stalls made, which the call fills."""
-    calls, draws, stalled, slept = [], [0, 0], set(), []
+def stall_worker(monkeypatch, caller, blocks):
+    """Make one worker, the caller's thread if `caller`, else the other, stall
+    at its first output activation until the other worker has drawn for the
+    other blocks - 1 of the call's `blocks` blocks, and the other worker wait
+    at its own first one until that stall has begun, so that each holds a
+    block and the other runs on. Returns (slept, streams): the thread that
+    stalled and, per thread, the ids of the generators its draws read, one
+    per block it ran; the call fills both."""
+    slept, streams, callers, stalled = [], {}, [], threading.Event()
     draw, activate, predict = model._draw, model._activate_output, model._predict_passes
 
-    def predicting(net, x, rng, passes):
-        calls.append(rng)
-        return predict(net, x, rng, passes)
+    def predicting(*args, **kw):
+        callers.append(threading.get_ident())
+        return predict(*args, **kw)
 
     def drawing(rng, *args):
-        stream = 0 if rng is calls[-1] else 1
-        if (stream, draws[stream]) == (n % 2, n // 2):
-            stalled.add(threading.get_ident())
-        draws[stream] += 1
+        streams.setdefault(threading.get_ident(), set()).add(id(rng))
         return draw(rng, *args)
 
     def stalling(task, z):
-        if threading.get_ident() in stalled:
-            stalled.discard(threading.get_ident())
-            slept.append(n)
-            time.sleep(0.2)
+        me = threading.get_ident()
+        if (me == callers[-1]) == caller:
+            if not slept:
+                slept.append(me)
+                stalled.set()
+                deadline = time.monotonic() + 10
+                # list(): the other worker may add its entry meanwhile
+                while sum(len(ids) for thread, ids in list(streams.items())
+                          if thread != me) < blocks - 1 and time.monotonic() < deadline:
+                    time.sleep(0.001)
+        elif not stalled.is_set():
+            assert stalled.wait(timeout=10), "the slowed worker took no block"
         return activate(task, z)
 
     monkeypatch.setattr(model, "_predict_passes", predicting)
     monkeypatch.setattr(model, "_draw", drawing)
     monkeypatch.setattr(model, "_activate_output", stalling)
-    return slept
+    return slept, streams
 
 
 class TestTwoWorkers:
-    """The MC passes of one call split over two threads give the bytes, and
-    leave the generator in the state, of one thread running them all."""
+    """The MC row blocks of one call split over two threads give the bytes,
+    and leave the generator in the state, of one thread running them all."""
 
     @pytest.mark.parametrize("rows", [0, 1, 4097])  # 4097: two row blocks
     @pytest.mark.parametrize("shared,heads", NET_SHAPES)
@@ -1092,7 +1135,7 @@ class TestTwoWorkers:
             assert pred.confidence.tobytes() == confidence.tobytes()
         assert rng.random() == ref_rng.random()
 
-    # 7-row blocks: 8 rows are two blocks of 4, 20 rows blocks of 6, 7 and 7
+    # 7-row blocks: 7 and 8 rows are two blocks, 20 rows four blocks of 5
     @pytest.mark.parametrize("rows", [1, 7, 8, 20])
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("shared,heads", NET_SHAPES)
@@ -1112,7 +1155,7 @@ class TestTwoWorkers:
                                                    stacked_mc_predict(net, x, ref_rng)):
                 assert pred.decoded.tobytes() == decoded.tobytes()
                 assert pred.confidence.tobytes() == confidence.tobytes()
-            # the caller's generator ends n_blocks * ceil(T/2) draws on
+            # the caller's generator ends two words on
             assert rng.random() == ref_rng.random()
 
     def test_draws_in_small_pieces_equal_the_one_call_reference(self, monkeypatch):
@@ -1134,9 +1177,9 @@ class TestTwoWorkers:
         assert rng.random() == ref_rng.random()
 
     def test_two_workers_under_frequent_thread_switches(self, monkeypatch):
-        # each worker adds into its own half; a lost or reordered add would
-        # change the bytes. With 7-row blocks each worker runs its passes
-        # over 6 blocks.
+        # each worker adds into its own block's moments; a lost or reordered
+        # add would change the bytes. With 7-row blocks the two workers share
+        # 6 blocks.
         net = micro_net(seed=70, shared=(6,), heads={"cat": (3,)}, dropout=0.3, mc_passes=9,
                         tasks=WIDE_TASKS)
         x = np.random.default_rng(71).normal(size=(40, 5))
@@ -1170,21 +1213,32 @@ class TestTwoWorkers:
         assert threading.active_count() == threads
         assert len(calls) < 8 * len(net.tasks)  # the passes stopped
 
-    @pytest.mark.parametrize("slow", [0, 3])  # 3: the second worker's last pass
-    def test_a_slow_pass_gives_one_workers_bytes(self, monkeypatch, slow):
+    @pytest.mark.parametrize("caller", [True, False])
+    def test_a_slow_worker_gives_one_workers_bytes(self, monkeypatch, caller):
+        # the slowed worker stays on its first block while the other takes
+        # the rest, so which worker runs which block differs from an even split
+        monkeypatch.setattr(model, "_BLOCK", 50)
         net = micro_net(seed=51, shared=(6,), heads={"cat": (3,)}, dropout=0.3, mc_passes=5,
                         tasks=WIDE_TASKS)
         x = np.random.default_rng(52).normal(size=(300, 5))
+        assert len(model._blocks(len(x), model._block_rows(net))) == 6
         expected = pass_outputs(net, x, 53, 1, monkeypatch)
-        slept = stall_pass(monkeypatch, slow)
+        slept, streams = stall_worker(monkeypatch, caller, 6)
         assert pass_outputs(net, x, 53, 2, monkeypatch) == expected
-        assert slept == [slow]
+        assert len(slept) == 1
+        ran = {thread: len(ids) for thread, ids in streams.items()}
+        assert sum(ran.values()) == 6
+        # the slowed worker ran only the block it stalled in
+        assert ran[slept[0]] == 1
 
     def test_no_worker_waits_for_the_other(self, monkeypatch):
-        # worker 1's first pass waits until worker 0 has run all of its
-        # passes (0, 2, 4), which a worker waiting for pass 3's draw never does
+        # the second worker's first pass waits until the caller's thread has
+        # run every pass of the other 5 of the 6 blocks, which a worker
+        # waiting for the other never lets happen
+        monkeypatch.setattr(model, "_BLOCK", 7)
         net = micro_net(shared=(6,), heads={"cat": (3,)}, dropout=0.3, mc_passes=6)
         x = np.random.default_rng(58).normal(size=(40, 5))
+        assert len(model._blocks(len(x), model._block_rows(net))) == 6
         expected = pass_outputs(net, x, 59, 1, monkeypatch)
         released, original = threading.Event(), model._activate_output
         caller, worker0_calls, results = [], [], []
@@ -1193,7 +1247,7 @@ class TestTwoWorkers:
             if threading.get_ident() == caller[0]:
                 out = original(task, z)
                 worker0_calls.append(None)
-                if len(worker0_calls) == 3 * len(net.tasks):
+                if len(worker0_calls) == 5 * 6 * len(net.tasks):
                     released.set()
                 return out
             assert released.wait(timeout=10), "worker 0 did not run its passes"
@@ -1210,28 +1264,36 @@ class TestTwoWorkers:
         assert not watchdog.is_alive(), "a worker still waits for the other"
         assert results == [expected]
 
-    def test_odd_passes_draw_from_a_jump_of_the_callers_generator(self, monkeypatch):
+    def test_each_block_draws_from_a_child_of_the_callers_words(self, monkeypatch):
         net = micro_net(seed=73, shared=(6,), heads={"cat": (3,)}, dropout=0.3, mc_passes=7)
-        x = np.random.default_rng(74).normal(size=(30, 5))
-        n = len(x) * net.units
+        x = np.random.default_rng(74).normal(size=(30, 5))  # two blocks of 15 rows
+        n = 15 * net.units
         drawn, draw = [], model._draw
 
         def recording(rng, *args):
             keep = draw(rng, *args)
-            drawn.append((rng is caller, keep[:n].copy()))
+            drawn.append((rng, keep[:n].copy()))
             return keep
 
         monkeypatch.setattr(model, "_mc_workers", lambda: 1)
         monkeypatch.setattr(model, "_draw", recording)
         caller, ref = np.random.default_rng(75), np.random.default_rng(75)
-        odd = np.random.Generator(ref.bit_generator.jumped())
         mc_predict(net, x, caller)
-        # one worker runs the passes in order, alternating the streams
-        assert [own for own, _ in drawn] == [t % 2 == 0 for t in range(7)]
+        # one worker runs block 0's passes, then block 1's, each block from
+        # its own stream, which is never the caller's
+        first, second = drawn[0][0], drawn[7][0]
+        assert [rng for rng, _ in drawn] == [first] * 7 + [second] * 7
+        assert caller not in (first, second) and first is not second
+        streams = block_streams(ref, 2)
         for t, (_, keep) in enumerate(drawn):
-            assert np.array_equal(keep, raw_draw(odd if t % 2 else ref, n, 0.3)[0])
-        # the caller's generator ends ceil(T/2) = 4 draws on, where `ref` is
+            assert np.array_equal(keep, raw_draw(streams[t // 7], n, 0.3)[0])
+        # the caller's generator ends two words on, where `ref` is
         assert caller.random() == ref.random()
+        # so a second call on the same generator draws other masks
+        before = drawn[0][1]
+        drawn.clear()
+        mc_predict(net, x, caller)
+        assert not np.array_equal(drawn[0][1], before)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_workers_run_under_the_callers_error_state(self, monkeypatch, workers):
@@ -1273,9 +1335,11 @@ class TestTwoWorkers:
 def mc_over_outputs(stack):
     """mc_predict's prediction for a regression task whose outputs in pass t
     are row t of the (T, B) `stack`: a one-worker call on a one-task net whose
-    output activation is replaced by the stack's rows in turn."""
+    output activation is replaced, per row block and pass in turn, by the
+    block's columns of the stack's rows."""
     net = micro_net(shared=(3,), dropout=0.3, mc_passes=len(stack), tasks=[THREE_TASKS[2]])
-    rows = iter(stack)
+    rows = iter([stack[t, r0:r1] for r0, r1 in model._blocks(stack.shape[1], model._BLOCK)
+                 for t in range(len(stack))])
 
     def scripted(task, z):
         z[:, 0] = next(rows)
@@ -1289,9 +1353,8 @@ def mc_over_outputs(stack):
 
 
 class TestRegressionMoments:
-    """Regression confidence from Welford's moments over each half of the
-    passes in order, merged by Chan's update
-    (:func:`halves_mean_and_variance`), whose memory does not grow with the
+    """Regression confidence from Welford's moments over the passes in order
+    (:func:`mean_and_variance`), whose memory does not grow with the
     passes."""
 
     @settings(max_examples=80, deadline=None)
@@ -1299,13 +1362,13 @@ class TestRegressionMoments:
                   elements=st.floats(-1.0, 1.0)),
            st.sampled_from([0.0, -7.0, 1e6, -3e9, 1e12]),
            st.sampled_from([1.0, 1e-3, 1e-9]))
-    def test_confidence_is_the_halves_variance_and_never_positive(self, base, offset, spread):
+    def test_confidence_is_welfords_variance_and_never_positive(self, base, offset, spread):
         # a large offset with a tiny spread is where a one-pass variance loses
-        # digits; an odd T gives halves of unequal size
+        # digits; B >= 2 rows are two row blocks
         stack = offset + spread * base
         pred = mc_over_outputs(stack)
         assert (pred.confidence <= 0.0).all()
-        mean, var = halves_mean_and_variance(stack)
+        mean, var = mean_and_variance(stack)
         assert pred.confidence.tobytes() == (-var).tobytes()
         assert pred.decoded.tobytes() == mean.tobytes()
         # against numpy's two-pass variance: both err by a few ulps of the
@@ -1342,22 +1405,25 @@ class TestRegressionMoments:
 
 
 class TestPeakMemory:
-    """An MC call holds no array over all of its rows but the two halves'
-    moments and its results: the rest is sized to one row block, whose
-    buffers take at most ``model._BLOCK_BYTES`` a worker."""
+    """An MC call holds no array over all of its rows but its results: the
+    rest is sized to one row block, whose buffers take at most
+    ``model._BLOCK_BYTES`` a worker."""
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_mc_predict_peak_per_added_row_is_the_moments(self, monkeypatch, workers):
+    def test_mc_predict_peak_per_added_row_is_the_results(self, monkeypatch, workers):
         monkeypatch.setattr(model, "_mc_workers", lambda: workers)
         net = micro_net(seed=79, shared=(16,), heads={"cat": (8,)}, dropout=0.3, mc_passes=6,
                         tasks=WIDE_TASKS)
-        # per row, per half: a (K,) sum or a regression task's mean and m2
-        moments = 2 * 8 * sum(t.num_classes or 2 for t in net.tasks)
-        # the slack: a classification task's decoded class and confidence,
-        # 16 B a row; a regression task's results are its merged moments
-        slack = 16 * sum(t.kind != "regression" for t in net.tasks)
+        # per row and task its two results, 8 B each: a decoded class or a
+        # regression mean, and a confidence; no moments
+        results = 16 * len(net.tasks)
+        # not per row: per added block its stream (a generator, under 1 KiB),
+        # and with two workers one worker's transients, a draw's piece of
+        # words and a pass's temporaries, which may or may not meet the
+        # other's at the peak
+        slack = 4 * 1024 + (workers - 1) * (8 * model._PIECE + 64 * 1024)
         peaks = []
-        for blocks in (3, 6):
+        for blocks in (4, 8):  # even counts: 4096-row blocks
             x = np.random.default_rng(80).normal(size=(blocks * model._BLOCK, 5))
             tracemalloc.start()
             try:
@@ -1365,8 +1431,8 @@ class TestPeakMemory:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        per_row = (peaks[1] - peaks[0]) / (3 * model._BLOCK)
-        assert per_row <= moments + slack, (per_row, moments, slack)
+        added = peaks[1] - peaks[0]
+        assert added <= 4 * model._BLOCK * results + slack, (added / (4 * model._BLOCK), results)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_mc_predict_peak_of_a_wide_net_is_the_byte_budget(self, monkeypatch, workers):
@@ -1377,10 +1443,8 @@ class TestPeakMemory:
         assert model._BLOCK * model._row_bytes(net) > 3 * model._BLOCK_BYTES
         rows = 2 * model._BLOCK
         x = np.random.default_rng(83).normal(size=(rows, 5))  # allocated before the trace
-        # per half, a (K,) sum or a regression task's mean and m2; a
-        # classification task's decoded class and confidence
-        moments = 2 * 8 * rows * sum(t.num_classes or 2 for t in net.tasks)
-        results = 16 * rows * sum(t.kind != "regression" for t in net.tasks)
+        # per task, a decoded class or regression mean and a confidence
+        results = 16 * rows * len(net.tasks)
         # per worker, the draw's piece of random words and the passes'
         # temporaries over a block (softmax's row max and sum, Welford's deltas)
         slack = workers * (8 * model._PIECE + 64 * 1024)
@@ -1390,5 +1454,5 @@ class TestPeakMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        held = peak - moments - results
+        held = peak - results
         assert held <= workers * model._BLOCK_BYTES + slack, (held, workers, slack)

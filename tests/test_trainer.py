@@ -245,7 +245,8 @@ class TestRunCdlc:
 
     @pytest.mark.parametrize("seed", [0, 1, 21])
     def test_a_rounds_streams_share_no_word(self, monkeypatch, seed):
-        # one round opens three generators: initialisation, training and MC
+        # one round opens three generators: initialisation, training and MC;
+        # its MC call one more per row block, two for its candidate rows here
         opened, real_rng = [], np.random.default_rng
 
         def recording(*args):
@@ -261,7 +262,7 @@ class TestRunCdlc:
         monkeypatch.setattr(np.random, "default_rng", recording)
         run_cdlc(ds, cfg)
         monkeypatch.undo()
-        assert len(opened) == 3
+        assert len(opened) == 3 + 2
         # and the label drop of drop.seed = seed + 1, or any seed near the round's
         plain = [real_rng(s).bit_generator for s in range(max(seed - 2, 0), seed + 3)]
         long = [bits.random_raw(10**5) for bits in opened + plain]
